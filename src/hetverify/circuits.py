@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,10 +134,16 @@ class Circuit:
 
 
 def _embed(ops: dict, num_qubits: int) -> np.ndarray:
-    """Kronecker chain with the given 2x2 operators at their qubit slots."""
+    """Kronecker chain with the given 2x2 operators at their qubit slots.
+
+    Each step is the outer product that np.kron computes, with the same
+    multiplications, written out to skip np.kron's per-call overhead.
+    """
     full = np.array([[1.0 + 0j]])
     for q in range(num_qubits):
-        full = np.kron(full, ops.get(q, _I2))
+        dim = 2 * full.shape[0]
+        op = ops.get(q, _I2)
+        full = (full[:, None, :, None] * op[None, :, None, :]).reshape(dim, dim)
     return full
 
 
@@ -273,8 +280,13 @@ def measure_in_basis(state, setting: str, qubits=None) -> ProbabilityDistributio
     marginal = marginal.transpose([kept.index(q) for q in qubits]).reshape(-1)
     marginal = np.clip(marginal, 0.0, None)
     marginal /= marginal.sum()
-    outcomes = tuple(index_to_bits(i, len(qubits)) for i in range(marginal.size))
-    return ProbabilityDistribution(outcomes, marginal)
+    return ProbabilityDistribution(_outcomes(len(qubits)), marginal)
+
+
+@lru_cache(maxsize=None)
+def _outcomes(width: int) -> tuple:
+    """Bitstring labels of a `width`-bit register in index order."""
+    return tuple(index_to_bits(i, width) for i in range(2**width))
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,9 @@ class ExperimentConfig:
         for key in ("zeta",):
             if key in params and isinstance(params[key], float):
                 params[key] = format_angle(params[key])
+        if isinstance(params.get("initial"), tuple):
+            # An (alpha, beta) amplitude pair, as [re, im] pairs.
+            params["initial"] = [[z.real, z.imag] for z in params["initial"]]
         return {"command": self.command, "parameters": params}
 
 
@@ -178,6 +181,11 @@ def parse_config(argv) -> ExperimentConfig:
         except ValueError:
             raise UsageError(
                 "--initial must be '1' or 'alpha,beta'") from None
+        parts = (alpha.real, alpha.imag, beta.real, beta.imag)
+        if not all(math.isfinite(v) for v in parts):
+            raise UsageError("--initial amplitudes must be finite")
+        if alpha == 0 and beta == 0:
+            raise UsageError("--initial amplitudes must not both be zero")
         params["initial"] = (alpha, beta)
     if command == "protocol2":
         if not re.fullmatch("[01]{4}", params["initial"]):
@@ -303,10 +311,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         bundle = run_and_report(config)
-    except (UsageError, ValueError) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     for path in bundle.emitted_files:

@@ -4,6 +4,17 @@ An expectation set maps Pauli strings (over I/X/Y/Z) to real expectation
 values.  Reconstruction is the standard Pauli sum
 rho = (1/2^m) * sum_P <P> P; the single-qubit Bloch formula is its
 m = 1 special case.
+
+Counts are assembled into expectations with a Walsh-Hadamard transform.
+Each setting's table becomes one row of a count array over the 2^m
+outcomes; one product with the +-1 matrix H^{(x)m}, whose entry (b, a)
+is the parity (-1)^popcount(b & a), gives every subset parity sum for
+every setting at once.  A Pauli string reads the column of its
+non-identity positions, a, from every setting that matches its
+non-identity letters, and the shot-weighted mean over those settings is
+its estimate.  Which strings each setting can estimate, and from which
+column, depends only on m and is worked out once from the 4^m x 3^m
+string-by-setting compatibility mask.
 """
 from __future__ import annotations
 
@@ -23,7 +34,13 @@ from .circuits import (
     ShotTable,
 )
 from .metrics import fidelity
-from .states import DensityMatrix, StateVector, condition_on_ancilla, partial_trace
+from .states import (
+    DensityMatrix,
+    StateVector,
+    condition_on_ancilla,
+    index_to_bits,
+    partial_trace,
+)
 
 MAX_MEASURED_QUBITS = 4
 
@@ -72,26 +89,80 @@ def expectation_from_counts(table: ShotTable, string: str) -> float:
     return total / table.shots
 
 
+@lru_cache(maxsize=None)
+def _assembly_layout(num_qubits: int):
+    """Index arrays shared by every assembly over `num_qubits` qubits.
+
+    Returns (strings, reach, walsh, outcome_col).  `strings` are the
+    4^m - 1 non-identity Pauli strings in pauli_strings order.  For each
+    setting, reach[setting] holds the indices of the strings it can
+    estimate and the Walsh-Hadamard column of each, the bitmask of its
+    non-identity positions (qubit 0 the most significant bit).
+    walsh[b, a] = (-1)^popcount(b & a), and outcome_col maps an outcome
+    bitstring to its count column.  The arrays are read-only because
+    every caller shares them.
+    """
+    strings = pauli_strings(num_qubits)[1:]
+    letters = np.array(list(itertools.product(range(4), repeat=num_qubits)),
+                       dtype=np.int8).reshape(-1, num_qubits)[1:]
+    bases = np.array(list(itertools.product(range(1, 4), repeat=num_qubits)),
+                     dtype=np.int8).reshape(-1, num_qubits)
+    compatible = np.ones((len(strings), len(bases)), dtype=bool)
+    for q in range(num_qubits):
+        column = letters[:, q, None]
+        compatible &= (column == 0) | (column == bases[None, :, q])
+    parity = (letters != 0) @ (1 << np.arange(num_qubits - 1, -1, -1))
+    reach = {}
+    for s, setting in enumerate(itertools.product("XYZ", repeat=num_qubits)):
+        hits = np.flatnonzero(compatible[:, s])
+        reach["".join(setting)] = (hits, parity[hits])
+    walsh = np.ones((1, 1))
+    for _ in range(num_qubits):
+        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+    for array in (walsh, *itertools.chain.from_iterable(reach.values())):
+        array.setflags(write=False)
+    outcome_col = {index_to_bits(i, num_qubits): i for i in range(2**num_qubits)}
+    return strings, reach, walsh, outcome_col
+
+
 def expectations_from_tables(tables, num_qubits: int) -> dict:
     """Assemble the full 4^m expectation set from 3^m setting tables.
 
     Strings with identity positions are estimated from every compatible
-    setting, weighted by shot count.
+    setting, weighted by shot count; tables with no shots are skipped,
+    and a later table for a setting replaces an earlier one.
     """
+    strings, reach, walsh, outcome_col = _assembly_layout(num_qubits)
     by_setting = {t.setting: t for t in tables}
-    expectations = {}
-    for string in pauli_strings(num_qubits):
-        if set(string) == {"I"}:
-            expectations[string] = 1.0
-            continue
-        num, den = 0.0, 0
-        for setting, table in by_setting.items():
-            if _compatible(setting, string) and table.shots > 0:
-                num += expectation_from_counts(table, string) * table.shots
-                den += table.shots
-        if den == 0:
-            raise ValueError(f"no shot table can estimate {string!r}")
-        expectations[string] = num / den
+    for setting in by_setting:
+        if setting not in reach:
+            raise ValueError(f"setting {setting!r} is not {num_qubits} "
+                             "letters from X, Y, Z")
+    used = [t for t in by_setting.values() if t.shots > 0]
+    counts = np.zeros((len(used), len(outcome_col)))
+    for row, table in enumerate(used):
+        for bits, count in table.counts.items():
+            try:
+                counts[row, outcome_col[bits]] = count
+            except KeyError:
+                raise ValueError(f"outcome {bits!r} of setting {table.setting!r}"
+                                 f" is not {num_qubits} bits") from None
+    shots = np.array([t.shots for t in used], dtype=float)[:, None]
+    # Per-table estimate times its shots, as expectation_from_counts
+    # weights it, added table by table in by_setting order: every term
+    # and every partial sum rounds exactly as in the per-string loop.
+    weighted = (counts @ walsh) / shots * shots
+    num = np.zeros(len(strings))
+    den = np.zeros(len(strings))
+    for table, terms in zip(used, weighted):
+        hits, columns = reach[table.setting]
+        num[hits] += terms[columns]
+        den[hits] += table.shots
+    missing = np.flatnonzero(den == 0)
+    if missing.size:
+        raise ValueError(f"no shot table can estimate {strings[missing[0]]!r}")
+    expectations = {"I" * num_qubits: 1.0}
+    expectations.update(zip(strings, (num / den).tolist()))
     return expectations
 
 
@@ -202,6 +273,10 @@ def tomography_sweep(circuit: Circuit, measured=None, shots: int = None,
                              setting=setting + ("Z" if postselect else ""))
         if postselect:
             table = table.postselect(len(measured), postselect_ancilla)
+            if table.shots == 0:
+                raise ValueError(
+                    f"setting {setting!r}: post-selecting ancilla outcome "
+                    f"{postselect_ancilla} kept 0 of {shots} shots")
         tables.append(table)
     return expectations_from_tables(tables, len(measured))
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from hetverify.circuits import (
+    _I2,
     Circuit,
     NoiseModel,
     ShotTable,
     apply_gate,
     cu3,
+    _embed,
     depolarize,
     gate_unitary,
     measure_in_basis,
@@ -78,6 +80,18 @@ class TestGateApplication:
         for gate in (x(1), u3(0, 0.4, 1.0, 2.0), cu3(2, 0, 1.1, 0.2, 0.3)):
             mat = gate_unitary(gate, 3)
             np.testing.assert_allclose(mat.conj().T @ mat, np.eye(8), atol=1e-10)
+
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_embed_matches_kron_chain_bitwise(self, rng, num_qubits):
+        for _ in range(5):
+            slots = rng.choice(num_qubits, size=rng.integers(1, num_qubits + 1),
+                               replace=False)
+            ops = {int(q): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                   for q in slots}
+            expected = np.array([[1.0 + 0j]])
+            for q in range(num_qubits):
+                expected = np.kron(expected, ops.get(q, _I2))
+            assert np.array_equal(_embed(ops, num_qubits), expected)
 
 
 class TestRunStatevector:

@@ -6,6 +6,7 @@ import pytest
 from hetverify.cli import (
     EXIT_OK,
     EXIT_REJECT,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     UsageError,
     emit_plot_data,
@@ -70,6 +71,12 @@ class TestParseConfig:
     def test_bad_threshold_rejected(self):
         with pytest.raises(UsageError, match="threshold"):
             parse_config(["protocol3", "--threshold", "2"])
+
+    @pytest.mark.parametrize("initial", ["0,0", "0,0j", "nan,1", "1,inf"])
+    def test_degenerate_initial_pair_rejected(self, initial):
+        with pytest.raises(UsageError, match="--initial"):
+            parse_config(["protocol1", "--initial", initial])
+        assert main(["protocol1", "--initial", initial]) == EXIT_USAGE
 
     def test_exact_flag_clears_shots(self):
         config = parse_config(["protocol1", "--exact"])
@@ -151,6 +158,27 @@ class TestMainExitCodes:
 
     def test_unknown_command_exit_one(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_runtime_value_error_exit_three(self, tmp_path, capsys):
+        from hetverify.circuits import Circuit
+
+        # The ancilla of a gate-free circuit always reads 0, so
+        # post-selecting on 1 keeps no shots.
+        path = tmp_path / "circuit.json"
+        Circuit(2, ancilla=1).save(path)
+        argv = ["tomography", str(path), "--shots", "16",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_RUNTIME
+        assert "kept 0 of 16 shots" in capsys.readouterr().err
+
+    def test_initial_amplitude_pair_runs(self, tmp_path):
+        argv = ["protocol1", "--initial", "0.6,0.8", "--shots", "64",
+                "--copies", "1", "1", "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "protocol1_report.json").read_text())
+        assert report["config"]["parameters"]["initial"] == [[0.6, 0.0],
+                                                             [0.8, 0.0]]
+        assert report["result"]
 
     def test_success_exit_zero(self, tmp_path):
         assert main(["protocol1", "--exact", "--copies", "1", "1",

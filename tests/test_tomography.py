@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetverify.circuits import Circuit, ShotTable, cu3, u3, x
 from hetverify.metrics import trace_distance
@@ -178,6 +180,11 @@ class TestTomographySweep:
         with pytest.raises(ValueError, match="at most"):
             tomography_sweep(Circuit(6), measured=list(range(5)))
 
+    def test_empty_postselection_names_setting(self):
+        # The ancilla of a gate-free circuit always reads 0.
+        with pytest.raises(ValueError, match="'X'.*outcome 1 kept 0 of 16"):
+            tomography_sweep(Circuit(2, ancilla=1), shots=16, seed=0)
+
     def test_trace_ancilla_mode(self):
         # postselect_ancilla=None keeps the full marginal instead
         circuit = five_qubit_circuit()
@@ -225,3 +232,88 @@ class TestExpectationIO:
         ex = expectations_from_tables(tables, 1)
         assert ex == {"I": 1.0, "X": pytest.approx(0.6),
                       "Y": pytest.approx(0.6), "Z": pytest.approx(0.6)}
+
+
+def _assemble_by_loop(tables, num_qubits):
+    """Per-string reference assembly: the loop the vectorised code replaced."""
+    by_setting = {t.setting: t for t in tables}
+    expectations = {}
+    for string in pauli_strings(num_qubits):
+        if set(string) == {"I"}:
+            expectations[string] = 1.0
+            continue
+        num, den = 0.0, 0
+        for setting, table in by_setting.items():
+            compatible = all(p in ("I", q) for p, q in zip(string, setting))
+            if compatible and table.shots > 0:
+                num += expectation_from_counts(table, string) * table.shots
+                den += table.shots
+        if den == 0:
+            raise ValueError(f"no shot table can estimate {string!r}")
+        expectations[string] = num / den
+    return expectations
+
+
+def _random_tables(num_qubits, seed, keep, zero_shot, duplicate):
+    """Shuffled tables over a random subset of settings, some empty and
+    some repeated, with uneven shot totals."""
+    rng = np.random.default_rng(seed)
+    outcomes = ["".join(b) for b in itertools.product("01", repeat=num_qubits)]
+    settings_ = ["".join(s) for s in itertools.product("XYZ", repeat=num_qubits)]
+    chosen = [s for s in settings_ if rng.random() < keep]
+    chosen += [s for s in chosen if rng.random() < duplicate]
+    tables = []
+    for setting in chosen:
+        if rng.random() < zero_shot:
+            tables.append(ShotTable(setting, {outcomes[0]: 0}, 0))
+            continue
+        shots = int(rng.integers(1, 5000))
+        draws = rng.multinomial(shots, rng.dirichlet(np.ones(len(outcomes))))
+        tables.append(ShotTable(setting, {b: int(c) for b, c in
+                                          zip(outcomes, draws) if c}, shots))
+    rng.shuffle(tables)
+    return tables
+
+
+class TestVectorisedAssembly:
+    @settings(max_examples=60, deadline=None)
+    @given(num_qubits=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           keep=st.sampled_from([0.4, 0.9, 1.0]),
+           zero_shot=st.sampled_from([0.0, 0.1]),
+           duplicate=st.sampled_from([0.0, 0.2]))
+    def test_matches_per_string_loop(self, num_qubits, seed, keep,
+                                     zero_shot, duplicate):
+        tables = _random_tables(num_qubits, seed, keep, zero_shot, duplicate)
+        try:
+            expected = _assemble_by_loop(tables, num_qubits)
+        except ValueError as err:
+            with pytest.raises(ValueError) as caught:
+                expectations_from_tables(tables, num_qubits)
+            assert str(caught.value) == str(err)
+            return
+        got = expectations_from_tables(tables, num_qubits)
+        assert list(got) == list(expected)
+        # Terms are added in the loop's order, so the sums agree exactly.
+        assert got == expected
+
+    def test_duplicate_setting_last_table_wins(self):
+        tables = [ShotTable(s, {"0": 10}, 10) for s in ("X", "Y", "Z")]
+        tables.append(ShotTable("Z", {"1": 7}, 7))
+        assert expectations_from_tables(tables, 1)["Z"] == -1.0
+
+    @pytest.mark.parametrize("setting", ["ZZ", "", "Q", "z"])
+    def test_malformed_setting_rejected(self, setting):
+        tables = [ShotTable(s, {"0": 5}, 5) for s in ("X", "Y", "Z")]
+        tables.append(ShotTable(setting, {"0": 5}, 5))
+        with pytest.raises(ValueError, match="letters from X, Y, Z"):
+            expectations_from_tables(tables, 1)
+
+    def test_malformed_outcome_rejected(self):
+        tables = [ShotTable(s, {"0": 5, "01": 1}, 6) for s in ("X", "Y", "Z")]
+        with pytest.raises(ValueError, match="'01'.*not 1 bits"):
+            expectations_from_tables(tables, 1)
+
+    def test_unestimable_string_rejected(self):
+        tables = [ShotTable("ZZ", {"00": 5}, 5), ShotTable("XY", {"00": 0}, 0)]
+        with pytest.raises(ValueError, match="no shot table can estimate 'IX'"):
+            expectations_from_tables(tables, 2)
