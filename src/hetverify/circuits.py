@@ -18,6 +18,7 @@ from .states import (
     ProbabilityDistribution,
     StateVector,
     index_to_bits,
+    trace_out,
 )
 
 MAX_QUBITS = 6
@@ -82,6 +83,13 @@ def cu3(control: int, target: int, theta: float, phi: float, lam: float) -> Gate
     return Gate("cu3", (control, target), (theta, phi, lam))
 
 
+def _expect(value, types, problem: str):
+    """`value` if it is one of `types` (a bool never counts), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{problem}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Circuit:
     num_qubits: int
@@ -117,11 +125,23 @@ class Circuit:
 
     @classmethod
     def from_json(cls, data: dict) -> "Circuit":
-        gates = tuple(
-            Gate(g["kind"], tuple(g["qubits"]), tuple(g.get("angles", ())))
-            for g in data["gates"]
-        )
-        return cls(data["num_qubits"], gates, data.get("ancilla"))
+        """Inverse of to_json; a malformed description raises ValueError."""
+        _expect(data, dict, "the circuit must be a JSON object")
+        gates = []
+        for i, g in enumerate(_expect(data.get("gates"), list, "'gates' must be a list")):
+            _expect(g, dict, f"gate {i} must be an object")
+            qubits = _expect(g.get("qubits"), list, f"gate {i} needs a 'qubits' list")
+            angles = _expect(g.get("angles", []), list, f"gate {i} 'angles' must be a list")
+            for q in qubits:
+                _expect(q, int, f"gate {i} qubits must be integers")
+            for a in angles:
+                _expect(a, (int, float), f"gate {i} angles must be numbers")
+            gates.append(Gate(g.get("kind"), tuple(qubits), tuple(angles)))
+        num_qubits = _expect(data.get("num_qubits"), int, "'num_qubits' must be an integer")
+        ancilla = data.get("ancilla")
+        if ancilla is not None:
+            _expect(ancilla, int, "'ancilla' must be an integer or null")
+        return cls(num_qubits, gates, ancilla)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -204,32 +224,20 @@ class NoiseModel:
         }
 
 
-def _permute_qubits(matrix: np.ndarray, order: list, num_qubits: int) -> np.ndarray:
-    """Reorder a matrix whose current qubit order is `order` to 0..n-1."""
-    position = {q: i for i, q in enumerate(order)}
-    perm = [position[q] for q in range(num_qubits)]
-    tensor = matrix.reshape([2] * (2 * num_qubits))
-    tensor = tensor.transpose(perm + [p + num_qubits for p in perm])
-    dim = 2**num_qubits
-    return tensor.reshape(dim, dim)
-
-
 def depolarize(rho_mat: np.ndarray, qubits, prob: float, num_qubits: int) -> np.ndarray:
-    """Mix the named qubits toward maximally mixed with probability `prob`."""
+    """Mix the named qubits toward maximally mixed with probability `prob`.
+
+    The fully depolarized part replaces each qubit in turn by I/2: trace
+    it out, halve, and put the identity back on its axes.
+    """
     if prob == 0.0:
         return rho_mat
-    qubits = list(qubits)
-    rest = [q for q in range(num_qubits) if q not in qubits]
-    n_traced = len(qubits)
     tensor = rho_mat.reshape([2] * (2 * num_qubits))
-    for offset, q in enumerate(qubits):
-        axis = q - sum(1 for p in qubits[:offset] if p < q)
-        ncur = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + ncur)
-    reduced = tensor.reshape(2 ** len(rest), 2 ** len(rest)) if rest else tensor
-    mixed = np.kron(np.eye(2**n_traced) / 2**n_traced, reduced)
-    mixed = _permute_qubits(mixed, qubits + rest, num_qubits)
-    return (1.0 - prob) * rho_mat + prob * mixed
+    for q in qubits:
+        reduced = trace_out(tensor, q) / 2
+        tensor = np.moveaxis(np.multiply.outer(_I2, reduced),
+                             (0, 1), (q, q + num_qubits))
+    return (1.0 - prob) * rho_mat + prob * tensor.reshape(rho_mat.shape)
 
 
 def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMatrix:
@@ -327,6 +335,13 @@ def _flip_distribution(probs: np.ndarray, num_bits: int, flip: float) -> np.ndar
         flipped = np.flip(tensor, axis=axis)
         tensor = (1.0 - flip) * tensor + flip * flipped
     return tensor.reshape(-1)
+
+
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """`seed` itself if it is a SeedSequence, else a new one built from it."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
 def sample_shots(dist: ProbabilityDistribution, shots: int, seed,

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .circuits import NoiseModel
+from .circuits import Circuit, NoiseModel
 from .protocols import (
     CopyPlan,
     HeterodyneSetting,
+    format_angle,
     protocol1_run,
     protocol2_run,
     protocol3_verify,
@@ -27,7 +28,6 @@ from .protocols import (
 from .qkd import BALANCED_QKD_ZETA, mode_label, qkd_table, threshold_verdict
 from .reference_data import hardware_reference
 from .tomography import reconstruct_multi_qubit, tomography_sweep
-from .circuits import Circuit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,20 +54,6 @@ def parse_angle(text: str) -> float:
         return float(text)
     except ValueError:
         raise UsageError(f"cannot parse angle {text!r}") from None
-
-
-def format_angle(value: float) -> str:
-    """Symbolic form when the angle is a simple pi fraction."""
-    for num in range(-4, 5):
-        for den in (1, 2, 3, 4, 6):
-            if num and math.gcd(abs(num), den) == 1 \
-                    and abs(value - num * math.pi / den) < 1e-12:
-                frac = "pi" if abs(num) == 1 else f"{abs(num)}pi"
-                sign = "-" if num < 0 else ""
-                return f"{sign}{frac}/{den}" if den > 1 else f"{sign}{frac}"
-    if value == 0:
-        return "0"
-    return repr(value)
 
 
 @dataclass

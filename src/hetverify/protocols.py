@@ -12,8 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, NoiseModel, cu3, measure_in_basis, run_statevector, u3, x
-from .metrics import fidelity, total_variation_distance, trace_distance
+from .circuits import (
+    Circuit,
+    NoiseModel,
+    cu3,
+    measure_in_basis,
+    run_statevector,
+    seed_sequence,
+    u3,
+    x,
+)
+from .metrics import _pure_component, fidelity, total_variation_distance, trace_distance
 from .states import DensityMatrix, StateVector, condition_on_ancilla, partial_trace
 from .tomography import (
     reconstruct_multi_qubit,
@@ -26,6 +35,20 @@ BALANCED_ZETA = 0.0
 UNBALANCED_ZETA = math.pi / 2
 DEFAULT_THRESHOLD = 0.6
 INEQUALITY_SLACK = 1e-9
+
+
+def format_angle(value: float) -> str:
+    """Symbolic form when the angle is a simple pi fraction."""
+    for num in range(-4, 5):
+        for den in (1, 2, 3, 4, 6):
+            if num and math.gcd(abs(num), den) == 1 \
+                    and abs(value - num * math.pi / den) < 1e-12:
+                frac = "pi" if abs(num) == 1 else f"{abs(num)}pi"
+                sign = "-" if num < 0 else ""
+                return f"{sign}{frac}/{den}" if den > 1 else f"{sign}{frac}"
+    if value == 0:
+        return "0"
+    return repr(value)
 
 
 @dataclass(frozen=True)
@@ -64,11 +87,10 @@ class CopyPlan:
 
     n: int = 5
     m: int = 5
-    core_cutoff: int = 2
 
     def __post_init__(self):
-        if min(self.n, self.m, self.core_cutoff) < 1:
-            raise ValueError("copy counts and core cutoff must be at least 1")
+        if min(self.n, self.m) < 1:
+            raise ValueError("copy counts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -235,12 +257,6 @@ def ideal_output(circuit: Circuit) -> DensityMatrix:
     return state
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _mean_std(values) -> tuple:
     arr = np.asarray(values, dtype=float)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -257,7 +273,7 @@ def protocol1_run(initial, setting: HeterodyneSetting, plan: CopyPlan = None,
     circuit = single_mode_circuit(initial, setting)
     target = ideal_output(circuit)
     copies = plan.n + plan.m
-    children = _seed_sequence(seed).spawn(copies)
+    children = seed_sequence(seed).spawn(copies)
     fidelities = []
     for child in children:
         expectations = tomography_sweep(
@@ -268,25 +284,13 @@ def protocol1_run(initial, setting: HeterodyneSetting, plan: CopyPlan = None,
     for label, chunk in (("N", fidelities[:plan.n]), ("M", fidelities[plan.n:])):
         mean, std = _mean_std(chunk)
         groups.append(GroupResult(label, setting.zeta, list(chunk), mean, std))
-    target_vec = StateVector(1, _dominant_vector(target))
+    target_vec = StateVector(1, _pure_component(target))
     return ProtocolReport("protocol1", groups, target_state=target_vec)
 
 
-def _dominant_vector(rho: DensityMatrix) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(rho.matrix)
-    return eigvecs[:, -1]
-
-
 def _input_targets(initial) -> list:
-    targets = []
-    for spec in initial:
-        if spec in ("0", 0):
-            targets.append(StateVector.computational("0"))
-        elif spec in ("1", 1):
-            targets.append(StateVector.computational("1"))
-        else:
-            targets.append(StateVector.single_qubit(complex(spec[0]), complex(spec[1])))
-    return targets
+    """The single-qubit state _prep_gates prepares from each spec."""
+    return [run_statevector(Circuit(1, _prep_gates(spec, 0))) for spec in initial]
 
 
 def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
@@ -297,15 +301,14 @@ def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
     ideal_targets = [
         partial_trace(target, [q]) for q in range(target.num_qubits)
     ]
-    children = _seed_sequence(seed).spawn(copies)
+    children = seed_sequence(seed).spawn(copies)
     globals_, ideals, inputs, recons = [], [], [], []
     for child in children:
         expectations = tomography_sweep(circuit, shots=shots, seed=child, noise=noise)
         rho = reconstruct_multi_qubit(expectations, 4)
         recons.append(rho)
         globals_.append(fidelity(rho, target))
-        ideals.append([fidelity(partial_trace(rho, [q]), t)
-                       for q, t in enumerate(ideal_targets)])
+        ideals.append(reduced_fidelities(rho, ideal_targets))
         inputs.append(reduced_fidelities(rho, input_targets))
     mean, std = _mean_std(globals_)
     red_ideal = list(np.mean(ideals, axis=0))
@@ -328,7 +331,7 @@ def protocol2_run(initial, setting: HeterodyneSetting, plan: CopyPlan = None,
     M copies at the complementary one, full 4-qubit tomography each."""
     plan = plan or CopyPlan(n=1, m=1)
     input_targets = _input_targets(initial)
-    seeds = _seed_sequence(seed).spawn(2)
+    seeds = seed_sequence(seed).spawn(2)
     groups = []
     for label, det, copies, child in (
         ("N", setting, plan.n, seeds[0]),
@@ -369,7 +372,7 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
         ["1"] * n_photons + ["0"] * (m_modes - n_photons))
     group, recons, target = _multi_mode_group(
         circuit, "N", setting.zeta, 1, input_targets, shots,
-        np.random.SeedSequence(seed), noise)
+        seed_sequence(seed), noise)
     rho = recons[0]
     f_global = group.copy_fidelities[0]
     dist = trace_distance(rho, target)

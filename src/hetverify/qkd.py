@@ -14,11 +14,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .circuits import Circuit, NoiseModel, cu3, u3, x
+from .circuits import Circuit, NoiseModel, cu3, seed_sequence, u3, x
 from .metrics import fidelity
-from .protocols import HeterodyneSetting, heterodyne_stage
+from .protocols import HeterodyneSetting, format_angle, heterodyne_stage
 from .states import StateVector
 from .tomography import (
     reconstruct_multi_qubit,
@@ -69,14 +67,8 @@ def _single_decode_gates(basis: str, qubit: int):
 
 
 def mode_label(mode) -> str:
-    """Canonical column label: 'simple' or a symbolic zeta fraction."""
-    if mode == "simple":
-        return "simple"
-    zeta = float(mode)
-    for num, den in ((1, 3), (1, 2), (1, 4), (1, 6), (2, 3)):
-        if abs(zeta - num * math.pi / den) < 1e-12:
-            return f"pi/{den}" if num == 1 else f"{num}pi/{den}"
-    return f"{zeta:.6f}"
+    """Canonical column label: 'simple' or the zeta angle, format_angle style."""
+    return "simple" if mode == "simple" else format_angle(float(mode))
 
 
 def single_qkd_circuit(initial, encode: str, decode: str, mode) -> Circuit:
@@ -197,7 +189,7 @@ def qkd_table(initial="0", modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
     pairs = SINGLE_PAIR_ORDER if kind == "single" else BELL_PAIR_ORDER
     labels = [mode_label(m) for m in modes]
     table = QkdTable(kind, str(initial), labels)
-    children = iter(np.random.SeedSequence(seed).spawn(len(pairs) * len(modes)))
+    children = iter(seed_sequence(seed).spawn(len(pairs) * len(modes)))
     for pair in pairs:
         row = {}
         for mode, label in zip(modes, labels):

@@ -31,10 +31,6 @@ def matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(matrix)]
 
 
-def matrix_from_json(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of `num_qubits` qubits."""
@@ -59,12 +55,6 @@ class StateVector:
         amps = np.zeros(2 ** len(bits), dtype=complex)
         amps[bits_to_index(bits)] = 1.0
         return cls(len(bits), amps)
-
-    @classmethod
-    def single_qubit(cls, alpha: complex, beta: complex) -> "StateVector":
-        amps = np.array([alpha, beta], dtype=complex)
-        amps = amps / np.linalg.norm(amps)
-        return cls(1, amps)
 
     def density(self) -> "DensityMatrix":
         mat = np.outer(self.amplitudes, self.amplitudes.conj())
@@ -131,11 +121,6 @@ class DensityMatrix:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "DensityMatrix":
-        return cls(data["num_qubits"], matrix_from_json(data["matrix"]),
-                   physical=data.get("physical"))
-
-    @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
         dim = 2**num_qubits
         return cls(num_qubits, np.eye(dim) / dim, physical=True)
@@ -183,22 +168,39 @@ def tensor_product(a, b):
     )
 
 
+def trace_out(tensor: np.ndarray, qubit: int) -> np.ndarray:
+    """Trace one qubit out of an n-qubit operator held as a [2]*2n tensor."""
+    return np.trace(tensor, axis1=qubit, axis2=qubit + tensor.ndim // 2)
+
+
+def reduce_matrix(matrix: np.ndarray, keep) -> np.ndarray:
+    """Reduced matrix on the qubits `keep`, in the order given.
+
+    The other qubits are traced out in ascending order; the kept ones
+    are then permuted into the order of `keep`.
+    """
+    keep = list(keep)
+    n = matrix.shape[0].bit_length() - 1
+    if not keep:
+        raise ValueError("keep set must be non-empty")
+    if min(keep) < 0 or max(keep) >= n:
+        raise ValueError(f"qubit index out of range for {n}-qubit state: {keep}")
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"qubits to keep repeat: {keep}")
+    tensor = matrix.reshape([2] * (2 * n))
+    traced = [q for q in range(n) if q not in keep]
+    for offset, q in enumerate(traced):
+        tensor = trace_out(tensor, q - offset)  # earlier traces shift axes
+    order = [sorted(keep).index(q) for q in keep]
+    tensor = tensor.transpose(order + [p + len(keep) for p in order])
+    dim = 2 ** len(keep)
+    return tensor.reshape(dim, dim)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in `keep`; result ordered by ascending index."""
     keep = sorted(set(keep))
-    n = rho.num_qubits
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"qubit index out of range for {n}-qubit state: {keep}")
-    traced = [q for q in range(n) if q not in keep]
-    tensor = rho.matrix.reshape([2] * (2 * n))
-    for offset, q in enumerate(traced):
-        axis = q - offset  # axes shift as earlier ones are contracted
-        ncur = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + ncur)
-    dim = 2 ** len(keep)
-    return DensityMatrix(len(keep), tensor.reshape(dim, dim),
+    return DensityMatrix(len(keep), reduce_matrix(rho.matrix, keep),
                          physical=True if rho.physical else None)
 
 

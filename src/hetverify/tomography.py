@@ -15,11 +15,15 @@ non-identity letters, and the shot-weighted mean over those settings is
 its estimate.  Which strings each setting can estimate, and from which
 column, depends only on m and is worked out once from the 4^m x 3^m
 string-by-setting compatibility mask.
+
+The exact sweep (shots=None) needs no counts.  It conditions the
+circuit's density matrix on the ancilla, reduces it once to the
+measured qubits in the caller's order, and reads all 4^m expectations
+Tr(P rho) in one contraction with the stacked Pauli-string matrices.
 """
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +35,7 @@ from .circuits import (
     run_density_matrix,
     run_statevector,
     sample_shots,
+    seed_sequence,
     ShotTable,
 )
 from .metrics import fidelity
@@ -40,6 +45,7 @@ from .states import (
     condition_on_ancilla,
     index_to_bits,
     partial_trace,
+    reduce_matrix,
 )
 
 MAX_MEASURED_QUBITS = 4
@@ -58,11 +64,17 @@ def pauli_strings(num_qubits: int):
 
 
 @lru_cache(maxsize=None)
-def pauli_matrix(string: str) -> np.ndarray:
-    full = np.array([[1.0 + 0j]])
-    for letter in string:
-        full = np.kron(full, PAULI_MATRICES[letter])
-    return full
+def _pauli_stack(num_qubits: int) -> np.ndarray:
+    """Matrices of pauli_strings(num_qubits), stacked in that order."""
+    dim = 2**num_qubits
+    stack = np.empty((dim * dim, dim, dim), dtype=complex)
+    for pauli, string in zip(stack, pauli_strings(num_qubits)):
+        full = np.array([[1.0 + 0j]])
+        for letter in string:
+            full = np.kron(full, PAULI_MATRICES[letter])
+        pauli[...] = full
+    stack.setflags(write=False)  # shared by every caller
+    return stack
 
 
 def _compatible(setting: str, string: str) -> bool:
@@ -188,34 +200,11 @@ def reconstruct_multi_qubit(expectations: dict, num_qubits: int = None) -> Densi
         raise ValueError(f"incomplete expectation set, missing e.g. {missing[0]!r}")
     dim = 2**num_qubits
     mat = np.zeros((dim, dim), dtype=complex)
-    for string in needed:
-        mat += expectations[string] * pauli_matrix(string)
+    for string, pauli in zip(needed, _pauli_stack(num_qubits)):
+        mat += expectations[string] * pauli
     mat /= dim
     mat = (mat + mat.conj().T) / 2
     return DensityMatrix(num_qubits, mat, physical=None)
-
-
-def save_expectations(expectations: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(expectations, fh, indent=2, sort_keys=True)
-
-
-def load_expectations(path) -> dict:
-    with open(path) as fh:
-        return {str(k): float(v) for k, v in json.load(fh).items()}
-
-
-def _conditioned_state(circuit: Circuit, noise: NoiseModel,
-                       postselect_ancilla) -> DensityMatrix:
-    """Exact circuit output with the ancilla conditioned away (if any)."""
-    rho = run_density_matrix(circuit, noise)
-    if circuit.ancilla is not None and postselect_ancilla is not None:
-        rho = condition_on_ancilla(rho, circuit.ancilla, postselect_ancilla)
-    return rho
-
-
-def _shift_index(qubit: int, removed: int) -> int:
-    return qubit - 1 if qubit > removed else qubit
 
 
 def tomography_sweep(circuit: Circuit, measured=None, shots: int = None,
@@ -238,21 +227,13 @@ def tomography_sweep(circuit: Circuit, measured=None, shots: int = None,
     postselect = circuit.ancilla is not None and postselect_ancilla is not None
 
     if shots is None:
-        rho = _conditioned_state(circuit, noise, postselect_ancilla if postselect else None)
+        rho = run_density_matrix(circuit, noise)
         if postselect:
-            idx = [_shift_index(q, circuit.ancilla) for q in measured]
-        else:
-            idx = measured
-        if len(idx) < rho.num_qubits:
-            rho = partial_trace(rho, idx)
-        order = [sorted(idx).index(i) for i in idx]
-        expectations = {}
-        for string in pauli_strings(len(measured)):
-            # pauli letters follow the caller's measured-qubit order
-            reordered = "".join(string[order.index(j)] for j in range(len(order)))
-            value = np.trace(pauli_matrix(reordered) @ rho.matrix).real
-            expectations[string] = float(value)
-        return expectations
+            rho = condition_on_ancilla(rho, circuit.ancilla, postselect_ancilla)
+            measured = [q - 1 if q > circuit.ancilla else q for q in measured]
+        reduced = reduce_matrix(rho.matrix, measured)
+        values = np.einsum("kij,ji->k", _pauli_stack(len(measured)), reduced)
+        return dict(zip(pauli_strings(len(measured)), values.real.tolist()))
 
     if noise.is_trivial:
         state = run_statevector(circuit)
@@ -260,8 +241,7 @@ def tomography_sweep(circuit: Circuit, measured=None, shots: int = None,
         state = run_density_matrix(circuit, noise)
 
     settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(measured))]
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(len(settings))
+    children = seed_sequence(seed).spawn(len(settings))
     tables = []
     for setting, child in zip(settings, children):
         if postselect:

@@ -160,6 +160,42 @@ class TestRunDensityMatrix:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() >= -1e-12
 
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_depolarize_matches_kron_construction_bitwise(self, rng,
+                                                          num_qubits):
+        """Oracle: trace the set out in its order, np.kron the mixed
+        part in front and permute the qubits back."""
+        from conftest import random_density
+
+        def permute_qubits(matrix, order):
+            perm = [order.index(q) for q in range(num_qubits)]
+            tensor = matrix.reshape([2] * (2 * num_qubits))
+            tensor = tensor.transpose(perm + [p + num_qubits for p in perm])
+            return tensor.reshape(matrix.shape)
+
+        def oracle(rho_mat, qubits, prob):
+            rest = [q for q in range(num_qubits) if q not in qubits]
+            tensor = rho_mat.reshape([2] * (2 * num_qubits))
+            for offset, q in enumerate(qubits):
+                axis = q - sum(1 for p in qubits[:offset] if p < q)
+                tensor = np.trace(tensor, axis1=axis,
+                                  axis2=axis + tensor.ndim // 2)
+            reduced = (tensor.reshape(2 ** len(rest), 2 ** len(rest))
+                       if rest else tensor)
+            k = len(qubits)
+            mixed = np.kron(np.eye(2**k) / 2**k, reduced)
+            mixed = permute_qubits(mixed, qubits + rest)
+            return (1.0 - prob) * rho_mat + prob * mixed
+
+        sets = [[q] for q in range(num_qubits)]
+        sets += [[a, b] for a in range(num_qubits)
+                 for b in range(num_qubits) if a != b]
+        for qubits in sets:
+            rho = random_density(rng, num_qubits).matrix
+            prob = float(rng.uniform(0.01, 1.0))
+            assert np.array_equal(depolarize(rho, qubits, prob, num_qubits),
+                                  oracle(rho, qubits, prob))
+
 
 class TestMeasureInBasis:
     def test_z_on_zero(self):

@@ -171,6 +171,20 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_RUNTIME
         assert "kept 0 of 16 shots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("description,problem", [
+        ({"num_qubits": 2}, "'gates' must be a list"),
+        ([1], "must be a JSON object"),
+        ({"num_qubits": 2, "gates": [{"kind": "x"}]}, "gate 0 needs a 'qubits'"),
+        ({"num_qubits": 1.5, "gates": []}, "'num_qubits' must be an integer"),
+    ])
+    def test_malformed_circuit_file_exit_three(self, tmp_path, capsys,
+                                               description, problem):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(description))
+        argv = ["tomography", str(path), "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_RUNTIME
+        assert problem in capsys.readouterr().err
+
     def test_initial_amplitude_pair_runs(self, tmp_path):
         argv = ["protocol1", "--initial", "0.6,0.8", "--shots", "64",
                 "--copies", "1", "1", "--output-dir", str(tmp_path)]

@@ -1,0 +1,120 @@
+"""Golden outputs of every CLI command at fixed seeds.
+
+`data/golden_cli.json` holds, for each argv below, the exit code, the
+report's `result` block and a SHA-256 over every shot table the run
+sampled (setting, sorted counts, shots, in draw order).  A change to the
+simulation or tomography code must keep every table byte-identical,
+every exit code equal and every `result` float within 1e-12.
+
+Rewrite the fixture only when an output is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import hashlib
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import hetverify.tomography
+from hetverify.cli import main
+
+DATA = Path(__file__).parent / "data"
+FIXTURE = DATA / "golden_cli.json"
+CIRCUIT = str(DATA / "golden_circuit.json")
+RESULT_ATOL = 1e-12
+
+NOISE = ["--noise-1q", "0.01", "--noise-2q", "0.02", "--readout-flip", "0.02"]
+RUNS = [
+    ["protocol1"],
+    ["protocol1", "--initial", "0.6,0.8"],
+    ["protocol1", "--shots", "1024", "--seed", "4", *NOISE],
+    ["protocol1", "--exact", "--initial", "0.6,0.8", *NOISE],
+    ["protocol2", "--seed", "7", *NOISE],
+    ["protocol2", "--exact", *NOISE],
+    ["protocol2", "--exact", "--initial", "1010", "--zeta", "0"],
+    ["protocol3", "--shots", "256", "--seed", "1"],
+    ["protocol3", "--exact", "--noise-1q", "0.3", "--noise-2q", "0.3"],
+    ["qkd-single", "--initial", "0"],
+    ["qkd-single", "--initial", "1"],
+    ["qkd-single", "--exact", "--initial", "1", *NOISE],
+    ["qkd-bell"],
+    ["qkd-bell", "--exact", "--seed", "2", *NOISE],
+    ["tomography", CIRCUIT],
+    ["tomography", CIRCUIT, "--seed", "3", *NOISE],
+    ["tomography", CIRCUIT, "--exact", *NOISE],
+]
+
+
+def _key(argv) -> str:
+    """Fixture key: the argv with the circuit path made repo-relative."""
+    return " ".join("data/golden_circuit.json" if a == CIRCUIT else a
+                    for a in argv)
+
+
+def run_cli(argv, outdir, patch) -> dict:
+    """Run one command; return its exit code, result and shot-table hash."""
+    digest = hashlib.sha256()
+    sample_shots = hetverify.tomography.sample_shots
+
+    def recording(*args, **kwargs):
+        table = sample_shots(*args, **kwargs)
+        record = [table.setting, sorted(table.counts.items()), table.shots]
+        digest.update(json.dumps(record).encode())
+        return table
+
+    patch(hetverify.tomography, "sample_shots", recording)
+    code = main([*argv, "--output-dir", str(outdir)])
+    reports = list(Path(outdir).glob("*_report.json"))
+    result = json.loads(reports[0].read_text())["result"] if reports else None
+    return {"exit_code": code, "result": result,
+            "shot_tables_sha256": digest.hexdigest()}
+
+
+def assert_close(actual, expected, path="result"):
+    """Equal structure and values, floats within RESULT_ATOL."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), path
+        for key in expected:
+            assert_close(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), path
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_close(a, e, f"{path}[{i}]")
+    elif isinstance(expected, float) and not isinstance(actual, bool):
+        assert isinstance(actual, (int, float)), path
+        assert math.isclose(actual, expected, rel_tol=0.0,
+                            abs_tol=RESULT_ATOL), (path, actual, expected)
+    else:
+        assert actual == expected, path
+
+
+GOLDEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=_key)
+def test_cli_matches_golden(argv, tmp_path, monkeypatch):
+    expected = GOLDEN[_key(argv)]
+    actual = run_cli(argv, tmp_path, monkeypatch.setattr)
+    assert actual["exit_code"] == expected["exit_code"]
+    assert actual["shot_tables_sha256"] == expected["shot_tables_sha256"]
+    assert_close(actual["result"], expected["result"])
+
+
+def _record():
+    golden = {}
+    for argv in RUNS:
+        with tempfile.TemporaryDirectory() as outdir, \
+                pytest.MonkeyPatch.context() as patch:
+            golden[_key(argv)] = run_cli(argv, outdir, patch.setattr)
+    FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(golden)} runs to {os.path.relpath(FIXTURE)}",
+          file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _record()

@@ -5,10 +5,9 @@ from hetverify.states import (
     DensityMatrix,
     StateVector,
     condition_on_ancilla,
-    matrix_from_json,
-    matrix_to_json,
     partial_trace,
     project_to_physical,
+    reduce_matrix,
     tensor_product,
 )
 
@@ -81,6 +80,23 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(bell_phi_plus(), [5])
 
+    @pytest.mark.parametrize("keep", [[2, 0], [3, 1, 2], [1, 3, 0, 2], [1]])
+    def test_reduce_matrix_matches_einsum_in_keep_order(self, rng, keep):
+        n = 4
+        rho = random_density(rng, n).matrix
+        letters = "abcdefgh"
+        rows, cols = letters[:n], letters[n:]
+        cols = "".join(rows[q] if q not in keep else cols[q] for q in range(n))
+        out = "".join(rows[q] for q in keep) + "".join(cols[q] for q in keep)
+        expected = np.einsum(f"{rows}{cols}->{out}", rho.reshape([2] * 2 * n))
+        dim = 2 ** len(keep)
+        np.testing.assert_allclose(reduce_matrix(rho, keep),
+                                   expected.reshape(dim, dim), atol=1e-15)
+
+    def test_reduce_matrix_rejects_repeated_qubit(self):
+        with pytest.raises(ValueError, match="repeat"):
+            reduce_matrix(bell_phi_plus().matrix, [0, 0])
+
 
 class TestConditionOnAncilla:
     def test_product_state_renormalized(self):
@@ -141,8 +157,3 @@ class TestConstructionValidation:
         assert not raw.physical
         good = DensityMatrix(1, np.diag([0.5, 0.5]))
         assert good.physical
-
-    def test_json_roundtrip(self, rng):
-        rho = random_density(rng, 2)
-        recovered = matrix_from_json(matrix_to_json(rho.matrix))
-        np.testing.assert_allclose(recovered, rho.matrix)

@@ -9,14 +9,13 @@ from hetverify.circuits import Circuit, ShotTable, cu3, u3, x
 from hetverify.metrics import trace_distance
 from hetverify.states import StateVector
 from hetverify.tomography import (
+    PAULI_MATRICES,
     expectation_from_counts,
     expectations_from_tables,
-    load_expectations,
     pauli_strings,
     reconstruct_multi_qubit,
     reconstruct_single_qubit,
     reduced_fidelities,
-    save_expectations,
     tomography_sweep,
 )
 from hetverify.protocols import ideal_output
@@ -176,6 +175,30 @@ class TestTomographySweep:
             medians.append(np.median(dists))
         assert medians[0] > medians[1] > medians[2]
 
+    @pytest.mark.parametrize("measured", [[3, 0, 4], [4, 1], [1, 0, 4, 3], [4, 0]])
+    def test_exact_measured_order_matches_letter_reordering(self, measured):
+        """Oracle: reduce to the sorted qubits, then move each string's
+        letters into the reduced order and take Tr(P rho) one at a time."""
+        from hetverify.circuits import NoiseModel, run_density_matrix
+        from hetverify.states import condition_on_ancilla, partial_trace
+
+        circuit = Circuit(5, [u3(0, 1.1, 0.4, -0.7), x(2), u3(4, 0.3, 1.3, 0.6),
+                              cu3(2, 0, PI / 3, 0.2, 0.0), cu3(2, 4, 0.9, 0.0, 0.5),
+                              cu3(0, 1, 0.7, 0.1, 0.2)], ancilla=2)
+        noise = NoiseModel(0.03, 0.05)
+        ex = tomography_sweep(circuit, measured, shots=None, noise=noise)
+        rho = condition_on_ancilla(run_density_matrix(circuit, noise), 2, 1)
+        idx = [q - 1 if q > 2 else q for q in measured]
+        rho = partial_trace(rho, idx)
+        order = [sorted(idx).index(i) for i in idx]
+        for string in pauli_strings(len(measured)):
+            reordered = "".join(string[order.index(j)] for j in range(len(order)))
+            pauli = np.array([[1.0 + 0j]])
+            for letter in reordered:
+                pauli = np.kron(pauli, PAULI_MATRICES[letter])
+            expected = np.trace(pauli @ rho.matrix).real
+            assert ex[string] == pytest.approx(expected, abs=1e-13)
+
     def test_too_many_measured_qubits(self):
         with pytest.raises(ValueError, match="at most"):
             tomography_sweep(Circuit(6), measured=list(range(5)))
@@ -220,13 +243,6 @@ class TestReducedFidelities:
 
 
 class TestExpectationIO:
-    def test_json_roundtrip(self, tmp_path):
-        ex = tomography_sweep(bell_circuit(), shots=None)
-        path = tmp_path / "expectations.json"
-        save_expectations(ex, path)
-        loaded = load_expectations(path)
-        assert loaded == pytest.approx(ex)
-
     def test_assembly_from_external_tables(self):
         tables = [ShotTable(s, {"0": 80, "1": 20}, 100) for s in ("X", "Y", "Z")]
         ex = expectations_from_tables(tables, 1)
