@@ -63,9 +63,8 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         params = dict(self.parameters)
-        for key in ("zeta",):
-            if key in params and isinstance(params[key], float):
-                params[key] = format_angle(params[key])
+        if isinstance(params.get("zeta"), float):
+            params["zeta"] = format_angle(params["zeta"])
         if isinstance(params.get("initial"), tuple):
             # An (alpha, beta) amplitude pair, as [re, im] pairs.
             params["initial"] = [[z.real, z.imag] for z in params["initial"]]
@@ -74,7 +73,6 @@ class ExperimentConfig:
 
 @dataclass
 class ReportBundle:
-    config: ExperimentConfig
     payload: dict
     emitted_files: list
     exit_code: int
@@ -102,8 +100,9 @@ def _build_parser() -> _Parser:
                        help="depolarizing probability per two-qubit gate")
         p.add_argument("--readout-flip", type=float, default=0.0,
                        help="per-bit readout flip probability")
-        p.add_argument("--zeta", default=zeta,
-                       help="detection rotation angle (e.g. 0, pi/3, pi/2)")
+        if zeta is not None:
+            p.add_argument("--zeta", default=zeta,
+                           help="detection rotation angle (e.g. 0, pi/3, pi/2)")
         p.add_argument("--output-dir", default=".",
                        help="directory for report files")
         if threshold is not None:
@@ -130,14 +129,14 @@ def _build_parser() -> _Parser:
 
     qs = sub.add_parser("qkd-single", help="single-qubit basis fidelity table")
     qs.add_argument("--initial", choices=["0", "1"], default="0")
-    common(qs, threshold=0.8, zeta="pi/3")
+    common(qs, threshold=0.8, zeta=None)
 
     qb = sub.add_parser("qkd-bell", help="Bell-basis fidelity table")
-    common(qb, threshold=0.7, zeta="pi/3")
+    common(qb, threshold=0.7, zeta=None)
 
     tm = sub.add_parser("tomography", help="reconstruct a circuit output")
     tm.add_argument("circuit", help="circuit description JSON file")
-    common(tm)
+    common(tm, zeta=None)
     return parser
 
 
@@ -246,9 +245,8 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
     elif config.command in ("qkd-single", "qkd-bell"):
         kind = "single" if config.command == "qkd-single" else "bell"
         initial = params.get("initial", "00")
-        table = qkd_table(initial=initial,
-                          modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
-                          shots=shots, seed=seed, noise=noise, kind=kind)
+        table = qkd_table(initial=initial, shots=shots, seed=seed,
+                          noise=noise, kind=kind)
         verdicts = threshold_verdict(table, BALANCED_QKD_ZETA,
                                      params["threshold"])
         payload = {
@@ -285,7 +283,7 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
     _atomic_write(report_path, json.dumps(bundle_json, indent=2))
     emitted.append(report_path)
     bundle_json["emitted_files"] = emitted
-    return ReportBundle(config, bundle_json, emitted, exit_code)
+    return ReportBundle(bundle_json, emitted, exit_code)
 
 
 def main(argv=None) -> int:

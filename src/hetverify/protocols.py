@@ -24,12 +24,7 @@ from .circuits import (
 )
 from .metrics import _pure_component, fidelity, total_variation_distance, trace_distance
 from .states import DensityMatrix, StateVector, condition_on_ancilla, partial_trace
-from .tomography import (
-    reconstruct_multi_qubit,
-    reconstruct_single_qubit,
-    reduced_fidelities,
-    tomography_sweep,
-)
+from .tomography import reconstruct_multi_qubit, reduced_fidelities, tomography_sweep
 
 BALANCED_ZETA = 0.0
 UNBALANCED_ZETA = math.pi / 2
@@ -184,20 +179,15 @@ def bound_check(f: float, d: float, tvd: float) -> list:
     return chains
 
 
-def heterodyne_stage(circuit: Circuit, setting: HeterodyneSetting,
-                     system_qubits=None) -> Circuit:
-    """Append the detection stage: prepare the ancilla in |1> (unless a
-    gate already touches it) and control a U3(zeta, 0, 0) onto each
-    system qubit."""
+def heterodyne_stage(circuit: Circuit, setting: HeterodyneSetting) -> Circuit:
+    """Append the detection stage: prepare the ancilla in |1> and control
+    a U3(zeta, 0, 0) onto each system qubit."""
     if circuit.ancilla is None:
         raise ValueError("circuit has no designated ancilla")
-    system_qubits = circuit.system_qubits if system_qubits is None else tuple(system_qubits)
-    gates = []
-    if not any(circuit.ancilla in g.qubits for g in circuit.gates):
-        gates.append(x(circuit.ancilla))
-    for q in system_qubits:
-        gates.append(cu3(circuit.ancilla, q, setting.zeta, 0.0, 0.0))
-    return circuit.appended(*gates)
+    return circuit.appended(
+        x(circuit.ancilla),
+        *(cu3(circuit.ancilla, q, setting.zeta, 0.0, 0.0)
+          for q in circuit.system_qubits))
 
 
 def _prep_gates(spec, qubit: int):
@@ -263,6 +253,16 @@ def _mean_std(values) -> tuple:
     return float(arr.mean()), std
 
 
+def _reconstruct_copies(circuit: Circuit, copies: int, shots, seed,
+                        noise) -> list:
+    """Tomograph `copies` runs of `circuit` over its system qubits, one
+    child seed of `seed` per copy."""
+    return [reconstruct_multi_qubit(
+                tomography_sweep(circuit, shots=shots, seed=child, noise=noise),
+                len(circuit.system_qubits))
+            for child in seed_sequence(seed).spawn(copies)]
+
+
 def protocol1_run(initial, setting: HeterodyneSetting, plan: CopyPlan = None,
                   shots: int = None, seed: int = 0,
                   noise: NoiseModel = None) -> ProtocolReport:
@@ -272,14 +272,8 @@ def protocol1_run(initial, setting: HeterodyneSetting, plan: CopyPlan = None,
     plan = plan or CopyPlan()
     circuit = single_mode_circuit(initial, setting)
     target = ideal_output(circuit)
-    copies = plan.n + plan.m
-    children = seed_sequence(seed).spawn(copies)
-    fidelities = []
-    for child in children:
-        expectations = tomography_sweep(
-            circuit, shots=shots, seed=child, noise=noise)
-        reconstruction = reconstruct_single_qubit(expectations)
-        fidelities.append(fidelity(reconstruction, target))
+    fidelities = [fidelity(rho, target) for rho in _reconstruct_copies(
+        circuit, plan.n + plan.m, shots, seed, noise)]
     groups = []
     for label, chunk in (("N", fidelities[:plan.n]), ("M", fidelities[plan.n:])):
         mean, std = _mean_std(chunk)
@@ -295,18 +289,15 @@ def _input_targets(initial) -> list:
 
 def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
                       input_targets, shots, seed, noise) -> tuple:
-    """Tomograph `copies` runs of a 4-qubit circuit; returns the group
+    """Tomograph `copies` runs of a multi-mode circuit; returns the group
     result and the per-copy raw reconstructions."""
     target = ideal_output(circuit)
     ideal_targets = [
         partial_trace(target, [q]) for q in range(target.num_qubits)
     ]
-    children = seed_sequence(seed).spawn(copies)
-    globals_, ideals, inputs, recons = [], [], [], []
-    for child in children:
-        expectations = tomography_sweep(circuit, shots=shots, seed=child, noise=noise)
-        rho = reconstruct_multi_qubit(expectations, 4)
-        recons.append(rho)
+    recons = _reconstruct_copies(circuit, copies, shots, seed, noise)
+    globals_, ideals, inputs = [], [], []
+    for rho in recons:
         globals_.append(fidelity(rho, target))
         ideals.append(reduced_fidelities(rho, ideal_targets))
         inputs.append(reduced_fidelities(rho, input_targets))

@@ -13,16 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .circuits import Circuit, NoiseModel, cu3, seed_sequence, u3, x
 from .metrics import fidelity
 from .protocols import HeterodyneSetting, format_angle, heterodyne_stage
 from .states import StateVector
-from .tomography import (
-    reconstruct_multi_qubit,
-    reconstruct_single_qubit,
-    tomography_sweep,
-)
+from .tomography import reconstruct_multi_qubit, tomography_sweep
 
 BALANCED_QKD_ZETA = math.pi / 3
 SINGLE_BASES = ("z", "x", "y")
@@ -71,14 +68,20 @@ def mode_label(mode) -> str:
     return "simple" if mode == "simple" else format_angle(float(mode))
 
 
+def _qkd_circuit(num_system: int, gates, mode) -> Circuit:
+    """System qubits 0..num_system-1 running `gates`, then, in heterodyne
+    modes, the detection stage on an ancilla after them."""
+    if mode == "simple":
+        return Circuit(num_system, gates)
+    circuit = Circuit(num_system + 1, gates, ancilla=num_system)
+    return heterodyne_stage(circuit, HeterodyneSetting(float(mode)))
+
+
 def single_qkd_circuit(initial, encode: str, decode: str, mode) -> Circuit:
     """System qubit 0; ancilla 1 present only in heterodyne modes."""
     prep = [] if initial in ("0", 0) else [x(0)]
-    gates = prep + _single_encode_gates(encode, 0) + _single_decode_gates(decode, 0)
-    if mode == "simple":
-        return Circuit(1, gates)
-    circuit = Circuit(2, gates, ancilla=1)
-    return heterodyne_stage(circuit, HeterodyneSetting(float(mode)))
+    return _qkd_circuit(1, prep + _single_encode_gates(encode, 0)
+                        + _single_decode_gates(decode, 0), mode)
 
 
 _HADAMARD = (math.pi / 2, 0.0, math.pi)
@@ -99,47 +102,36 @@ def _bell_encode_gates(label: str):
     return gates
 
 
-def _bell_decode_gates(label: str):
-    """Inverse of the encoder: undo the Pauli frame, then disentangle."""
-    a, b = int(label[1]), int(label[2])
-    gates = []
-    if b:
-        gates.append(x(1))
-    if a:
-        gates.append(u3(0, *_PAULI_Z))
-    gates += [cu3(0, 1, *_CX), u3(0, *_HADAMARD)]
-    return gates
-
-
 def bell_qkd_circuit(encode: str, decode: str, mode) -> Circuit:
-    """Two system qubits starting in |00>; ancilla 2 in heterodyne modes."""
-    gates = _bell_encode_gates(encode) + _bell_decode_gates(decode)
-    if mode == "simple":
-        return Circuit(2, gates)
-    circuit = Circuit(3, gates, ancilla=2)
-    return heterodyne_stage(circuit, HeterodyneSetting(float(mode)))
+    """Two system qubits starting in |00>; ancilla 2 in heterodyne modes.
+
+    Every encoder gate is its own inverse, so the decoder is the
+    decode label's encoder run backwards."""
+    return _qkd_circuit(2, _bell_encode_gates(encode)
+                        + _bell_encode_gates(decode)[::-1], mode)
+
+
+def _decoded_fidelity(circuit: Circuit, bits: str, shots, seed, noise) -> float:
+    """Fidelity of the tomographed system register against |bits>."""
+    expectations = tomography_sweep(circuit, shots=shots, seed=seed, noise=noise)
+    reconstruction = reconstruct_multi_qubit(expectations, len(bits))
+    return fidelity(reconstruction, StateVector.computational(bits).density())
 
 
 def qkd_single_run(initial, encode: str, decode: str, mode,
                    shots: int = None, seed: int = 0,
                    noise: NoiseModel = None) -> float:
     """Fidelity of the decoded single qubit against the initial state."""
-    circuit = single_qkd_circuit(initial, encode, decode, mode)
-    expectations = tomography_sweep(circuit, measured=[0], shots=shots,
-                                    seed=seed, noise=noise)
-    reconstruction = reconstruct_single_qubit(expectations)
-    target = StateVector.computational("1" if initial in ("1", 1) else "0")
-    return fidelity(reconstruction, target.density())
+    return _decoded_fidelity(single_qkd_circuit(initial, encode, decode, mode),
+                             "1" if initial in ("1", 1) else "0",
+                             shots, seed, noise)
 
 
 def qkd_bell_run(encode: str, decode: str, mode, shots: int = None,
                  seed: int = 0, noise: NoiseModel = None) -> float:
     """Fidelity of the decoded two-qubit register against |00>."""
-    circuit = bell_qkd_circuit(encode, decode, mode)
-    expectations = tomography_sweep(circuit, measured=[0, 1], shots=shots,
-                                    seed=seed, noise=noise)
-    reconstruction = reconstruct_multi_qubit(expectations, 2)
-    return fidelity(reconstruction, StateVector.computational("00").density())
+    return _decoded_fidelity(bell_qkd_circuit(encode, decode, mode), "00",
+                             shots, seed, noise)
 
 
 @dataclass
@@ -186,21 +178,14 @@ def qkd_table(initial="0", modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
     """
     if kind not in ("single", "bell"):
         raise ValueError(f"kind must be 'single' or 'bell', got {kind!r}")
-    pairs = SINGLE_PAIR_ORDER if kind == "single" else BELL_PAIR_ORDER
+    run = partial(qkd_single_run, initial) if kind == "single" else qkd_bell_run
     labels = [mode_label(m) for m in modes]
     table = QkdTable(kind, str(initial), labels)
-    children = iter(seed_sequence(seed).spawn(len(pairs) * len(modes)))
-    for pair in pairs:
-        row = {}
-        for mode, label in zip(modes, labels):
-            child = next(children)
-            if kind == "single":
-                row[label] = qkd_single_run(initial, *pair, mode, shots=shots,
-                                            seed=child, noise=noise)
-            else:
-                row[label] = qkd_bell_run(*pair, mode, shots=shots,
-                                          seed=child, noise=noise)
-        table.rows[pair] = row
+    children = iter(seed_sequence(seed).spawn(len(table.pair_order) * len(modes)))
+    for pair in table.pair_order:
+        table.rows[pair] = {
+            label: run(*pair, mode, shots=shots, seed=next(children), noise=noise)
+            for mode, label in zip(modes, labels)}
     return table
 
 

@@ -78,16 +78,10 @@ def hardware_reference(command: str, initial: str = "0") -> dict | None:
     if command in ("protocol1", "protocol2", "protocol3"):
         return {"source": "hardware", "reproducible": False,
                 "summary": HARDWARE_PROTOCOL_SUMMARY[command]}
-    if command == "qkd-single":
-        rows = HARDWARE_SINGLE_QKD.get(initial)
-        if rows is None:
-            return None
-        return {"source": "hardware", "reproducible": False,
-                "modes": list(_MODE_COLUMNS),
-                "rows": {f"{e}-{d}": list(v) for (e, d), v in rows.items()}}
-    if command == "qkd-bell":
-        return {"source": "hardware", "reproducible": False,
-                "modes": list(_MODE_COLUMNS),
-                "rows": {f"{e}-{d}": list(v)
-                         for (e, d), v in HARDWARE_BELL_QKD.items()}}
-    return None
+    rows = {"qkd-single": HARDWARE_SINGLE_QKD.get(initial),
+            "qkd-bell": HARDWARE_BELL_QKD}.get(command)
+    if rows is None:
+        return None
+    return {"source": "hardware", "reproducible": False,
+            "modes": list(_MODE_COLUMNS),
+            "rows": {f"{e}-{d}": list(v) for (e, d), v in rows.items()}}

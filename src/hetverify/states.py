@@ -103,10 +103,6 @@ class DensityMatrix:
             return False
         return float(np.linalg.eigvalsh(mat).min()) >= -EIGVAL_ATOL
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 

@@ -2,8 +2,9 @@
 
 An expectation set maps Pauli strings (over I/X/Y/Z) to real expectation
 values.  Reconstruction is the standard Pauli sum
-rho = (1/2^m) * sum_P <P> P; the single-qubit Bloch formula is its
-m = 1 special case.
+rho = (1/2^m) * sum_P <P> P, computed as one product of the expectation
+vector with the stacked Pauli-string matrices of `_pauli_stack`; the
+single-qubit Bloch formula is its m = 1 case.
 
 Counts are assembled into expectations with a Walsh-Hadamard transform.
 Each setting's table becomes one row of a count array over the 2^m
@@ -19,7 +20,9 @@ string-by-setting compatibility mask.
 The exact sweep (shots=None) needs no counts.  It conditions the
 circuit's density matrix on the ancilla, reduces it once to the
 measured qubits in the caller's order, and reads all 4^m expectations
-Tr(P rho) in one contraction with the stacked Pauli-string matrices.
+Tr(P rho) in one contraction with the same stack.  Reconstruction is
+the inverse contraction over that stack, so an exact sweep followed by
+reconstruction returns the reduced state.
 """
 from __future__ import annotations
 
@@ -180,30 +183,22 @@ def expectations_from_tables(tables, num_qubits: int) -> dict:
 
 def reconstruct_single_qubit(expectations: dict) -> DensityMatrix:
     """Bloch-vector reconstruction from <X>, <Y>, <Z>."""
-    try:
-        ex, ey, ez = (expectations[k] for k in ("X", "Y", "Z"))
-    except KeyError as err:
-        raise ValueError(f"missing expectation {err.args[0]!r}") from None
-    mat = 0.5 * np.array(
-        [[1 + ez, ex - 1j * ey], [ex + 1j * ey, 1 - ez]], dtype=complex
-    )
-    return DensityMatrix(1, mat, physical=None)
+    return reconstruct_multi_qubit({**expectations, "I": 1.0}, 1)
 
 
 def reconstruct_multi_qubit(expectations: dict, num_qubits: int = None) -> DensityMatrix:
     """Pauli-sum reconstruction; the result may be unphysical for noisy data."""
     if num_qubits is None:
         num_qubits = len(next(iter(expectations)))
-    needed = pauli_strings(num_qubits)
-    missing = [s for s in needed if s not in expectations]
-    if missing:
-        raise ValueError(f"incomplete expectation set, missing e.g. {missing[0]!r}")
+    try:
+        values = [expectations[s] for s in pauli_strings(num_qubits)]
+    except KeyError as err:
+        raise ValueError("incomplete expectation set, "
+                         f"missing e.g. {err.args[0]!r}") from None
     dim = 2**num_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    for string, pauli in zip(needed, _pauli_stack(num_qubits)):
-        mat += expectations[string] * pauli
-    mat /= dim
-    mat = (mat + mat.conj().T) / 2
+    mat = (np.array(values) @ _pauli_stack(num_qubits).reshape(dim * dim, -1)
+           ).reshape(dim, dim)
+    mat = (mat + mat.conj().T) / (2 * dim)
     return DensityMatrix(num_qubits, mat, physical=None)
 
 
@@ -218,13 +213,18 @@ def tomography_sweep(circuit: Circuit, measured=None, shots: int = None,
     an ancilla it is read out in Z and the data is conditioned on the
     requested outcome (pass postselect_ancilla=None to skip).
     """
+    postselect = circuit.ancilla is not None and postselect_ancilla is not None
     measured = list(circuit.system_qubits if measured is None else measured)
+    # A post-selected ancilla is read out apart from the measured qubits.
+    allowed = set(range(circuit.num_qubits)) - {circuit.ancilla if postselect else None}
+    if len(set(measured)) != len(measured) or not allowed.issuperset(measured):
+        raise ValueError(f"measured={measured!r} must list distinct qubits "
+                         f"from {sorted(allowed)}")
     if len(measured) > MAX_MEASURED_QUBITS:
         raise ValueError(
             f"at most {MAX_MEASURED_QUBITS} measured qubits supported, got {len(measured)}"
         )
     noise = noise or NoiseModel()
-    postselect = circuit.ancilla is not None and postselect_ancilla is not None
 
     if shots is None:
         rho = run_density_matrix(circuit, noise)

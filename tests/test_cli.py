@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,18 @@ class TestAngleParsing:
             assert format_angle(parse_angle(text)) == text
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_examples_parse():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("hetverify")]
+    assert lines, "no hetverify examples under '## Command line'"
+    for line in lines:
+        parse_config(shlex.split(line)[1:])
+
+
 class TestParseConfig:
     def test_protocol3_defaults(self):
         config = parse_config(["protocol3", "--zeta", "pi/2",
@@ -51,10 +65,18 @@ class TestParseConfig:
         assert config.parameters["seed"] == 0
 
     def test_qkd_single(self):
-        config = parse_config(["qkd-single", "--initial", "1",
-                               "--zeta", "pi/3"])
+        config = parse_config(["qkd-single", "--initial", "1"])
         assert config.parameters["initial"] == "1"
-        assert config.parameters["zeta"] == pytest.approx(math.pi / 3)
+        assert "zeta" not in config.parameters
+
+    @pytest.mark.parametrize("argv", [["qkd-single"], ["qkd-bell"],
+                                      ["tomography", "circuit.json"]])
+    def test_zeta_rejected_where_unread(self, argv):
+        # The QKD tables fix their own columns and tomography has no
+        # detection stage, so --zeta is not an option of these commands.
+        with pytest.raises(UsageError, match="--zeta"):
+            parse_config([*argv, "--zeta", "pi/3"])
+        assert main([*argv, "--zeta", "pi/3"]) == EXIT_USAGE
 
     def test_zero_copies_rejected(self):
         with pytest.raises(UsageError, match="N >= 1"):

@@ -235,6 +235,15 @@ class TestProtocol3:
         report = protocol3_verify(shots=None, noise=noise)
         assert all(c.holds for c in report.bound_checks)
 
+    @pytest.mark.parametrize("m_modes", [1, 2, 3])
+    def test_fewer_modes(self, m_modes):
+        # Reconstruction follows the circuit's system qubits, so fewer
+        # than four modes reconstructs an m-qubit state.
+        report = protocol3_verify(n_photons=1, m_modes=m_modes, shots=None)
+        assert len(report.groups[0].reduced_fidelities_input) == m_modes
+        assert report.global_fidelity == pytest.approx(1.0, abs=1e-9)
+        assert report.verdict == "accept"
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             protocol3_verify(n_photons=5, m_modes=4, shots=None)

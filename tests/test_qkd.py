@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hetverify.circuits import run_statevector
+from hetverify.circuits import cu3, run_statevector, u3, x
 from hetverify.qkd import (
     BALANCED_QKD_ZETA,
+    BELL_LABELS,
     BELL_PAIR_ORDER,
     SINGLE_PAIR_ORDER,
+    _bell_encode_gates,
     bell_qkd_circuit,
     mode_label,
     qkd_bell_run,
@@ -82,6 +84,25 @@ class TestBellPairs:
             circuit = bell_qkd_circuit(label, label, "simple")
             state = run_statevector(circuit)
             assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def _explicit_bell_decoder(label):
+    """The hand-written decoder: undo the Pauli frame, then disentangle."""
+    a, b = int(label[1]), int(label[2])
+    gates = []
+    if b:
+        gates.append(x(1))
+    if a:
+        gates.append(u3(0, 0.0, 0.0, PI))
+    return gates + [cu3(0, 1, PI, 0.0, PI), u3(0, PI / 2, 0.0, PI)]
+
+
+@pytest.mark.parametrize("encode", BELL_LABELS)
+@pytest.mark.parametrize("decode", BELL_LABELS)
+def test_bell_decoder_is_reversed_encoder(encode, decode):
+    circuit = bell_qkd_circuit(encode, decode, "simple")
+    assert list(circuit.gates) == (_bell_encode_gates(encode)
+                                   + _explicit_bell_decoder(decode))
 
 
 class TestQkdTable:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,8 +69,10 @@ class TestSingleQubitReconstruction:
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2)
 
     def test_missing_expectation(self):
-        with pytest.raises(ValueError, match="missing"):
-            reconstruct_single_qubit({"X": 0.0, "Z": 1.0})
+        for letter in "XYZ":
+            ex = {p: 0.0 for p in "XYZ" if p != letter}
+            with pytest.raises(ValueError, match=f"missing.*'{letter}'"):
+                reconstruct_single_qubit(ex)
 
     def test_agrees_with_pauli_sum_on_random_states(self, rng):
         for _ in range(50):
@@ -81,6 +84,10 @@ class TestSingleQubitReconstruction:
             bloch = reconstruct_single_qubit(ex)
             full = reconstruct_multi_qubit({"I": 1.0, **ex}, 1)
             np.testing.assert_allclose(bloch.matrix, full.matrix, atol=1e-12)
+            formula = 0.5 * np.array(
+                [[1 + ex["Z"], ex["X"] - 1j * ex["Y"]],
+                 [ex["X"] + 1j * ex["Y"], 1 - ex["Z"]]])
+            np.testing.assert_allclose(bloch.matrix, formula, rtol=0, atol=1e-12)
 
 
 def _pauli(letter):
@@ -125,6 +132,30 @@ class TestMultiQubitReconstruction:
             0.3 * reconstruct_multi_qubit(a, 2).matrix
             + 0.7 * reconstruct_multi_qubit(b, 2).matrix,
             atol=1e-12)
+
+
+def _reconstruct_by_loop(expectations, num_qubits):
+    """The per-string Pauli sum that the stacked product replaced."""
+    dim = 2**num_qubits
+    mat = np.zeros((dim, dim), dtype=complex)
+    for string in pauli_strings(num_qubits):
+        pauli = np.array([[1.0 + 0j]])
+        for letter in string:
+            pauli = np.kron(pauli, PAULI_MATRICES[letter])
+        mat += expectations[string] * pauli
+    mat /= dim
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_reconstruction_matches_per_string_loop(num_qubits, seed):
+    rng = np.random.default_rng(seed)
+    ex = {p: float(rng.uniform(-1, 1)) for p in pauli_strings(num_qubits)}
+    ex["I" * num_qubits] = 1.0
+    np.testing.assert_allclose(reconstruct_multi_qubit(ex, num_qubits).matrix,
+                               _reconstruct_by_loop(ex, num_qubits),
+                               rtol=0, atol=1e-12)
 
 
 def five_qubit_circuit():
@@ -198,6 +229,22 @@ class TestTomographySweep:
                 pauli = np.kron(pauli, PAULI_MATRICES[letter])
             expected = np.trace(pauli @ rho.matrix).real
             assert ex[string] == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("shots", [None, 64])
+    @pytest.mark.parametrize("measured", [[1, 0], [0, 0], [0, 5], [-1]])
+    def test_invalid_measured_rejected(self, measured, shots):
+        # Qubit 1 is the post-selected ancilla; 5 and -1 are out of range.
+        circuit = Circuit(3, [x(1), u3(0, PI / 3, 0, 0)], ancilla=1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"measured={measured!r} must list distinct qubits from [0, 2]")):
+            tomography_sweep(circuit, measured=measured, shots=shots)
+
+    @pytest.mark.parametrize("shots", [None, 64])
+    def test_ancilla_measurable_without_postselection(self, shots):
+        circuit = Circuit(3, [x(1), u3(0, PI / 3, 0, 0)], ancilla=1)
+        ex = tomography_sweep(circuit, measured=[1, 0], shots=shots,
+                              postselect_ancilla=None)
+        assert ex["ZI"] == -1.0
 
     def test_too_many_measured_qubits(self):
         with pytest.raises(ValueError, match="at most"):
