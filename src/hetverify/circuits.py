@@ -197,7 +197,11 @@ class NoiseModel:
     """Depolarization after each gate plus classical readout flips.
 
     A depolarizing event replaces the state of the gate's qubit(s) with
-    the maximally mixed state: rho -> (1-p) rho + p * mixed.
+    the maximally mixed state: rho -> (1-p) rho + p * mixed.  A readout
+    flip inverts each measured bit independently with probability
+    `readout_flip_prob`, in whatever basis the qubit is read out.  Both
+    backends see the flips, because `run_density_matrix` folds them
+    into the state it returns.
     """
 
     depolarizing_prob_1q: float = 0.0
@@ -241,7 +245,15 @@ def depolarize(rho_mat: np.ndarray, qubits, prob: float, num_qubits: int) -> np.
 
 
 def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMatrix:
-    """Exact mixed-state simulation; equals the pure run when noise is off."""
+    """Exact mixed-state simulation; equals the pure run when noise is off.
+
+    Readout flips are folded in last: depolarizing every qubit with
+    probability 2p scales each non-identity Pauli factor by 1 - 2p, so
+    every Pauli-basis readout of the result flips each bit with
+    probability p.  Over all qubits at once the map stays positive for
+    every p in [0, 1]: past p = 1/2 it is a depolarizing channel
+    composed with the full transpose.
+    """
     dim = 2**circuit.num_qubits
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
@@ -252,6 +264,8 @@ def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMat
         prob = (noise.depolarizing_prob_2q if gate.kind == "cu3"
                 else noise.depolarizing_prob_1q)
         rho = depolarize(rho, gate.qubits, prob, circuit.num_qubits)
+    for q in range(circuit.num_qubits):
+        rho = depolarize(rho, [q], 2 * noise.readout_flip_prob, circuit.num_qubits)
     rho = (rho + rho.conj().T) / 2
     return DensityMatrix(circuit.num_qubits, rho, physical=True)
 
@@ -328,15 +342,6 @@ class ShotTable:
             yield (self.setting, bits, self.counts[bits])
 
 
-def _flip_distribution(probs: np.ndarray, num_bits: int, flip: float) -> np.ndarray:
-    """Push a distribution through independent per-bit symmetric flips."""
-    tensor = probs.reshape([2] * num_bits)
-    for axis in range(num_bits):
-        flipped = np.flip(tensor, axis=axis)
-        tensor = (1.0 - flip) * tensor + flip * flipped
-    return tensor.reshape(-1)
-
-
 def seed_sequence(seed) -> np.random.SeedSequence:
     """`seed` itself if it is a SeedSequence, else a new one built from it."""
     if isinstance(seed, np.random.SeedSequence):
@@ -345,18 +350,16 @@ def seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def sample_shots(dist: ProbabilityDistribution, shots: int, seed,
-                 readout_flip_prob: float = 0.0, setting: str = None) -> ShotTable:
-    """Seeded multinomial draw from a distribution, with optional readout flips.
+                 setting: str = None) -> ShotTable:
+    """Seeded multinomial draw from a distribution.
 
-    Flips are folded into the distribution before sampling, which is
-    statistically identical to flipping each sampled bit independently.
+    Readout flips are already in the distribution: `run_density_matrix`
+    folds them into the state it is measured from.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     num_bits = len(dist.outcomes[0])
     probs = dist.probabilities
-    if readout_flip_prob:
-        probs = _flip_distribution(probs, num_bits, readout_flip_prob)
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs / probs.sum())
     counts = {bits: int(c) for bits, c in zip(dist.outcomes, draws) if c > 0}

@@ -169,44 +169,26 @@ def trace_out(tensor: np.ndarray, qubit: int) -> np.ndarray:
     return np.trace(tensor, axis1=qubit, axis2=qubit + tensor.ndim // 2)
 
 
-def reduce_matrix(matrix: np.ndarray, keep) -> np.ndarray:
-    """Reduced matrix on the qubits `keep`, in the order given.
-
-    The other qubits are traced out in ascending order; the kept ones
-    are then permuted into the order of `keep`.
-    """
-    keep = list(keep)
-    n = matrix.shape[0].bit_length() - 1
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    if min(keep) < 0 or max(keep) >= n:
-        raise ValueError(f"qubit index out of range for {n}-qubit state: {keep}")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"qubits to keep repeat: {keep}")
-    tensor = matrix.reshape([2] * (2 * n))
-    traced = [q for q in range(n) if q not in keep]
-    for offset, q in enumerate(traced):
-        tensor = trace_out(tensor, q - offset)  # earlier traces shift axes
-    order = [sorted(keep).index(q) for q in keep]
-    tensor = tensor.transpose(order + [p + len(keep) for p in order])
-    dim = 2 ** len(keep)
-    return tensor.reshape(dim, dim)
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in `keep`; result ordered by ascending index."""
     keep = sorted(set(keep))
-    return DensityMatrix(len(keep), reduce_matrix(rho.matrix, keep),
+    n = rho.num_qubits
+    if not keep:
+        raise ValueError("keep set must be non-empty")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"qubit index out of range for {n}-qubit state: {keep}")
+    tensor = rho.matrix.reshape([2] * (2 * n))
+    traced = [q for q in range(n) if q not in keep]
+    for offset, q in enumerate(traced):
+        tensor = trace_out(tensor, q - offset)  # earlier traces shift axes
+    dim = 2 ** len(keep)
+    return DensityMatrix(len(keep), tensor.reshape(dim, dim),
                          physical=True if rho.physical else None)
 
 
-def condition_on_ancilla(rho: DensityMatrix, qubit: int, outcome: int,
-                         renormalize: bool = True) -> DensityMatrix:
-    """Project one qubit onto a computational outcome and drop it.
-
-    With renormalize=False the result's trace equals the outcome
-    probability; with renormalize=True it is scaled to a proper state.
-    """
+def condition_on_ancilla(rho: DensityMatrix, qubit: int, outcome: int) -> DensityMatrix:
+    """Project one qubit onto a computational outcome, drop it, and
+    renormalize the rest to a proper state."""
     n = rho.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
@@ -216,15 +198,13 @@ def condition_on_ancilla(rho: DensityMatrix, qubit: int, outcome: int,
     block = np.take(np.take(tensor, outcome, axis=qubit), outcome, axis=qubit + n - 1)
     dim = 2 ** (n - 1)
     block = block.reshape(dim, dim)
-    if renormalize:
-        prob = np.trace(block).real
-        if prob < 1e-12:
-            raise ValueError(
-                f"conditioning on outcome {outcome} of qubit {qubit} has "
-                f"probability {prob:.3e}; renormalization undefined"
-            )
-        block = block / prob
-    return DensityMatrix(n - 1, block, physical=None)
+    prob = np.trace(block).real
+    if prob < 1e-12:
+        raise ValueError(
+            f"conditioning on outcome {outcome} of qubit {qubit} has "
+            f"probability {prob:.3e}; renormalization undefined"
+        )
+    return DensityMatrix(n - 1, block / prob, physical=None)
 
 
 def project_to_physical(rho: DensityMatrix) -> DensityMatrix:

@@ -17,12 +17,14 @@ its estimate.  Which strings each setting can estimate, and from which
 column, depends only on m and is worked out once from the 4^m x 3^m
 string-by-setting compatibility mask.
 
-The exact sweep (shots=None) needs no counts.  It conditions the
-circuit's density matrix on the ancilla, reduces it once to the
-measured qubits in the caller's order, and reads all 4^m expectations
+The sweep always measures the circuit's system qubits and post-selects
+on the ancilla, if there is one, reading 1.  The exact sweep
+(shots=None) needs no counts.  It conditions the circuit's density
+matrix, readout flips included, on the ancilla, which leaves exactly
+the system qubits in ascending order, and reads all 4^m expectations
 Tr(P rho) in one contraction with the same stack.  Reconstruction is
 the inverse contraction over that stack, so an exact sweep followed by
-reconstruction returns the reduced state.
+reconstruction returns the conditioned state.
 """
 from __future__ import annotations
 
@@ -48,7 +50,6 @@ from .states import (
     condition_on_ancilla,
     index_to_bits,
     partial_trace,
-    reduce_matrix,
 )
 
 MAX_MEASURED_QUBITS = 4
@@ -202,37 +203,30 @@ def reconstruct_multi_qubit(expectations: dict, num_qubits: int = None) -> Densi
     return DensityMatrix(num_qubits, mat, physical=None)
 
 
-def tomography_sweep(circuit: Circuit, measured=None, shots: int = None,
-                     seed: int = 0, noise: NoiseModel = None,
-                     postselect_ancilla: int = 1) -> dict:
-    """Run all 3^k basis settings over `measured` qubits and assemble
-    the full expectation set.
+def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
+                     noise: NoiseModel = None) -> dict:
+    """Run all 3^k basis settings over the circuit's system qubits and
+    assemble the full expectation set.
 
     shots=None uses exact probabilities; otherwise each setting is
     sampled with a child seed derived from `seed`.  When the circuit has
-    an ancilla it is read out in Z and the data is conditioned on the
-    requested outcome (pass postselect_ancilla=None to skip).
+    an ancilla it is read out in Z and the data is conditioned on it
+    reading 1.  Readout flips come with the simulated state, so the
+    exact sweep is the expectation of the sampled one.
     """
-    postselect = circuit.ancilla is not None and postselect_ancilla is not None
-    measured = list(circuit.system_qubits if measured is None else measured)
-    # A post-selected ancilla is read out apart from the measured qubits.
-    allowed = set(range(circuit.num_qubits)) - {circuit.ancilla if postselect else None}
-    if len(set(measured)) != len(measured) or not allowed.issuperset(measured):
-        raise ValueError(f"measured={measured!r} must list distinct qubits "
-                         f"from {sorted(allowed)}")
+    measured = list(circuit.system_qubits)
     if len(measured) > MAX_MEASURED_QUBITS:
         raise ValueError(
             f"at most {MAX_MEASURED_QUBITS} measured qubits supported, got {len(measured)}"
         )
     noise = noise or NoiseModel()
+    postselect = circuit.ancilla is not None
 
     if shots is None:
         rho = run_density_matrix(circuit, noise)
         if postselect:
-            rho = condition_on_ancilla(rho, circuit.ancilla, postselect_ancilla)
-            measured = [q - 1 if q > circuit.ancilla else q for q in measured]
-        reduced = reduce_matrix(rho.matrix, measured)
-        values = np.einsum("kij,ji->k", _pauli_stack(len(measured)), reduced)
+            rho = condition_on_ancilla(rho, circuit.ancilla, 1)
+        values = np.einsum("kij,ji->k", _pauli_stack(len(measured)), rho.matrix)
         return dict(zip(pauli_strings(len(measured)), values.real.tolist()))
 
     if noise.is_trivial:
@@ -240,23 +234,22 @@ def tomography_sweep(circuit: Circuit, measured=None, shots: int = None,
     else:
         state = run_density_matrix(circuit, noise)
 
-    settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(measured))]
+    # The ancilla is read out in Z after the system qubits.
+    readout, suffix = ((measured + [circuit.ancilla], "Z") if postselect
+                       else (measured, ""))
+    settings = ["".join(s) + suffix
+                for s in itertools.product("XYZ", repeat=len(measured))]
     children = seed_sequence(seed).spawn(len(settings))
     tables = []
     for setting, child in zip(settings, children):
+        dist = measure_in_basis(state, setting, readout)
+        table = sample_shots(dist, shots, child, setting=setting)
         if postselect:
-            dist = measure_in_basis(state, setting + "Z", measured + [circuit.ancilla])
-        else:
-            dist = measure_in_basis(state, setting, measured)
-        table = sample_shots(dist, shots, child,
-                             readout_flip_prob=noise.readout_flip_prob,
-                             setting=setting + ("Z" if postselect else ""))
-        if postselect:
-            table = table.postselect(len(measured), postselect_ancilla)
+            table = table.postselect(len(measured), 1)
             if table.shots == 0:
                 raise ValueError(
-                    f"setting {setting!r}: post-selecting ancilla outcome "
-                    f"{postselect_ancilla} kept 0 of {shots} shots")
+                    f"setting {table.setting!r}: post-selecting ancilla outcome "
+                    f"1 kept 0 of {shots} shots")
         tables.append(table)
     return expectations_from_tables(tables, len(measured))
 

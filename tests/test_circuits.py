@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -254,11 +255,6 @@ class TestSampling:
         table = sample_shots(dist, 10**6, seed=7)
         assert abs(table.counts["0"] / 10**6 - 0.5) < 0.002
 
-    def test_readout_flip_biases_counts(self):
-        dist = measure_in_basis(StateVector.computational("0"), "Z")
-        table = sample_shots(dist, 10**5, seed=3, readout_flip_prob=0.1)
-        assert abs(table.counts["1"] / 10**5 - 0.1) < 0.01
-
     def test_sampling_converges_in_tvd(self):
         circuit = Circuit(2, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0)])
         dist = measure_in_basis(run_statevector(circuit), "ZZ")
@@ -277,6 +273,53 @@ class TestSampling:
         table = ShotTable("XZ", {"01": 30, "11": 20, "00": 50}, 100)
         kept = table.postselect(1, 1)
         assert kept == ShotTable("X", {"0": 30, "1": 20}, 50)
+
+
+def _flip_distribution(probs, num_bits, flip):
+    """Push a distribution through independent per-bit symmetric flips."""
+    tensor = probs.reshape([2] * num_bits)
+    for axis in range(num_bits):
+        tensor = (1.0 - flip) * tensor + flip * np.flip(tensor, axis=axis)
+    return tensor.reshape(-1)
+
+
+def _random_circuit(rng, num_qubits, depth=3):
+    """Layers of random U3s, each followed by a CU3 chain."""
+    gates = []
+    for _ in range(depth):
+        gates += [u3(q, *rng.uniform(-PI, PI, 3)) for q in range(num_qubits)]
+        gates += [cu3(q, q + 1, *rng.uniform(-PI, PI, 3))
+                  for q in range(num_qubits - 1)]
+    return Circuit(num_qubits, gates)
+
+
+class TestReadoutFlips:
+    def test_fold_matches_flipped_distribution(self, rng):
+        """Oracle: flip the bits of the flip-free state's readout."""
+        circuit = _random_circuit(rng, 3)
+        clean = run_density_matrix(circuit, NoiseModel(0.05, 0.1))
+        for p in (0.0, 0.1, 0.5, 0.7, 1.0):
+            folded = run_density_matrix(circuit, NoiseModel(0.05, 0.1, p))
+            for width in (1, 2, 3):
+                for setting in map("".join, itertools.product("XYZ", repeat=width)):
+                    qubits = list(range(3 - width, 3))
+                    expected = _flip_distribution(
+                        measure_in_basis(clean, setting, qubits).probabilities,
+                        width, p)
+                    np.testing.assert_allclose(
+                        measure_in_basis(folded, setting, qubits).probabilities,
+                        expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("num_qubits", range(2, 6))
+    def test_folded_state_stays_physical(self, rng, num_qubits):
+        # Folding the flips into a subset of the qubits of an entangled
+        # state would not be positive past p = 2/3; over all of them it is.
+        circuit = _random_circuit(rng, num_qubits)
+        for p in np.linspace(0.0, 1.0, 11):
+            rho = run_density_matrix(circuit, NoiseModel(0.02, 0.02, p))
+            assert rho.physical
+            assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
+            assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSerialization:

@@ -235,6 +235,20 @@ class TestProtocol3:
         report = protocol3_verify(shots=None, noise=noise)
         assert all(c.holds for c in report.bound_checks)
 
+    def test_unphysical_raw_state_is_reported(self):
+        # The raw linear-inversion state of this run has a negative
+        # eigenvalue; scoring it directly broke both chains.
+        report = protocol3_verify(shots=256, seed=1)
+        assert report.raw_min_eigenvalue == pytest.approx(-0.0646, abs=1e-4)
+        assert report.to_json()["raw_min_eigenvalue"] == report.raw_min_eigenvalue
+        assert report.verdict == "accept"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bound_chains_hold_on_sampled_runs(self, seed):
+        # The chains read the physical projection of the raw state.
+        report = protocol3_verify(shots=256, seed=seed)
+        assert all(c.holds for c in report.bound_checks)
+
     @pytest.mark.parametrize("m_modes", [1, 2, 3])
     def test_fewer_modes(self, m_modes):
         # Reconstruction follows the circuit's system qubits, so fewer

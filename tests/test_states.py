@@ -7,7 +7,6 @@ from hetverify.states import (
     condition_on_ancilla,
     partial_trace,
     project_to_physical,
-    reduce_matrix,
     tensor_product,
 )
 
@@ -80,22 +79,18 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(bell_phi_plus(), [5])
 
-    @pytest.mark.parametrize("keep", [[2, 0], [3, 1, 2], [1, 3, 0, 2], [1]])
-    def test_reduce_matrix_matches_einsum_in_keep_order(self, rng, keep):
+    @pytest.mark.parametrize("keep", [[0, 2], [1, 2, 3], [0, 1, 2, 3], [1]])
+    def test_partial_trace_matches_einsum(self, rng, keep):
         n = 4
-        rho = random_density(rng, n).matrix
+        rho = random_density(rng, n)
         letters = "abcdefgh"
         rows, cols = letters[:n], letters[n:]
         cols = "".join(rows[q] if q not in keep else cols[q] for q in range(n))
         out = "".join(rows[q] for q in keep) + "".join(cols[q] for q in keep)
-        expected = np.einsum(f"{rows}{cols}->{out}", rho.reshape([2] * 2 * n))
+        expected = np.einsum(f"{rows}{cols}->{out}", rho.matrix.reshape([2] * 2 * n))
         dim = 2 ** len(keep)
-        np.testing.assert_allclose(reduce_matrix(rho, keep),
+        np.testing.assert_allclose(partial_trace(rho, keep).matrix,
                                    expected.reshape(dim, dim), atol=1e-15)
-
-    def test_reduce_matrix_rejects_repeated_qubit(self):
-        with pytest.raises(ValueError, match="repeat"):
-            reduce_matrix(bell_phi_plus().matrix, [0, 0])
 
 
 class TestConditionOnAncilla:
@@ -104,15 +99,10 @@ class TestConditionOnAncilla:
         result = condition_on_ancilla(rho, 1, 1)
         np.testing.assert_allclose(result.matrix, [[1, 0], [0, 0]], atol=1e-14)
 
-    def test_bell_unnormalized_trace_is_probability(self):
-        result = condition_on_ancilla(bell_phi_plus(), 1, 1, renormalize=False)
-        np.testing.assert_allclose(result.matrix, [[0, 0], [0, 0.5]], atol=1e-14)
-        assert result.trace() == pytest.approx(0.5)
-
     def test_zero_probability_branch_errors(self):
         rho = StateVector.computational("00").density()
         with pytest.raises(ValueError, match="probability"):
-            condition_on_ancilla(rho, 1, 1, renormalize=True)
+            condition_on_ancilla(rho, 1, 1)
 
 
 class TestProjectToPhysical:

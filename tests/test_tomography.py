@@ -1,12 +1,20 @@
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetverify.circuits import Circuit, ShotTable, cu3, u3, x
+from hetverify.circuits import (
+    Circuit,
+    NoiseModel,
+    ShotTable,
+    cu3,
+    measure_in_basis,
+    run_density_matrix,
+    u3,
+    x,
+)
 from hetverify.metrics import trace_distance
 from hetverify.states import StateVector
 from hetverify.tomography import (
@@ -19,7 +27,11 @@ from hetverify.tomography import (
     reduced_fidelities,
     tomography_sweep,
 )
-from hetverify.protocols import ideal_output
+from hetverify.protocols import (
+    HeterodyneSetting,
+    ideal_output,
+    single_mode_circuit,
+)
 
 from conftest import random_pure
 
@@ -165,6 +177,32 @@ def five_qubit_circuit():
     return Circuit(5, gates, ancilla=4)
 
 
+@st.composite
+def noisy_circuits(draw):
+    """1-3 system qubits with or without an ancilla, under a NoiseModel
+    whose readout flip probability is in (0, 0.5].
+
+    The ancilla is put in |1>, tilted by at most pi/2 and then controls
+    a rotation of each system qubit, so it reads 1 with probability at
+    least 1/2 and post-selection keeps about half the shots or more.
+    """
+    angle = st.floats(-PI, PI)
+    num_system = draw(st.integers(1, 3))
+    ancilla = draw(st.none() | st.integers(0, num_system))
+    num_qubits = num_system + (ancilla is not None)
+    system = [q for q in range(num_qubits) if q != ancilla]
+    gates = [u3(q, draw(angle), draw(angle), draw(angle)) for q in system]
+    gates += [cu3(a, b, draw(angle), draw(angle), draw(angle))
+              for a, b in zip(system, system[1:])]
+    if ancilla is not None:
+        gates += [x(ancilla),
+                  u3(ancilla, draw(st.floats(0, PI / 2)), draw(angle), draw(angle))]
+        gates += [cu3(ancilla, q, draw(angle), 0.0, 0.0) for q in system]
+    noise = NoiseModel(draw(st.floats(0, 0.1)), draw(st.floats(0, 0.1)),
+                       draw(st.floats(0, 0.5, exclude_min=True)))
+    return Circuit(num_qubits, gates, ancilla), noise
+
+
 class TestTomographySweep:
     def test_single_qubit_exact(self):
         ex = tomography_sweep(Circuit(1), shots=None)
@@ -206,62 +244,44 @@ class TestTomographySweep:
             medians.append(np.median(dists))
         assert medians[0] > medians[1] > medians[2]
 
-    @pytest.mark.parametrize("measured", [[3, 0, 4], [4, 1], [1, 0, 4, 3], [4, 0]])
-    def test_exact_measured_order_matches_letter_reordering(self, measured):
-        """Oracle: reduce to the sorted qubits, then move each string's
-        letters into the reduced order and take Tr(P rho) one at a time."""
-        from hetverify.circuits import NoiseModel, run_density_matrix
-        from hetverify.states import condition_on_ancilla, partial_trace
-
-        circuit = Circuit(5, [u3(0, 1.1, 0.4, -0.7), x(2), u3(4, 0.3, 1.3, 0.6),
-                              cu3(2, 0, PI / 3, 0.2, 0.0), cu3(2, 4, 0.9, 0.0, 0.5),
-                              cu3(0, 1, 0.7, 0.1, 0.2)], ancilla=2)
-        noise = NoiseModel(0.03, 0.05)
-        ex = tomography_sweep(circuit, measured, shots=None, noise=noise)
-        rho = condition_on_ancilla(run_density_matrix(circuit, noise), 2, 1)
-        idx = [q - 1 if q > 2 else q for q in measured]
-        rho = partial_trace(rho, idx)
-        order = [sorted(idx).index(i) for i in idx]
-        for string in pauli_strings(len(measured)):
-            reordered = "".join(string[order.index(j)] for j in range(len(order)))
-            pauli = np.array([[1.0 + 0j]])
-            for letter in reordered:
-                pauli = np.kron(pauli, PAULI_MATRICES[letter])
-            expected = np.trace(pauli @ rho.matrix).real
-            assert ex[string] == pytest.approx(expected, abs=1e-13)
-
-    @pytest.mark.parametrize("shots", [None, 64])
-    @pytest.mark.parametrize("measured", [[1, 0], [0, 0], [0, 5], [-1]])
-    def test_invalid_measured_rejected(self, measured, shots):
-        # Qubit 1 is the post-selected ancilla; 5 and -1 are out of range.
-        circuit = Circuit(3, [x(1), u3(0, PI / 3, 0, 0)], ancilla=1)
-        with pytest.raises(ValueError, match=re.escape(
-                f"measured={measured!r} must list distinct qubits from [0, 2]")):
-            tomography_sweep(circuit, measured=measured, shots=shots)
-
-    @pytest.mark.parametrize("shots", [None, 64])
-    def test_ancilla_measurable_without_postselection(self, shots):
-        circuit = Circuit(3, [x(1), u3(0, PI / 3, 0, 0)], ancilla=1)
-        ex = tomography_sweep(circuit, measured=[1, 0], shots=shots,
-                              postselect_ancilla=None)
-        assert ex["ZI"] == -1.0
-
     def test_too_many_measured_qubits(self):
-        with pytest.raises(ValueError, match="at most"):
-            tomography_sweep(Circuit(6), measured=list(range(5)))
+        with pytest.raises(ValueError, match="at most 4 measured qubits"):
+            tomography_sweep(Circuit(5))
+
+    def test_exact_readout_flip_on_single_mode(self):
+        # Both qubits read |1>; the flips bias the system's <Z> and the
+        # post-selection on the flipped ancilla leaves it unchanged.
+        circuit = single_mode_circuit("1", HeterodyneSetting.balanced())
+        ex = tomography_sweep(circuit, noise=NoiseModel(readout_flip_prob=0.1))
+        assert ex["Z"] == pytest.approx(-0.8, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=noisy_circuits())
+    def test_exact_is_mean_of_sampled(self, case):
+        """The mean of K seeded sampled sweeps lies within 5 sigma of
+        the exact sweep for every Pauli string, readout flips and
+        post-selection on the flipped ancilla included."""
+        circuit, noise = case
+        shots, repeats = 1000, 16
+        exact = tomography_sweep(circuit, noise=noise)
+        runs = [tomography_sweep(circuit, shots=shots, seed=seed, noise=noise)
+                for seed in range(repeats)]
+        kept = 1.0
+        if circuit.ancilla is not None:
+            rho = run_density_matrix(circuit, noise)
+            kept = measure_in_basis(rho, "Z", [circuit.ancilla]).probabilities[1]
+        for string, value in exact.items():
+            # Every kept shot of each of the 3^#I compatible settings
+            # is one +-1 draw with mean `value`.
+            draws = repeats * shots * kept * 3 ** string.count("I")
+            sigma = math.sqrt(max(0.0, 1.0 - value**2) / draws)
+            mean = np.mean([run[string] for run in runs])
+            assert abs(mean - value) <= 5 * sigma + 1e-12, (string, mean, value)
 
     def test_empty_postselection_names_setting(self):
         # The ancilla of a gate-free circuit always reads 0.
         with pytest.raises(ValueError, match="'X'.*outcome 1 kept 0 of 16"):
             tomography_sweep(Circuit(2, ancilla=1), shots=16, seed=0)
-
-    def test_trace_ancilla_mode(self):
-        # postselect_ancilla=None keeps the full marginal instead
-        circuit = five_qubit_circuit()
-        ex = tomography_sweep(circuit, shots=None, postselect_ancilla=None)
-        rho = reconstruct_multi_qubit(ex, 4)
-        # ancilla stays |1> throughout, so tracing equals conditioning here
-        assert trace_distance(rho, ideal_output(circuit)) < 1e-10
 
 
 class TestReducedFidelities:
