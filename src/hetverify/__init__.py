@@ -36,7 +36,6 @@ from .circuits import (
     x,
 )
 from .tomography import (
-    expectation_from_counts,
     expectations_from_tables,
     pauli_strings,
     reconstruct_multi_qubit,

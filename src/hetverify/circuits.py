@@ -7,9 +7,12 @@ with dense matrices.
 """
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -17,7 +20,6 @@ from .states import (
     DensityMatrix,
     ProbabilityDistribution,
     StateVector,
-    index_to_bits,
     trace_out,
 )
 
@@ -149,8 +151,13 @@ class Circuit:
 
     @classmethod
     def load(cls, path) -> "Circuit":
+        """Read a to_json file; unreadable JSON raises ValueError too."""
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (json.JSONDecodeError, RecursionError) as err:
+                raise ValueError(f"{path}: invalid JSON ({err})") from None
+        return cls.from_json(data)
 
 
 def _embed(ops: dict, num_qubits: int) -> np.ndarray:
@@ -270,12 +277,24 @@ def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMat
     return DensityMatrix(circuit.num_qubits, rho, physical=True)
 
 
+# Bounded because callers may pass any qubit order; 256 holds the 81
+# settings of the largest tomography sweep, 4 system qubits and an ancilla.
+@lru_cache(maxsize=256)
+def _basis_rotation(setting: str, qubits: tuple, num_qubits: int) -> np.ndarray:
+    """Read-only pre-rotation of `qubits` into the bases of `setting`."""
+    rot = _embed({q: BASIS_ROTATIONS[letter] for q, letter in zip(qubits, setting)},
+                 num_qubits)
+    rot.setflags(write=False)  # shared by every later call
+    return rot
+
+
 def measure_in_basis(state, setting: str, qubits=None) -> ProbabilityDistribution:
     """Outcome distribution of measuring `qubits` in the given bases.
 
     `setting` is one letter from {X, Y, Z} per measured qubit; X and Y
     are realized by a pre-rotation into the computational basis followed
-    by a Z readout.  Unmeasured qubits are marginalized.
+    by a Z readout.  Each rotation is built once per (setting, qubits,
+    register size) and cached.  Unmeasured qubits are marginalized.
     """
     num_qubits = state.num_qubits
     qubits = list(range(num_qubits)) if qubits is None else list(qubits)
@@ -285,8 +304,7 @@ def measure_in_basis(state, setting: str, qubits=None) -> ProbabilityDistributio
     if bad:
         raise ValueError(f"invalid basis character(s) {sorted(bad)}")
 
-    rotations = {q: BASIS_ROTATIONS[letter] for q, letter in zip(qubits, setting)}
-    rot = _embed(rotations, num_qubits)
+    rot = _basis_rotation(setting, tuple(qubits), num_qubits)
     if isinstance(state, StateVector):
         probs_full = np.abs(rot @ state.amplitudes) ** 2
     elif isinstance(state, DensityMatrix):
@@ -308,38 +326,59 @@ def measure_in_basis(state, setting: str, qubits=None) -> ProbabilityDistributio
 @lru_cache(maxsize=None)
 def _outcomes(width: int) -> tuple:
     """Bitstring labels of a `width`-bit register in index order."""
-    return tuple(index_to_bits(i, width) for i in range(2**width))
+    return tuple(map("".join, itertools.product("01", repeat=width)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotTable:
-    """Counts of measured bitstrings for one basis setting."""
+    """Shot counts for one basis setting.
+
+    `vector` holds the counts of the setting's 2^len(setting) outcomes
+    in index order, qubit 0 the most significant bit, and must sum to
+    `shots`.  It may be given as a {bitstring: count} dict.  An int64
+    array is stored without a copy and made read-only: the table owns it.
+    """
 
     setting: str
-    counts: dict
+    vector: np.ndarray
     shots: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-        if sum(self.counts.values()) != self.shots:
+        width = len(self.setting)
+        counts = self.vector
+        if isinstance(counts, Mapping):
+            counts = np.zeros(2**width, dtype=np.int64)
+            for bits, count in self.vector.items():
+                if len(bits) != width or set(bits) - set("01"):
+                    raise ValueError(f"outcome {bits!r} of setting {self.setting!r}"
+                                     f" is not {width} bits")
+                counts[int(bits or "0", 2)] = count
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (2**width,):
+            raise ValueError(f"setting {self.setting!r} needs {2**width} counts,"
+                             f" got shape {counts.shape}")
+        counts.setflags(write=False)
+        object.__setattr__(self, "vector", counts)
+        if int(counts.sum()) != self.shots:
             raise ValueError("counts do not sum to the declared shot total")
 
-    def frequencies(self) -> dict:
-        return {bits: c / self.shots for bits, c in self.counts.items()}
+    @property
+    def counts(self) -> Mapping:
+        """Read-only {bitstring: count} view of the outcomes drawn at least once."""
+        return MappingProxyType({bits: c for bits, c in zip(
+            _outcomes(len(self.setting)), self.vector.tolist()) if c})
+
+    def __eq__(self, other):
+        if not isinstance(other, ShotTable):
+            return NotImplemented
+        return ((self.setting, self.shots) == (other.setting, other.shots)
+                and np.array_equal(self.vector, other.vector))
 
     def postselect(self, bit: int, value: int) -> "ShotTable":
         """Keep shots whose `bit` reads `value` and drop that bit."""
-        kept = {}
-        for bits, count in self.counts.items():
-            if int(bits[bit]) == value:
-                reduced = bits[:bit] + bits[bit + 1:]
-                kept[reduced] = kept.get(reduced, 0) + count
+        kept = self.vector.reshape(2**bit, 2, -1)[:, value].reshape(-1)
         return ShotTable(self.setting[:bit] + self.setting[bit + 1:],
-                         kept, sum(kept.values()))
-
-    def to_csv_rows(self):
-        for bits in sorted(self.counts):
-            yield (self.setting, bits, self.counts[bits])
+                         kept, int(kept.sum()))
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -351,7 +390,8 @@ def seed_sequence(seed) -> np.random.SeedSequence:
 
 def sample_shots(dist: ProbabilityDistribution, shots: int, seed,
                  setting: str = None) -> ShotTable:
-    """Seeded multinomial draw from a distribution.
+    """Seeded multinomial draw from a distribution; the draws become the
+    table's count vector as they are.
 
     Readout flips are already in the distribution: `run_density_matrix`
     folds them into the state it is measured from.
@@ -362,29 +402,6 @@ def sample_shots(dist: ProbabilityDistribution, shots: int, seed,
     probs = dist.probabilities
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs / probs.sum())
-    counts = {bits: int(c) for bits, c in zip(dist.outcomes, draws) if c > 0}
     return ShotTable(setting if setting is not None else "Z" * num_bits,
-                     counts, shots)
+                     draws, shots)
 
-
-def shot_tables_to_csv(tables, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "bitstring", "count"])
-        for table in tables:
-            writer.writerows(table.to_csv_rows())
-
-
-def shot_tables_from_csv(path):
-    import csv
-
-    grouped = {}
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            grouped.setdefault(row["setting"], {})[row["bitstring"]] = int(row["count"])
-    return [
-        ShotTable(setting, counts, sum(counts.values()))
-        for setting, counts in grouped.items()
-    ]

@@ -14,6 +14,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from . import __version__
 from .circuits import Circuit, NoiseModel
@@ -33,6 +34,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECT = 2
 EXIT_RUNTIME = 3
+# Above 2^53 the float64 count sums of the assembly stop being exact.
+MAX_SHOTS = 2**53
 
 _ANGLE_RE = re.compile(r"^(-?)(\d*)pi(?:/(\d+))?$")
 
@@ -45,15 +48,19 @@ def parse_angle(text: str) -> float:
     """Angles as decimals or symbolic pi fractions: 'pi/3', '2pi/3', '-pi'."""
     text = text.strip().lower().replace(" ", "")
     match = _ANGLE_RE.match(text)
-    if match:
-        sign = -1.0 if match.group(1) else 1.0
-        numerator = float(match.group(2) or 1)
-        denominator = float(match.group(3) or 1)
-        return sign * numerator * math.pi / denominator
     try:
-        return float(text)
-    except ValueError:
+        if match:
+            sign = -1.0 if match.group(1) else 1.0
+            numerator = float(match.group(2) or 1)
+            denominator = float(match.group(3) or 1)
+            angle = sign * numerator * math.pi / denominator
+        else:
+            angle = float(text)
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(angle):
+        raise UsageError(f"angle {text!r} is not finite")
+    return angle
 
 
 @dataclass
@@ -83,7 +90,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once; parse_args leaves it unchanged."""
     parser = _Parser(prog="hetverify",
                      description="Heterodyne-style state verification experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -155,8 +164,10 @@ def parse_config(argv) -> ExperimentConfig:
         n, m = params["copies"]
         if n < 1 or m < 1:
             raise UsageError("--copies requires N >= 1 and M >= 1")
-    if params.get("shots", 1) < 1:
-        raise UsageError("--shots must be at least 1")
+    if not 1 <= params.get("shots", 1) <= MAX_SHOTS:
+        raise UsageError("--shots must be in [1, 2^53]")
+    if params.get("seed", 0) < 0:
+        raise UsageError("--seed must be non-negative")
     if params.get("exact"):
         params["shots"] = None
     params.pop("exact", None)

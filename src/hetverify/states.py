@@ -22,10 +22,6 @@ def bits_to_index(bits: str) -> int:
     return int(bits, 2)
 
 
-def index_to_bits(index: int, num_qubits: int) -> str:
-    return format(index, f"0{num_qubits}b")
-
-
 def matrix_to_json(matrix: np.ndarray) -> list:
     """Nested [re, im] pairs, row-major; complex JSON encoding."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(matrix)]

@@ -7,24 +7,26 @@ vector with the stacked Pauli-string matrices of `_pauli_stack`; the
 single-qubit Bloch formula is its m = 1 case.
 
 Counts are assembled into expectations with a Walsh-Hadamard transform.
-Each setting's table becomes one row of a count array over the 2^m
-outcomes; one product with the +-1 matrix H^{(x)m}, whose entry (b, a)
-is the parity (-1)^popcount(b & a), gives every subset parity sum for
-every setting at once.  A Pauli string reads the column of its
-non-identity positions, a, from every setting that matches its
-non-identity letters, and the shot-weighted mean over those settings is
-its estimate.  Which strings each setting can estimate, and from which
+Each setting's count vector, indexed by outcome with qubit 0 the most
+significant bit, is copied in as one row of a count array over the 2^m
+outcomes; no outcome label is read.  One product with the +-1 matrix
+H^{(x)m}, whose entry (b, a) is the parity (-1)^popcount(b & a), gives
+every subset parity sum for every setting at once.  A Pauli string
+reads the column of its non-identity positions, a, from every setting
+that matches its non-identity letters, and the shot-weighted mean over
+those settings is its estimate.  Which strings each setting can estimate, and from which
 column, depends only on m and is worked out once from the 4^m x 3^m
 string-by-setting compatibility mask.
 
 The sweep always measures the circuit's system qubits and post-selects
-on the ancilla, if there is one, reading 1.  The exact sweep
-(shots=None) needs no counts.  It conditions the circuit's density
-matrix, readout flips included, on the ancilla, which leaves exactly
-the system qubits in ascending order, and reads all 4^m expectations
-Tr(P rho) in one contraction with the same stack.  Reconstruction is
-the inverse contraction over that stack, so an exact sweep followed by
-reconstruction returns the conditioned state.
+on the ancilla, if there is one, reading 1.  The ancilla is the last
+readout bit, so post-selection keeps every second entry of each count
+vector.  The exact sweep (shots=None) needs no counts.  It conditions
+the circuit's density matrix, readout flips included, on the ancilla,
+which leaves exactly the system qubits in ascending order, and reads
+all 4^m expectations Tr(P rho) in one contraction with the same stack.
+Reconstruction is the inverse contraction over that stack, so an exact
+sweep followed by reconstruction returns the conditioned state.
 """
 from __future__ import annotations
 
@@ -41,14 +43,12 @@ from .circuits import (
     run_statevector,
     sample_shots,
     seed_sequence,
-    ShotTable,
 )
 from .metrics import fidelity
 from .states import (
     DensityMatrix,
     StateVector,
     condition_on_ancilla,
-    index_to_bits,
     partial_trace,
 )
 
@@ -81,42 +81,17 @@ def _pauli_stack(num_qubits: int) -> np.ndarray:
     return stack
 
 
-def _compatible(setting: str, string: str) -> bool:
-    return all(p == "I" or p == s for p, s in zip(string, setting))
-
-
-def expectation_from_counts(table: ShotTable, string: str) -> float:
-    """Parity-weighted average of counts for one Pauli string.
-
-    Identity positions are marginalized; every non-identity letter must
-    match the table's measurement setting.
-    """
-    if len(string) != len(table.setting):
-        raise ValueError(f"string {string!r} does not match setting {table.setting!r}")
-    if not _compatible(table.setting, string):
-        raise ValueError(
-            f"setting {table.setting!r} cannot estimate Pauli string {string!r}"
-        )
-    active = [i for i, letter in enumerate(string) if letter != "I"]
-    total = 0
-    for bits, count in table.counts.items():
-        parity = sum(int(bits[i]) for i in active) % 2
-        total += -count if parity else count
-    return total / table.shots
-
-
 @lru_cache(maxsize=None)
 def _assembly_layout(num_qubits: int):
     """Index arrays shared by every assembly over `num_qubits` qubits.
 
-    Returns (strings, reach, walsh, outcome_col).  `strings` are the
+    Returns (strings, reach, walsh).  `strings` are the
     4^m - 1 non-identity Pauli strings in pauli_strings order.  For each
     setting, reach[setting] holds the indices of the strings it can
     estimate and the Walsh-Hadamard column of each, the bitmask of its
     non-identity positions (qubit 0 the most significant bit).
-    walsh[b, a] = (-1)^popcount(b & a), and outcome_col maps an outcome
-    bitstring to its count column.  The arrays are read-only because
-    every caller shares them.
+    walsh[b, a] = (-1)^popcount(b & a).  The arrays are read-only
+    because every caller shares them.
     """
     strings = pauli_strings(num_qubits)[1:]
     letters = np.array(list(itertools.product(range(4), repeat=num_qubits)),
@@ -137,8 +112,7 @@ def _assembly_layout(num_qubits: int):
         walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
     for array in (walsh, *itertools.chain.from_iterable(reach.values())):
         array.setflags(write=False)
-    outcome_col = {index_to_bits(i, num_qubits): i for i in range(2**num_qubits)}
-    return strings, reach, walsh, outcome_col
+    return strings, reach, walsh
 
 
 def expectations_from_tables(tables, num_qubits: int) -> dict:
@@ -148,25 +122,22 @@ def expectations_from_tables(tables, num_qubits: int) -> dict:
     setting, weighted by shot count; tables with no shots are skipped,
     and a later table for a setting replaces an earlier one.
     """
-    strings, reach, walsh, outcome_col = _assembly_layout(num_qubits)
+    strings, reach, walsh = _assembly_layout(num_qubits)
     by_setting = {t.setting: t for t in tables}
     for setting in by_setting:
         if setting not in reach:
             raise ValueError(f"setting {setting!r} is not {num_qubits} "
                              "letters from X, Y, Z")
     used = [t for t in by_setting.values() if t.shots > 0]
-    counts = np.zeros((len(used), len(outcome_col)))
+    # A table's setting has num_qubits letters, so its count vector has
+    # one entry per column.
+    counts = np.zeros((len(used), len(walsh)))
     for row, table in enumerate(used):
-        for bits, count in table.counts.items():
-            try:
-                counts[row, outcome_col[bits]] = count
-            except KeyError:
-                raise ValueError(f"outcome {bits!r} of setting {table.setting!r}"
-                                 f" is not {num_qubits} bits") from None
+        counts[row] = table.vector
     shots = np.array([t.shots for t in used], dtype=float)[:, None]
-    # Per-table estimate times its shots, as expectation_from_counts
-    # weights it, added table by table in by_setting order: every term
-    # and every partial sum rounds exactly as in the per-string loop.
+    # Per-table estimate times its shots, added table by table in
+    # by_setting order: every term and every partial sum rounds exactly
+    # as in a per-string loop over the tables' parity averages.
     weighted = (counts @ walsh) / shots * shots
     num = np.zeros(len(strings))
     den = np.zeros(len(strings))

@@ -6,9 +6,12 @@ import pytest
 
 from hetverify.circuits import (
     _I2,
+    BASIS_ROTATIONS,
     Circuit,
     NoiseModel,
     ShotTable,
+    _basis_rotation,
+    _outcomes,
     apply_gate,
     cu3,
     _embed,
@@ -18,8 +21,6 @@ from hetverify.circuits import (
     run_density_matrix,
     run_statevector,
     sample_shots,
-    shot_tables_from_csv,
-    shot_tables_to_csv,
     u3,
     u3_matrix,
     x,
@@ -259,8 +260,7 @@ class TestSampling:
         circuit = Circuit(2, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0)])
         dist = measure_in_basis(run_statevector(circuit), "ZZ")
         table = sample_shots(dist, 10**6, seed=5)
-        freqs = table.frequencies()
-        tvd = 0.5 * sum(abs(freqs.get(o, 0.0) - p)
+        tvd = 0.5 * sum(abs(table.counts.get(o, 0) / table.shots - p)
                         for o, p in dist.as_dict().items())
         assert tvd <= 0.005
 
@@ -273,6 +273,80 @@ class TestSampling:
         table = ShotTable("XZ", {"01": 30, "11": 20, "00": 50}, 100)
         kept = table.postselect(1, 1)
         assert kept == ShotTable("X", {"0": 30, "1": 20}, 50)
+
+
+def _postselect_by_loop(table, bit, value):
+    """The dict loop that post-selection used before count vectors."""
+    kept = {}
+    for bits, count in table.counts.items():
+        if int(bits[bit]) == value:
+            reduced = bits[:bit] + bits[bit + 1:]
+            kept[reduced] = kept.get(reduced, 0) + count
+    return table.setting[:bit] + table.setting[bit + 1:], kept, sum(kept.values())
+
+
+def _random_draws(rng, width, shots=500):
+    """Multinomial counts over 2^width outcomes, many of them zero."""
+    probs = rng.dirichlet(np.full(2**width, 0.3))
+    return rng.multinomial(shots, probs)
+
+
+class TestShotTable:
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_counts_view_matches_dict_of_draws(self, rng, width):
+        for _ in range(20):
+            draws = _random_draws(rng, width)
+            table = ShotTable("Z" * width, draws, int(draws.sum()))
+            expected = {bits: int(c) for bits, c in zip(_outcomes(width), draws)
+                        if c > 0}
+            assert dict(table.counts) == expected
+            assert list(table.counts) == list(expected)
+            assert all(type(c) is int for c in table.counts.values())
+
+    def test_vector_and_counts_are_read_only(self, rng):
+        draws = _random_draws(rng, 2)
+        table = ShotTable("XY", draws, int(draws.sum()))
+        with pytest.raises(ValueError):
+            table.vector[0] = 1
+        with pytest.raises(TypeError):
+            table.counts["00"] = 1
+        # The table owns the draws it was given: no copy, no writer left.
+        assert table.vector is draws and not draws.flags.writeable
+        assert ShotTable("XY", dict(table.counts), table.shots) == table
+
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_postselect_matches_dict_loop(self, rng, width):
+        setting = "".join(rng.choice(list("XYZ"), size=width))
+        table = ShotTable(setting, _random_draws(rng, width), 500)
+        for bit in range(width):
+            for value in (0, 1):
+                kept = table.postselect(bit, value)
+                assert kept == ShotTable(*_postselect_by_loop(table, bit, value))
+                assert (kept.setting, dict(kept.counts), kept.shots) \
+                    == _postselect_by_loop(table, bit, value)
+
+    def test_total_must_match_shots(self):
+        with pytest.raises(ValueError, match="sum to the declared shot total"):
+            ShotTable("Z", {"0": 3, "1": 4}, 8)
+        with pytest.raises(ValueError, match="sum to the declared shot total"):
+            ShotTable("Z", np.array([3, 4]), 6)
+
+    def test_vector_length_must_match_setting(self):
+        with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
+            ShotTable("XZ", np.array([1, 2]), 3)
+
+
+class TestBasisRotationCache:
+    @pytest.mark.parametrize("setting,qubits,num_qubits", [
+        ("X", (0,), 1), ("YZ", (1, 0), 3), ("XYZZ", (0, 1, 2, 4), 5),
+    ])
+    def test_cached_rotation_is_read_only_embed(self, setting, qubits, num_qubits):
+        rot = _basis_rotation(setting, qubits, num_qubits)
+        expected = _embed({q: BASIS_ROTATIONS[letter]
+                           for q, letter in zip(qubits, setting)}, num_qubits)
+        assert np.array_equal(rot, expected)
+        assert not rot.flags.writeable
+        assert _basis_rotation(setting, qubits, num_qubits) is rot
 
 
 def _flip_distribution(probs, num_bits, flip):
@@ -329,11 +403,3 @@ class TestSerialization:
         path = tmp_path / "circuit.json"
         circuit.save(path)
         assert Circuit.load(path) == circuit
-
-    def test_shot_table_csv_roundtrip(self, tmp_path):
-        tables = [ShotTable("XZ", {"00": 10, "11": 5}, 15),
-                  ShotTable("ZZ", {"01": 7}, 7)]
-        path = tmp_path / "shots.csv"
-        shot_tables_to_csv(tables, path)
-        recovered = sorted(shot_tables_from_csv(path), key=lambda t: t.setting)
-        assert recovered == sorted(tables, key=lambda t: t.setting)

@@ -10,7 +10,9 @@ from hetverify.cli import (
     EXIT_REJECT,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    MAX_SHOTS,
     UsageError,
+    _build_parser,
     emit_plot_data,
     format_angle,
     main,
@@ -103,6 +105,36 @@ class TestParseConfig:
     def test_exact_flag_clears_shots(self):
         config = parse_config(["protocol1", "--exact"])
         assert config.parameters["shots"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["qkd-single", "--seed", "-1"],
+        ["protocol2", "--zeta", "inf"],
+        ["protocol3", "--zeta", "nan"],
+        ["protocol1", "--zeta", "pi/0"],
+        ["qkd-single", "--shots", "99999999999999999999"],
+        ["qkd-bell", "--shots", str(MAX_SHOTS + 1)],
+    ], ids=" ".join)
+    def test_out_of_range_argument_is_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(UsageError):
+            parse_config(argv)
+        assert main([*argv, "--output-dir", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_largest_shot_count_accepted(self):
+        config = parse_config(["qkd-single", "--shots", str(MAX_SHOTS)])
+        assert config.parameters["shots"] == MAX_SHOTS
+
+    def test_cached_parser_keeps_no_state(self):
+        assert _build_parser() is _build_parser()
+        first = parse_config(["protocol1", "--copies", "2", "3", "--seed", "5",
+                              "--exact", "--zeta", "pi/3"])
+        assert first.parameters["copies"] == [2, 3]
+        again = parse_config(["protocol1"])
+        assert again.parameters["copies"] == (5, 5)
+        assert again.parameters["seed"] == 0
+        assert again.parameters["shots"] == 8192
+        assert again.parameters["zeta"] == pytest.approx(math.pi / 2)
+        assert parse_config(["protocol2"]).parameters["copies"] == (1, 1)
 
 
 class TestRunAndReport:
@@ -206,6 +238,15 @@ class TestMainExitCodes:
         argv = ["tomography", str(path), "--output-dir", str(tmp_path)]
         assert main(argv) == EXIT_RUNTIME
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "{"],
+                             ids=["deeply-nested", "truncated"])
+    def test_unreadable_circuit_json_exit_three(self, tmp_path, capsys, text):
+        path = tmp_path / "circuit.json"
+        path.write_text(text)
+        argv = ["tomography", str(path), "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_RUNTIME
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_initial_amplitude_pair_runs(self, tmp_path):
         argv = ["protocol1", "--initial", "0.6,0.8", "--shots", "64",
