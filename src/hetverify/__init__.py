@@ -24,7 +24,6 @@ from .circuits import (
     Gate,
     NoiseModel,
     ShotTable,
-    apply_gate,
     cu3,
     gate_unitary,
     measure_in_basis,

@@ -145,10 +145,6 @@ class Circuit:
             _expect(ancilla, int, "'ancilla' must be an integer or null")
         return cls(num_qubits, gates, ancilla)
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
     @classmethod
     def load(cls, path) -> "Circuit":
         """Read a to_json file; unreadable JSON raises ValueError too."""
@@ -184,19 +180,13 @@ def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     return _embed({gate.qubits[-1]: gate.matrix_2x2()}, num_qubits)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    return StateVector(state.num_qubits,
-                       gate_unitary(gate, state.num_qubits) @ state.amplitudes)
-
-
 def run_statevector(circuit: Circuit) -> StateVector:
     """Exact pure-state simulation from |0...0>."""
     amps = np.zeros(2**circuit.num_qubits, dtype=complex)
     amps[0] = 1.0
-    state = StateVector(circuit.num_qubits, amps)
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
+        amps = gate_unitary(gate, circuit.num_qubits) @ amps
+    return StateVector(circuit.num_qubits, amps)
 
 
 @dataclass(frozen=True)
@@ -226,13 +216,6 @@ class NoiseModel:
         return (self.depolarizing_prob_1q == 0.0
                 and self.depolarizing_prob_2q == 0.0
                 and self.readout_flip_prob == 0.0)
-
-    def to_json(self) -> dict:
-        return {
-            "depolarizing_prob_1q": self.depolarizing_prob_1q,
-            "depolarizing_prob_2q": self.depolarizing_prob_2q,
-            "readout_flip_prob": self.readout_flip_prob,
-        }
 
 
 def depolarize(rho_mat: np.ndarray, qubits, prob: float, num_qubits: int) -> np.ndarray:

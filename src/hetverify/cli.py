@@ -19,6 +19,7 @@ from functools import lru_cache
 from . import __version__
 from .circuits import Circuit, NoiseModel
 from .protocols import (
+    DEFAULT_THRESHOLD,
     CopyPlan,
     HeterodyneSetting,
     format_angle,
@@ -26,9 +27,10 @@ from .protocols import (
     protocol2_run,
     protocol3_verify,
 )
-from .qkd import BALANCED_QKD_ZETA, mode_label, qkd_table, threshold_verdict
+from .qkd import (BALANCED_QKD_ZETA, DEFAULT_THRESHOLDS, mode_label, qkd_table,
+                  threshold_verdict)
 from .reference_data import hardware_reference
-from .tomography import reconstruct_multi_qubit, tomography_sweep
+from .tomography import MAX_MEASURED_QUBITS, reconstruct_multi_qubit, tomography_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +38,8 @@ EXIT_REJECT = 2
 EXIT_RUNTIME = 3
 # Above 2^53 the float64 count sums of the assembly stop being exact.
 MAX_SHOTS = 2**53
+# Every copy's reconstruction is kept for the report; 10^4 of them hold ~40 MB.
+MAX_COPIES = 10_000
 
 _ANGLE_RE = re.compile(r"^(-?)(\d*)pi(?:/(\d+))?$")
 
@@ -117,6 +121,9 @@ def _build_parser() -> _Parser:
         if threshold is not None:
             p.add_argument("--threshold", type=float, default=threshold)
 
+    def qkd_threshold(kind):  # the default of the column the verdicts read
+        return DEFAULT_THRESHOLDS[kind, mode_label(BALANCED_QKD_ZETA)]
+
     p1 = sub.add_parser("protocol1", help="single-mode fidelity estimation")
     p1.add_argument("--initial", default="1",
                     help="'1' or 'alpha,beta' amplitude pair")
@@ -134,14 +141,14 @@ def _build_parser() -> _Parser:
     p3 = sub.add_parser("protocol3", help="threshold verification")
     p3.add_argument("--photons", type=int, default=2)
     p3.add_argument("--modes", type=int, default=4)
-    common(p3, threshold=0.6)
+    common(p3, threshold=DEFAULT_THRESHOLD)
 
     qs = sub.add_parser("qkd-single", help="single-qubit basis fidelity table")
     qs.add_argument("--initial", choices=["0", "1"], default="0")
-    common(qs, threshold=0.8, zeta=None)
+    common(qs, threshold=qkd_threshold("single"), zeta=None)
 
     qb = sub.add_parser("qkd-bell", help="Bell-basis fidelity table")
-    common(qb, threshold=0.7, zeta=None)
+    common(qb, threshold=qkd_threshold("bell"), zeta=None)
 
     tm = sub.add_parser("tomography", help="reconstruct a circuit output")
     tm.add_argument("circuit", help="circuit description JSON file")
@@ -162,8 +169,8 @@ def parse_config(argv) -> ExperimentConfig:
         raise UsageError("--threshold must be in [0, 1]")
     if "copies" in params:
         n, m = params["copies"]
-        if n < 1 or m < 1:
-            raise UsageError("--copies requires N >= 1 and M >= 1")
+        if not (1 <= n <= MAX_COPIES and 1 <= m <= MAX_COPIES):
+            raise UsageError(f"--copies requires N >= 1 and M >= 1, each <= {MAX_COPIES}")
     if not 1 <= params.get("shots", 1) <= MAX_SHOTS:
         raise UsageError("--shots must be in [1, 2^53]")
     if params.get("seed", 0) < 0:
@@ -186,8 +193,9 @@ def parse_config(argv) -> ExperimentConfig:
     if command == "protocol2":
         if not re.fullmatch("[01]{4}", params["initial"]):
             raise UsageError("--initial must be a 4-bit string")
-    if command == "protocol3" and not 1 <= params["photons"] <= params["modes"] <= 4:
-        raise UsageError("need 1 <= photons <= modes <= 4")
+    if (command == "protocol3"
+            and not 1 <= params["photons"] <= params["modes"] <= MAX_MEASURED_QUBITS):
+        raise UsageError(f"need 1 <= photons <= modes <= {MAX_MEASURED_QUBITS}")
     return ExperimentConfig(command, params)
 
 

@@ -5,13 +5,6 @@ import numpy as np
 
 from .states import DensityMatrix, ProbabilityDistribution, EIGVAL_ATOL
 
-__all__ = [
-    "matrix_sqrt_psd",
-    "fidelity",
-    "trace_distance",
-    "total_variation_distance",
-]
-
 
 def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semi-definite matrix.

@@ -30,7 +30,8 @@ from .states import (
     partial_trace,
     project_to_physical,
 )
-from .tomography import reconstruct_multi_qubit, reduced_fidelities, tomography_sweep
+from .tomography import (MAX_MEASURED_QUBITS, reconstruct_multi_qubit, reduced_fidelities,
+                         tomography_sweep)
 
 BALANCED_ZETA = 0.0
 UNBALANCED_ZETA = math.pi / 2
@@ -103,8 +104,7 @@ class BoundCheck:
     holds: bool
 
     def to_json(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "mid": self.mid,
-                "rhs": self.rhs, "holds": self.holds}
+        return dict(vars(self))
 
 
 @dataclass
@@ -123,7 +123,7 @@ class GroupResult:
     witness_input: float = None
 
     def to_json(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass
@@ -141,18 +141,16 @@ class ProtocolReport:
     target_state: StateVector = None
 
     def to_json(self) -> dict:
-        data = {"protocol": self.protocol,
-                "groups": [g.to_json() for g in self.groups]}
-        for key in ("global_fidelity", "witness", "trace_distance", "tvd",
-                    "raw_min_eigenvalue", "threshold", "verdict"):
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        if self.bound_checks is not None:
-            data["bound_checks"] = [b.to_json() for b in self.bound_checks]
-        if self.target_state is not None:
-            data["target_state"] = self.target_state.to_json()
-        return data
+        """Every field that is set, in field order; the groups, bound
+        checks and target state as their own JSON."""
+        return {k: _jsonable(v) for k, v in vars(self).items() if v is not None}
+
+
+def _jsonable(value):
+    """`value`, or a list of values, with each to_json object replaced by its JSON."""
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
 
 
 def fidelity_witness(per_qubit_fidelities) -> float:
@@ -236,8 +234,8 @@ def boson_sampling_circuit(n_photons: int, m_modes: int,
     interferometer, then the detection stage."""
     if not 1 <= n_photons <= m_modes:
         raise ValueError("need 1 <= n_photons <= m_modes")
-    if m_modes > 4:
-        raise ValueError("at most 4 modes supported")
+    if m_modes > MAX_MEASURED_QUBITS:
+        raise ValueError(f"at most {MAX_MEASURED_QUBITS} modes supported")
     circuit = Circuit(m_modes + 1, ancilla=m_modes)
     gates = [x(q) for q in range(n_photons)]
     for q in range(m_modes):

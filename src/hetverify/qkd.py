@@ -46,21 +46,15 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-def _dagger_angles(angles) -> tuple:
-    theta, phi, lam = angles
-    return (-theta, -lam, -phi)
-
-
-def _single_encode_gates(basis: str, qubit: int):
+def _frame_gates(basis: str, qubit: int, inverse: bool = False):
+    """The basis's encoder on `qubit`, or with `inverse` the decoder:
+    U3(theta, phi, lam)^-1 = U3(-theta, -lam, -phi)."""
     if basis not in SINGLE_BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    angles = _ENCODE_ANGLES[basis]
-    return [] if angles is None else [u3(qubit, *angles)]
-
-
-def _single_decode_gates(basis: str, qubit: int):
-    angles = _ENCODE_ANGLES[basis]
-    return [] if angles is None else [u3(qubit, *_dagger_angles(angles))]
+    if _ENCODE_ANGLES[basis] is None:
+        return []
+    theta, phi, lam = _ENCODE_ANGLES[basis]
+    return [u3(qubit, -theta, -lam, -phi) if inverse else u3(qubit, theta, phi, lam)]
 
 
 def mode_label(mode) -> str:
@@ -80,8 +74,8 @@ def _qkd_circuit(num_system: int, gates, mode) -> Circuit:
 def single_qkd_circuit(initial, encode: str, decode: str, mode) -> Circuit:
     """System qubit 0; ancilla 1 present only in heterodyne modes."""
     prep = [] if initial in ("0", 0) else [x(0)]
-    return _qkd_circuit(1, prep + _single_encode_gates(encode, 0)
-                        + _single_decode_gates(decode, 0), mode)
+    return _qkd_circuit(1, prep + _frame_gates(encode, 0)
+                        + _frame_gates(decode, 0, inverse=True), mode)
 
 
 _HADAMARD = (math.pi / 2, 0.0, math.pi)

@@ -10,16 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-8
 EIGVAL_ATOL = 1e-8
-NORM_ATOL = 1e-10
 PROB_ATOL = 1e-9
-
-
-def bits_to_index(bits: str) -> int:
-    """Index of the basis state labelled by a bitstring ('10' -> 2)."""
-    return int(bits, 2)
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
@@ -49,15 +42,12 @@ class StateVector:
     def computational(cls, bits: str) -> "StateVector":
         """Basis state from a bitstring label, e.g. '1100'."""
         amps = np.zeros(2 ** len(bits), dtype=complex)
-        amps[bits_to_index(bits)] = 1.0
+        amps[int(bits, 2)] = 1.0
         return cls(len(bits), amps)
 
     def density(self) -> "DensityMatrix":
         mat = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(self.num_qubits, mat, physical=True)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def to_json(self) -> dict:
         return {
@@ -99,23 +89,12 @@ class DensityMatrix:
             return False
         return float(np.linalg.eigvalsh(mat).min()) >= -EIGVAL_ATOL
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def to_json(self) -> dict:
         return {
             "num_qubits": self.num_qubits,
             "matrix": matrix_to_json(self.matrix),
             "physical": bool(self.physical),
         }
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        dim = 2**num_qubits
-        return cls(num_qubits, np.eye(dim) / dim, physical=True)
 
 
 @dataclass(frozen=True)
@@ -137,9 +116,6 @@ class ProbabilityDistribution:
             raise ValueError("outcome/probability length mismatch")
         if abs(probs.sum() - 1.0) > PROB_ATOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.outcomes, self.probabilities.tolist()))
 
 
 def tensor_product(a, b):

@@ -38,6 +38,7 @@ import numpy as np
 from .circuits import (
     Circuit,
     NoiseModel,
+    _embed,
     measure_in_basis,
     run_density_matrix,
     run_statevector,
@@ -60,6 +61,7 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_WALSH_2 = np.array([[1, 1], [1, -1]], dtype=complex)  # unnormalized Hadamard
 
 
 def pauli_strings(num_qubits: int):
@@ -73,10 +75,8 @@ def _pauli_stack(num_qubits: int) -> np.ndarray:
     dim = 2**num_qubits
     stack = np.empty((dim * dim, dim, dim), dtype=complex)
     for pauli, string in zip(stack, pauli_strings(num_qubits)):
-        full = np.array([[1.0 + 0j]])
-        for letter in string:
-            full = np.kron(full, PAULI_MATRICES[letter])
-        pauli[...] = full
+        pauli[...] = _embed({q: PAULI_MATRICES[letter]
+                             for q, letter in enumerate(string)}, num_qubits)
     stack.setflags(write=False)  # shared by every caller
     return stack
 
@@ -107,9 +107,8 @@ def _assembly_layout(num_qubits: int):
     for s, setting in enumerate(itertools.product("XYZ", repeat=num_qubits)):
         hits = np.flatnonzero(compatible[:, s])
         reach["".join(setting)] = (hits, parity[hits])
-    walsh = np.ones((1, 1))
-    for _ in range(num_qubits):
-        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+    # Every entry is exactly +-1, so the real part of the complex chain is exact.
+    walsh = _embed(dict.fromkeys(range(num_qubits), _WALSH_2), num_qubits).real.copy()
     for array in (walsh, *itertools.chain.from_iterable(reach.values())):
         array.setflags(write=False)
     return strings, reach, walsh
@@ -186,10 +185,9 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
     exact sweep is the expectation of the sampled one.
     """
     measured = list(circuit.system_qubits)
-    if len(measured) > MAX_MEASURED_QUBITS:
-        raise ValueError(
-            f"at most {MAX_MEASURED_QUBITS} measured qubits supported, got {len(measured)}"
-        )
+    if not 1 <= len(measured) <= MAX_MEASURED_QUBITS:
+        raise ValueError(f"need at least 1 and at most {MAX_MEASURED_QUBITS} "
+                         f"measured qubits, got {len(measured)}")
     noise = noise or NoiseModel()
     postselect = circuit.ancilla is not None
 

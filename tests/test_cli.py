@@ -1,15 +1,18 @@
 import json
 import math
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hetverify.cli import (
     EXIT_OK,
     EXIT_REJECT,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    MAX_COPIES,
     MAX_SHOTS,
     UsageError,
     _build_parser,
@@ -20,6 +23,9 @@ from hetverify.cli import (
     parse_config,
     run_and_report,
 )
+from hetverify.protocols import DEFAULT_THRESHOLD
+from hetverify.qkd import DEFAULT_THRESHOLDS
+from hetverify.tomography import MAX_MEASURED_QUBITS
 
 
 class TestAngleParsing:
@@ -80,6 +86,17 @@ class TestParseConfig:
             parse_config([*argv, "--zeta", "pi/3"])
         assert main([*argv, "--zeta", "pi/3"]) == EXIT_USAGE
 
+    def test_defaults_come_from_the_library(self):
+        # The parser reads each default and limit from the module that uses it.
+        defaults = {cmd: parse_config([cmd]).parameters["threshold"]
+                    for cmd in ("protocol3", "qkd-single", "qkd-bell")}
+        assert defaults == {"protocol3": DEFAULT_THRESHOLD,
+                            "qkd-single": DEFAULT_THRESHOLDS["single", "pi/3"],
+                            "qkd-bell": DEFAULT_THRESHOLDS["bell", "pi/3"]}
+        assert defaults == {"protocol3": 0.6, "qkd-single": 0.8, "qkd-bell": 0.7}
+        with pytest.raises(UsageError, match=f"<= {MAX_MEASURED_QUBITS}"):
+            parse_config(["protocol3", "--modes", str(MAX_MEASURED_QUBITS + 1)])
+
     def test_zero_copies_rejected(self):
         with pytest.raises(UsageError, match="N >= 1"):
             parse_config(["protocol1", "--copies", "0", "5"])
@@ -113,6 +130,8 @@ class TestParseConfig:
         ["protocol1", "--zeta", "pi/0"],
         ["qkd-single", "--shots", "99999999999999999999"],
         ["qkd-bell", "--shots", str(MAX_SHOTS + 1)],
+        ["protocol1", "--copies", "99999999999999999999", "1"],
+        ["protocol2", "--copies", "1", str(MAX_COPIES + 1)],
     ], ids=" ".join)
     def test_out_of_range_argument_is_usage_error(self, argv, tmp_path, capsys):
         with pytest.raises(UsageError):
@@ -197,7 +216,8 @@ class TestRunAndReport:
         from hetverify.circuits import Circuit, u3
 
         path = tmp_path / "circuit.json"
-        Circuit(2, [u3(0, math.pi / 2, 0, math.pi)]).save(path)
+        path.write_text(json.dumps(
+            Circuit(2, [u3(0, math.pi / 2, 0, math.pi)]).to_json()))
         config = parse_config(["tomography", str(path), "--exact",
                                "--output-dir", str(tmp_path)])
         bundle = run_and_report(config)
@@ -219,7 +239,7 @@ class TestMainExitCodes:
         # The ancilla of a gate-free circuit always reads 0, so
         # post-selecting on 1 keeps no shots.
         path = tmp_path / "circuit.json"
-        Circuit(2, ancilla=1).save(path)
+        path.write_text(json.dumps(Circuit(2, ancilla=1).to_json()))
         argv = ["tomography", str(path), "--shots", "16",
                 "--output-dir", str(tmp_path)]
         assert main(argv) == EXIT_RUNTIME
@@ -248,6 +268,17 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_RUNTIME
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["sampled", "exact"])
+    def test_ancilla_only_circuit_exit_three(self, tmp_path, capsys, mode):
+        # With its one qubit the ancilla, the circuit has nothing to measure.
+        path = tmp_path / "anc.json"
+        path.write_text(json.dumps({"num_qubits": 1, "ancilla": 0,
+                                    "gates": [{"kind": "x", "qubits": [0]}]}))
+        argv = ["tomography", str(path), *mode, "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_RUNTIME
+        assert ("need at least 1 and at most 4 measured qubits, got 0"
+                in capsys.readouterr().err)
+
     def test_initial_amplitude_pair_runs(self, tmp_path):
         argv = ["protocol1", "--initial", "0.6,0.8", "--shots", "64",
                 "--copies", "1", "1", "--output-dir", str(tmp_path)]
@@ -271,3 +302,117 @@ class TestPlotData:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             emit_plot_data([], tmp_path / "series.txt")
+
+
+# Tokens for the fuzz test below: each option's valid values, and the
+# hostile tokens one of them may be swapped for.  Valid shot and copy
+# counts stay at most 64 and 2 so that an accepted argv runs fast.
+VALID = {
+    "--shots": ["1", "16", "64"],
+    "--copies": ["1", "2"],
+    "--seed": ["0", "7", str(2**70)],
+    "--noise-1q": ["0", "0.05", "1"],
+    "--noise-2q": ["0", "0.3"],
+    "--readout-flip": ["0", "0.02", "0.5", "1"],
+    "--zeta": ["0", "pi/3", "-2pi/3", "1.25"],
+    "--threshold": ["0", "0.6", "1"],
+    "--photons": ["1", "2", "4"],
+    "--modes": ["1", "3", "4"],
+}
+INITIAL = {"protocol1": ["1", "0.6,0.8", "1j,1", "1e-300,1e-300"],
+           "protocol2": ["1100", "0101"], "qkd-single": ["0", "1"]}
+HOSTILE = ["", "-1", "0", "nan", "inf", "-inf", "pi/0", "1e400", "2", "0,0",
+           "nan,1", "11001", "99999999999999999999", str(2**53 + 1), "abc",
+           "--", "-", "--bogus", "--exact"]
+OPTIONS = {
+    "protocol1": ["--zeta"],
+    "protocol2": ["--zeta"],
+    "protocol3": ["--photons", "--modes", "--zeta", "--threshold"],
+    "qkd-single": ["--threshold"],
+    "qkd-bell": ["--threshold"],
+    "tomography": [],
+}
+COMMON = ["--seed", "--noise-1q", "--noise-2q", "--readout-flip"]
+
+
+@st.composite
+def hostile_swap(draw, tokens: list) -> list:
+    """`tokens`, or, one time in three, a copy with one of them replaced
+    by a hostile token."""
+    if not tokens or draw(st.integers(0, 2)) > 0:
+        return tokens
+    i = draw(st.integers(0, len(tokens) - 1))
+    return [*tokens[:i], draw(st.sampled_from(HOSTILE)), *tokens[i + 1:]]
+
+
+@st.composite
+def circuit_descriptions(draw):
+    """Small circuit files: runnable ones, ones too wide or with a bare
+    ancilla, some with one hostile field and some that are not JSON
+    objects at all (returned as the file's text)."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(["", "{", "null", "[1]", "[" * 100_000]))
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    qubit = st.integers(0, n - 1)
+    angles = st.tuples(*[st.sampled_from([0.0, 1.0, math.pi, -2.5])] * 3)
+    gates = [{"kind": "x", "qubits": [draw(qubit)]}
+             for _ in range(draw(st.integers(0, 2)))]
+    gates += [{"kind": "u3", "qubits": [draw(qubit)], "angles": list(draw(angles))}
+              for _ in range(draw(st.integers(0, 2)))]
+    if n > 1:
+        c, t = draw(st.permutations(range(n)))[:2]
+        gates.append({"kind": "cu3", "qubits": [c, t], "angles": list(draw(angles))})
+    ancilla = draw(st.one_of(st.none(), qubit))
+    if ancilla is not None:  # prepared in |1>, so post-selection mostly keeps shots
+        gates.insert(0, {"kind": "x", "qubits": [ancilla]})
+    description = {"num_qubits": n, "gates": gates, "ancilla": ancilla}
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(["num_qubits", "gates", "ancilla"]))
+        description[key] = draw(st.sampled_from(
+            [0, 7, -1, "2", None, 1.5, [], [{"kind": "h", "qubits": [0]}],
+             [{"kind": "u3", "qubits": [0], "angles": [1e400, 0, 0]}]]))
+    return description
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, circuit description or None) for one run of main."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = [*OPTIONS[command], *COMMON]
+    tokens = []
+    for option in draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
+        tokens += [option, draw(st.sampled_from(VALID[option]))]
+    if command in INITIAL and draw(st.booleans()):
+        tokens += ["--initial", draw(st.sampled_from(INITIAL[command]))]
+    if command in ("protocol1", "protocol2"):
+        tokens += ["--copies", *draw(st.lists(
+            st.sampled_from(VALID["--copies"]), min_size=2, max_size=2))]
+    if draw(st.booleans()):
+        tokens.append("--exact")
+    # --shots always comes last, so the default of 8192 never runs.
+    tokens += ["--shots", draw(st.sampled_from(VALID["--shots"]))]
+    description = draw(circuit_descriptions()) if command == "tomography" else None
+    return [command, *draw(hostile_swap(tokens))], description
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=cli_argvs())
+# Inputs that once ended in a traceback always run.
+@example(case=(["qkd-single", "--shots", "99999999999999999999"], None))
+@example(case=(["protocol1", "--zeta", "pi/0"], None))
+@example(case=(["protocol1", "--copies", "99999999999999999999", "1"], None))
+@example(case=(["tomography"], "[" * 100_000))
+@example(case=(["tomography"], {"num_qubits": 2}))
+@example(case=(["tomography", "--shots", "16"],
+               {"num_qubits": 1, "gates": [], "ancilla": 0}))
+def test_fuzzed_argv_never_raises(case):
+    """Whatever argv and circuit file it gets, main returns an exit code
+    of the contract and never raises."""
+    argv, description = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if description is not None:
+            path = Path(tmp) / "circuit.json"
+            path.write_text(description if isinstance(description, str)
+                            else json.dumps(description))
+            argv = [argv[0], str(path), *argv[1:]]
+        assert main([*argv, "--output-dir", tmp]) in {0, 1, 2, 3}

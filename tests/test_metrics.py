@@ -62,7 +62,7 @@ class TestFidelity:
         assert fidelity(ket("0"), plus()) == pytest.approx(SQRT_HALF, abs=1e-10)
 
     def test_mixed_vs_pure(self):
-        assert fidelity(DensityMatrix.maximally_mixed(1), ket("0")) == \
+        assert fidelity(DensityMatrix(1, np.eye(2) / 2), ket("0")) == \
             pytest.approx(SQRT_HALF, abs=1e-10)
 
     def test_symmetric_for_physical_states(self, rng):

@@ -58,7 +58,7 @@ class TestPartialTrace:
     def test_trace_and_hermiticity_preserved(self, rng):
         rho = random_density(rng, 3)
         reduced = partial_trace(rho, [0, 2])
-        assert reduced.trace() == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(reduced.matrix,
                                    reduced.matrix.conj().T, atol=1e-12)
 
@@ -121,7 +121,7 @@ class TestProjectToPhysical:
         projected = project_to_physical(raw)
         eigvals = np.linalg.eigvalsh(projected.matrix)
         assert eigvals.min() >= -1e-12
-        assert projected.trace() == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(projected.matrix).real == pytest.approx(1.0, abs=1e-10)
         assert projected.physical
 
     def test_closest_in_two_norm_beats_naive_clip(self):

@@ -19,6 +19,8 @@ from hetverify.metrics import trace_distance
 from hetverify.states import StateVector
 from hetverify.tomography import (
     PAULI_MATRICES,
+    _assembly_layout,
+    _pauli_stack,
     expectations_from_tables,
     pauli_strings,
     reconstruct_multi_qubit,
@@ -28,6 +30,7 @@ from hetverify.tomography import (
 )
 from hetverify.protocols import (
     HeterodyneSetting,
+    heterodyne_stage,
     ideal_output,
     single_mode_circuit,
 )
@@ -181,6 +184,24 @@ def _reconstruct_by_loop(expectations, num_qubits):
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_kronecker_tables_match_np_kron_bytewise(num_qubits):
+    """The Pauli stack and the Walsh matrix come from `_embed`; every
+    entry is 0, +-1 or +-i, so they equal the np.kron chains byte for
+    byte, signed zeros included."""
+    def kron_chain(factors):
+        full = np.ones((1, 1))
+        for factor in factors:
+            full = np.kron(full, factor)
+        return full
+
+    stack = [kron_chain([np.array([[1.0 + 0j]])] + [PAULI_MATRICES[p] for p in s])
+             for s in pauli_strings(num_qubits)]
+    assert _pauli_stack(num_qubits).tobytes() == np.array(stack).tobytes()
+    walsh = kron_chain([[[1.0, 1.0], [1.0, -1.0]]] * num_qubits)
+    assert _assembly_layout(num_qubits)[2].tobytes() == walsh.tobytes()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", range(3))
 def test_reconstruction_matches_per_string_loop(num_qubits, seed):
     rng = np.random.default_rng(seed)
@@ -264,6 +285,45 @@ class TestTomographySweep:
                     reconstruct_multi_qubit(ex, 2), expected))
             medians.append(np.median(dists))
         assert medians[0] > medians[1] > medians[2]
+
+    def test_spread_halves_at_four_times_the_shots(self):
+        """The spread of each Pauli estimate around the exact value falls
+        as 1/sqrt(shots): 2x from S to 4S shots.
+
+        A string with #I identity positions averages the kept shots of
+        3^#I settings, each a +-1 draw with mean v, so K sweeps give
+        T = sum_k (estimate_k - v)^2 / sigma^2 ~ chi^2_K, with sigma^2 =
+        (1 - v^2) / (shots * kept * 3^#I).  ln(T / K) is close to
+        normal with variance 2/K, so the ratio R of T/K at S to T/K at
+        4S has ln R within 4 * sqrt(4 / K) of 0, and each T/K lies
+        within 4 * sqrt(2 / K) of 0 in the log.  With K = 200 the spread
+        ratio sqrt(4 R) is bounded to [1.51, 2.65].
+        """
+        circuit = heterodyne_stage(
+            Circuit(3, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0),
+                        u3(1, 0.7, -0.4, 0.9)], ancilla=2),
+            HeterodyneSetting(PI / 3))
+        noise = NoiseModel(0.02, 0.03, 0.02)
+        shots, repeats = 1024, 200
+        exact = tomography_sweep(circuit, noise=noise)
+        rho = run_density_matrix(circuit, noise)
+        kept = measure_in_basis(rho, "Z", [circuit.ancilla]).probabilities[1]
+        # Separate seeds, so the two shot counts draw independent streams.
+        runs = {s: [tomography_sweep(circuit, shots=s, seed=seed, noise=noise)
+                    for seed in range(i * repeats, (i + 1) * repeats)]
+                for i, s in enumerate((shots, 4 * shots))}
+        tolerance = 4 * math.sqrt(2 / repeats)
+        for string, value in exact.items():
+            if string == "II":
+                continue
+            scaled = {}  # T / K at each shot count
+            for s, sweeps in runs.items():
+                sigma2 = (1 - value**2) / (s * kept * 3 ** string.count("I"))
+                scaled[s] = np.mean([(run[string] - value) ** 2
+                                     for run in sweeps]) / sigma2
+                assert abs(math.log(scaled[s])) <= tolerance, (string, s, scaled[s])
+            log_ratio = math.log(scaled[shots] / scaled[4 * shots])
+            assert abs(log_ratio) <= math.sqrt(2) * tolerance, (string, log_ratio)
 
     def test_too_many_measured_qubits(self):
         with pytest.raises(ValueError, match="at most 4 measured qubits"):
