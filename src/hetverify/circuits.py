@@ -3,7 +3,8 @@
 Supported gates are X, the three-angle single-qubit rotation U3, and its
 controlled version CU3 -- enough to express every circuit the protocols
 build.  Systems stay small (at most 6 qubits), so both backends work
-with dense matrices.
+with dense matrices.  Each gate's matrix is built once per (gate,
+register size) and shared read-only by every later simulation.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .states import (
     DensityMatrix,
     ProbabilityDistribution,
     StateVector,
-    trace_out,
 )
 
 MAX_QUBITS = 6
@@ -57,7 +57,11 @@ class Gate:
         if self.kind not in ("x", "u3", "cu3"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        where = f"{self.kind} gate on qubits {self.qubits}"
+        try:
+            object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"{where}: angles must be finite") from None
         expected = 2 if self.kind == "cu3" else 1
         if len(self.qubits) != expected:
             raise ValueError(f"{self.kind} gate acts on {expected} qubit(s)")
@@ -66,7 +70,7 @@ class Gate:
         if self.kind != "x" and len(self.angles) != 3:
             raise ValueError(f"{self.kind} gate takes three angles")
         if any(not np.isfinite(a) for a in self.angles):
-            raise ValueError("gate angles must be finite")
+            raise ValueError(f"{where}: angles must be finite")
 
     def matrix_2x2(self) -> np.ndarray:
         """Local action on the target qubit."""
@@ -171,13 +175,28 @@ def _embed(ops: dict, num_qubits: int) -> np.ndarray:
 
 
 def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary of a gate embedded in the register."""
+    """Full 2^n x 2^n unitary of a gate embedded in the register, built
+    once per (gate, register size) and shared read-only."""
+    # Gate equality takes -0.0 for 0.0, whose matrix has other bytes, so
+    # the key also holds each angle's exact bits.
+    return _gate_unitary(gate, tuple(map(float.hex, gate.angles)), num_qubits)
+
+
+# Bounded because circuit files may hold any angles.
+@lru_cache(maxsize=128)
+def _gate_unitary(gate: Gate, angle_bits: tuple, num_qubits: int) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        local = gate.matrix_2x2()
+    if not np.isfinite(local).all():
+        raise ValueError(f"{gate}: the angles overflow the gate matrix")
     if gate.kind == "cu3":
         control, target = gate.qubits
-        return _embed({control: _P0}, num_qubits) + _embed(
-            {control: _P1, target: gate.matrix_2x2()}, num_qubits
-        )
-    return _embed({gate.qubits[-1]: gate.matrix_2x2()}, num_qubits)
+        full = _embed({control: _P0}, num_qubits) + _embed(
+            {control: _P1, target: local}, num_qubits)
+    else:
+        full = _embed({gate.qubits[-1]: local}, num_qubits)
+    full.setflags(write=False)
+    return full
 
 
 def run_statevector(circuit: Circuit) -> StateVector:
@@ -221,17 +240,20 @@ class NoiseModel:
 def depolarize(rho_mat: np.ndarray, qubits, prob: float, num_qubits: int) -> np.ndarray:
     """Mix the named qubits toward maximally mixed with probability `prob`.
 
-    The fully depolarized part replaces each qubit in turn by I/2: trace
-    it out, halve, and put the identity back on its axes.
+    The fully depolarized part replaces each qubit q in turn by I/2: with
+    rho viewed as (2^q, 2, 2^(n-q-1)) on each side, half the sum of the
+    two diagonal slices of q fills both diagonal slices of a zero tensor.
     """
     if prob == 0.0:
         return rho_mat
-    tensor = rho_mat.reshape([2] * (2 * num_qubits))
+    mixed = rho_mat
     for q in qubits:
-        reduced = trace_out(tensor, q) / 2
-        tensor = np.moveaxis(np.multiply.outer(_I2, reduced),
-                             (0, 1), (q, q + num_qubits))
-    return (1.0 - prob) * rho_mat + prob * tensor.reshape(rho_mat.shape)
+        side = (2**q, 2, 2 ** (num_qubits - q - 1))
+        view = mixed.reshape(side + side)
+        reduced = (view[:, 0, :, :, 0] + view[:, 1, :, :, 1]) / 2
+        mixed = np.zeros_like(view)
+        mixed[:, 0, :, :, 0] = mixed[:, 1, :, :, 1] = reduced
+    return (1.0 - prob) * rho_mat + prob * mixed.reshape(rho_mat.shape)
 
 
 def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMatrix:

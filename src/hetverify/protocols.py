@@ -288,8 +288,9 @@ def protocol1_run(initial, setting: HeterodyneSetting, plan: CopyPlan = None,
 
 
 def _input_targets(initial) -> list:
-    """The single-qubit state _prep_gates prepares from each spec."""
-    return [run_statevector(Circuit(1, _prep_gates(spec, 0))) for spec in initial]
+    """The single-qubit density matrix _prep_gates prepares from each spec."""
+    return [run_statevector(Circuit(1, _prep_gates(spec, 0))).density()
+            for spec in initial]
 
 
 def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
@@ -297,15 +298,15 @@ def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
     """Tomograph `copies` runs of a multi-mode circuit; returns the group
     result and the per-copy raw reconstructions."""
     target = ideal_output(circuit)
-    ideal_targets = [
-        partial_trace(target, [q]) for q in range(target.num_qubits)
-    ]
+    ideal_targets = [partial_trace(target, [q]) for q in range(target.num_qubits)]
     recons = _reconstruct_copies(circuit, copies, shots, seed, noise)
     globals_, ideals, inputs = [], [], []
     for rho in recons:
         globals_.append(fidelity(rho, target))
-        ideals.append(reduced_fidelities(rho, ideal_targets))
-        inputs.append(reduced_fidelities(rho, input_targets))
+        # Each marginal is traced once and scored against both target lists.
+        marginals = [partial_trace(rho, [q]) for q in range(rho.num_qubits)]
+        ideals.append(reduced_fidelities(marginals, ideal_targets))
+        inputs.append(reduced_fidelities(marginals, input_targets))
     mean, std = _mean_std(globals_)
     red_ideal = list(np.mean(ideals, axis=0))
     red_input = list(np.mean(inputs, axis=0))

@@ -136,11 +136,6 @@ def tensor_product(a, b):
     )
 
 
-def trace_out(tensor: np.ndarray, qubit: int) -> np.ndarray:
-    """Trace one qubit out of an n-qubit operator held as a [2]*2n tensor."""
-    return np.trace(tensor, axis1=qubit, axis2=qubit + tensor.ndim // 2)
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in `keep`; result ordered by ascending index."""
     keep = sorted(set(keep))
@@ -152,7 +147,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     tensor = rho.matrix.reshape([2] * (2 * n))
     traced = [q for q in range(n) if q not in keep]
     for offset, q in enumerate(traced):
-        tensor = trace_out(tensor, q - offset)  # earlier traces shift axes
+        axis = q - offset  # earlier traces shift axes
+        tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
     dim = 2 ** len(keep)
     return DensityMatrix(len(keep), tensor.reshape(dim, dim),
                          physical=True if rho.physical else None)

@@ -50,7 +50,6 @@ from .states import (
     DensityMatrix,
     StateVector,
     condition_on_ancilla,
-    partial_trace,
 )
 
 MAX_MEASURED_QUBITS = 4
@@ -64,9 +63,10 @@ PAULI_MATRICES = {
 _WALSH_2 = np.array([[1, 1], [1, -1]], dtype=complex)  # unnormalized Hadamard
 
 
-def pauli_strings(num_qubits: int):
+@lru_cache(maxsize=None)
+def pauli_strings(num_qubits: int) -> tuple:
     """All 4^m strings over {I, X, Y, Z}, 'I...I' first."""
-    return ["".join(p) for p in itertools.product("IXYZ", repeat=num_qubits)]
+    return tuple(map("".join, itertools.product("IXYZ", repeat=num_qubits)))
 
 
 @lru_cache(maxsize=None)
@@ -223,17 +223,11 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
     return expectations_from_tables(tables, len(measured))
 
 
-def reduced_fidelities(rho: DensityMatrix, targets) -> list:
-    """Fidelity of each single-qubit marginal against its pure target."""
-    targets = list(targets)
-    if len(targets) != rho.num_qubits:
-        raise ValueError(
-            f"need one target per qubit ({rho.num_qubits}), got {len(targets)}"
-        )
-    values = []
-    for i, target in enumerate(targets):
-        marginal = partial_trace(rho, [i])
-        if isinstance(target, StateVector):
-            target = target.density()
-        values.append(fidelity(marginal, target))
-    return values
+def reduced_fidelities(marginals, targets) -> list:
+    """Fidelity of each single-qubit marginal against its pure target, a
+    state vector or a density matrix."""
+    if len(targets) != len(marginals):
+        raise ValueError(f"need one target per qubit ({len(marginals)}), "
+                         f"got {len(targets)}")
+    return [fidelity(m, t.density() if isinstance(t, StateVector) else t)
+            for m, t in zip(marginals, targets)]

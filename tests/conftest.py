@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetverify.states import DensityMatrix, StateVector
+from hetverify.states import DensityMatrix, StateVector, partial_trace
 
 
 @pytest.fixture
@@ -21,3 +21,8 @@ def random_pure(rng, num_qubits=1):
     dim = 2**num_qubits
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(num_qubits, vec / np.linalg.norm(vec))
+
+
+def marginals(rho):
+    """Single-qubit marginals of every qubit, in order."""
+    return [partial_trace(rho, [q]) for q in range(rho.num_qubits)]

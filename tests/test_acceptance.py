@@ -49,7 +49,7 @@ from hetverify.tomography import (
     tomography_sweep,
 )
 
-from conftest import random_density, random_pure
+from conftest import marginals, random_density, random_pure
 
 PI = math.pi
 SQRT_HALF = 1 / np.sqrt(2)
@@ -223,7 +223,7 @@ class TestAcceptance:
         for _ in range(500):
             rho = random_density(rng, 4)
             targets = [random_pure(rng) for _ in range(4)]
-            witness = fidelity_witness(reduced_fidelities(rho, targets))
+            witness = fidelity_witness(reduced_fidelities(marginals(rho), targets))
             product = targets[0]
             for t in targets[1:]:
                 product = tensor_product(product, t)

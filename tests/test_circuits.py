@@ -7,11 +7,14 @@ import pytest
 
 from hetverify.circuits import (
     _I2,
+    _P0,
+    _P1,
     BASIS_ROTATIONS,
     Circuit,
     NoiseModel,
     ShotTable,
     _basis_rotation,
+    _gate_unitary,
     _outcomes,
     cu3,
     _embed,
@@ -39,6 +42,47 @@ def apply_gate(state: StateVector, gate) -> StateVector:
 
 def purity(rho) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def uncached_unitary(gate, num_qubits: int) -> np.ndarray:
+    """A gate's unitary built afresh from `_embed` chains."""
+    if gate.kind == "cu3":
+        control, target = gate.qubits
+        return _embed({control: _P0}, num_qubits) + _embed(
+            {control: _P1, target: gate.matrix_2x2()}, num_qubits)
+    return _embed({gate.qubits[-1]: gate.matrix_2x2()}, num_qubits)
+
+
+def outer_product_depolarize(rho_mat, qubits, prob, num_qubits):
+    """Depolarizing built by tracing each qubit out and putting I/2 back
+    with np.multiply.outer and np.moveaxis."""
+    if prob == 0.0:
+        return rho_mat
+    tensor = rho_mat.reshape([2] * (2 * num_qubits))
+    for q in qubits:
+        reduced = np.trace(tensor, axis1=q, axis2=q + num_qubits) / 2
+        tensor = np.moveaxis(np.multiply.outer(_I2, reduced),
+                             (0, 1), (q, q + num_qubits))
+    return (1.0 - prob) * rho_mat + prob * tensor.reshape(rho_mat.shape)
+
+
+def random_gates(rng, num_qubits: int, count: int) -> list:
+    """X, U3 and CU3 gates on random qubits; some angles are signed zeros
+    or multiples of pi/2, so exact zeros reach the simulated state."""
+    def angle():
+        return float(rng.choice([0.0, -0.0, PI / 2, PI, rng.uniform(-PI, PI)]))
+
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(["x", "u3", "cu3"] if num_qubits > 1 else ["x", "u3"])
+        if kind == "x":
+            gates.append(x(int(rng.integers(num_qubits))))
+        elif kind == "u3":
+            gates.append(u3(int(rng.integers(num_qubits)), angle(), angle(), angle()))
+        else:
+            control, target = rng.choice(num_qubits, size=2, replace=False)
+            gates.append(cu3(int(control), int(target), angle(), angle(), angle()))
+    return gates
 
 
 class TestU3Matrix:
@@ -208,6 +252,31 @@ class TestRunDensityMatrix:
             assert np.array_equal(depolarize(rho, qubits, prob, num_qubits),
                                   oracle(rho, qubits, prob))
 
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_simulation_matches_uncached_construction_bytewise(self, num_qubits):
+        """Both backends equal, byte for byte, a run that builds every
+        gate afresh and depolarizes with outer products."""
+        rng = np.random.default_rng(8000 + num_qubits)
+        for _ in range(4):
+            circuit = Circuit(num_qubits, random_gates(rng, num_qubits, 8))
+            noise = NoiseModel(*rng.uniform(0.001, 0.2, size=3))
+            amps = np.zeros(2**num_qubits, dtype=complex)
+            amps[0] = 1.0
+            rho = np.outer(amps, amps)
+            for gate in circuit.gates:
+                unitary = uncached_unitary(gate, num_qubits)
+                amps = unitary @ amps
+                rho = unitary @ rho @ unitary.conj().T
+                prob = (noise.depolarizing_prob_2q if gate.kind == "cu3"
+                        else noise.depolarizing_prob_1q)
+                rho = outer_product_depolarize(rho, gate.qubits, prob, num_qubits)
+            for q in range(num_qubits):
+                rho = outer_product_depolarize(rho, [q], 2 * noise.readout_flip_prob,
+                                               num_qubits)
+            rho = (rho + rho.conj().T) / 2
+            assert run_statevector(circuit).amplitudes.tobytes() == amps.tobytes()
+            assert run_density_matrix(circuit, noise).matrix.tobytes() == rho.tobytes()
+
 
 class TestMeasureInBasis:
     def test_z_on_zero(self):
@@ -360,6 +429,30 @@ class TestBasisRotationCache:
         assert np.array_equal(rot, expected)
         assert not rot.flags.writeable
         assert _basis_rotation(setting, qubits, num_qubits) is rot
+
+
+class TestGateUnitaryCache:
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_cached_unitary_is_read_only_embed(self, rng, num_qubits):
+        gates = [x(num_qubits - 1), u3(0, *rng.uniform(-PI, PI, size=3))]
+        if num_qubits > 1:
+            gates.append(cu3(num_qubits - 1, 0, *rng.uniform(-PI, PI, size=3)))
+        for gate in gates:
+            mat = gate_unitary(gate, num_qubits)
+            assert not mat.flags.writeable
+            assert mat.tobytes() == uncached_unitary(gate, num_qubits).tobytes()
+            assert gate_unitary(gate, num_qubits) is mat
+
+    def test_signed_zero_angles_get_their_own_entries(self):
+        plus, minus = u3(0, 0.0, 0.0, 0.0), u3(0, -0.0, 0.0, 0.0)
+        assert plus == minus  # Gate equality cannot tell the two apart
+        for gate in (plus, minus):
+            assert (gate_unitary(gate, 2).tobytes()
+                    == uncached_unitary(gate, 2).tobytes())
+        assert gate_unitary(plus, 2).tobytes() != gate_unitary(minus, 2).tobytes()
+
+    def test_cache_is_bounded(self):
+        assert _gate_unitary.cache_info().maxsize is not None
 
 
 def _flip_distribution(probs, num_bits, flip):

@@ -259,14 +259,23 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_RUNTIME
         assert problem in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["[" * 100_000, "{"],
-                             ids=["deeply-nested", "truncated"])
-    def test_unreadable_circuit_json_exit_three(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text,problem", [
+        ("[" * 100_000, "invalid JSON"),
+        ("{", "invalid JSON"),
+        (json.dumps({"num_qubits": 1, "gates": [
+            {"kind": "u3", "qubits": [0], "angles": [10**400, 0, 0]}]}),
+         "u3 gate on qubits (0,): angles must be finite"),
+        # Each angle is finite, but phi + lambda overflows to inf.
+        (json.dumps({"num_qubits": 1, "gates": [
+            {"kind": "u3", "qubits": [0], "angles": [0, 1e308, 1e308]}]}),
+         "angles=(0.0, 1e+308, 1e+308)): the angles overflow the gate matrix"),
+    ], ids=["deeply-nested", "truncated", "huge-integer-angle", "overflowing-angles"])
+    def test_unreadable_circuit_json_exit_three(self, tmp_path, capsys, text, problem):
         path = tmp_path / "circuit.json"
         path.write_text(text)
         argv = ["tomography", str(path), "--output-dir", str(tmp_path)]
         assert main(argv) == EXIT_RUNTIME
-        assert "invalid JSON" in capsys.readouterr().err
+        assert problem in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["sampled", "exact"])
     def test_ancilla_only_circuit_exit_three(self, tmp_path, capsys, mode):
@@ -370,7 +379,8 @@ def circuit_descriptions(draw):
         key = draw(st.sampled_from(["num_qubits", "gates", "ancilla"]))
         description[key] = draw(st.sampled_from(
             [0, 7, -1, "2", None, 1.5, [], [{"kind": "h", "qubits": [0]}],
-             [{"kind": "u3", "qubits": [0], "angles": [1e400, 0, 0]}]]))
+             [{"kind": "u3", "qubits": [0], "angles": [1e400, 0, 0]}],
+             [{"kind": "u3", "qubits": [0], "angles": [10**400, 0, 0]}]]))
     return description
 
 
@@ -403,6 +413,8 @@ def cli_argvs(draw):
 @example(case=(["protocol1", "--copies", "99999999999999999999", "1"], None))
 @example(case=(["tomography"], "[" * 100_000))
 @example(case=(["tomography"], {"num_qubits": 2}))
+@example(case=(["tomography"], {"num_qubits": 1, "gates": [
+    {"kind": "u3", "qubits": [0], "angles": [10**400, 0, 0]}]}))
 @example(case=(["tomography", "--shots", "16"],
                {"num_qubits": 1, "gates": [], "ancilla": 0}))
 def test_fuzzed_argv_never_raises(case):

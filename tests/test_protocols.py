@@ -22,7 +22,7 @@ from hetverify.protocols import (
 from hetverify.states import StateVector, tensor_product
 from hetverify.tomography import reduced_fidelities
 
-from conftest import random_density, random_pure
+from conftest import marginals, random_density, random_pure
 
 PI = math.pi
 SQRT_HALF = 1 / np.sqrt(2)
@@ -95,7 +95,7 @@ class TestFidelityWitness:
         for _ in range(500):
             rho = random_density(rng, 4)
             targets = [random_pure(rng) for _ in range(4)]
-            witness = fidelity_witness(reduced_fidelities(rho, targets))
+            witness = fidelity_witness(reduced_fidelities(marginals(rho), targets))
             product = targets[0]
             for t in targets[1:]:
                 product = tensor_product(product, t)
@@ -109,7 +109,7 @@ class TestFidelityWitness:
         targets = [StateVector(1, v / np.linalg.norm(v)) for v in (
             np.linalg.eigh(m.matrix)[1][:, -1]
             for m in (reduced(rho, q) for q in range(4)))]
-        assert fidelity_witness(reduced_fidelities(rho, targets)) == \
+        assert fidelity_witness(reduced_fidelities(marginals(rho), targets)) == \
             pytest.approx(1.0, abs=1e-9)
 
 

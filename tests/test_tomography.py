@@ -35,7 +35,7 @@ from hetverify.protocols import (
     single_mode_circuit,
 )
 
-from conftest import random_pure
+from conftest import marginals, random_pure
 
 PI = math.pi
 
@@ -370,23 +370,23 @@ class TestReducedFidelities:
         rho = StateVector.computational("10").density()
         targets = [StateVector.computational("1"),
                    StateVector.computational("0")]
-        assert reduced_fidelities(rho, targets) == pytest.approx([1.0, 1.0])
+        assert reduced_fidelities(marginals(rho), targets) == pytest.approx([1.0, 1.0])
 
     def test_bell_marginals(self):
         rho = ideal_output(bell_circuit())
         targets = [StateVector.computational("0")] * 2
-        np.testing.assert_allclose(reduced_fidelities(rho, targets),
+        np.testing.assert_allclose(reduced_fidelities(marginals(rho), targets),
                                    [SQRT_HALF, SQRT_HALF], atol=1e-10)
 
     def test_interferometer_output_marginals(self):
         rho = ideal_output(five_qubit_circuit())
         targets = [StateVector.computational(b) for b in "1100"]
-        np.testing.assert_allclose(reduced_fidelities(rho, targets),
+        np.testing.assert_allclose(reduced_fidelities(marginals(rho), targets),
                                    [SQRT_HALF] * 4, atol=1e-10)
 
     def test_target_count_mismatch(self):
         with pytest.raises(ValueError, match="target"):
-            reduced_fidelities(StateVector.computational("00").density(),
+            reduced_fidelities(marginals(StateVector.computational("00").density()),
                                [StateVector.computational("0")])
 
 
