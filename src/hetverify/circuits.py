@@ -67,8 +67,10 @@ class Gate:
             raise ValueError(f"{self.kind} gate acts on {expected} qubit(s)")
         if self.kind == "cu3" and self.qubits[0] == self.qubits[1]:
             raise ValueError("control and target must differ")
-        if self.kind != "x" and len(self.angles) != 3:
-            raise ValueError(f"{self.kind} gate takes three angles")
+        num_angles = 0 if self.kind == "x" else 3
+        if len(self.angles) != num_angles:
+            raise ValueError(f"{where}: takes {num_angles} angles, "
+                             f"got {len(self.angles)}")
         if any(not np.isfinite(a) for a in self.angles):
             raise ValueError(f"{where}: angles must be finite")
 
@@ -279,7 +281,7 @@ def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMat
     for q in range(circuit.num_qubits):
         rho = depolarize(rho, [q], 2 * noise.readout_flip_prob, circuit.num_qubits)
     rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(circuit.num_qubits, rho, physical=True)
+    return DensityMatrix(circuit.num_qubits, rho)
 
 
 # Bounded because callers may pass any qubit order; 256 holds the 81

@@ -301,7 +301,6 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
     report_path = os.path.join(outdir, f"{config.command.replace('-', '_')}_report.json")
     _atomic_write(report_path, json.dumps(bundle_json, indent=2))
     emitted.append(report_path)
-    bundle_json["emitted_files"] = emitted
     return ReportBundle(bundle_json, emitted, exit_code)
 
 

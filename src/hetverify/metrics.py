@@ -44,14 +44,14 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
         raise ValueError(
             f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
-    # Pure shortcut also covers unphysical partners, for which the full
-    # Uhlmann formula is undefined.
+    # A rank-one spectrum with eigenvalue one is a pure state, so the
+    # shortcut needs no other physicality check.  It also covers
+    # unphysical partners, for which the full Uhlmann formula is undefined.
     for target, other in ((b, a), (a, b)):
-        if target.physical:
-            vec = _pure_component(target)
-            if vec is not None:
-                overlap = float(np.real(vec.conj() @ other.matrix @ vec))
-                return float(np.sqrt(max(overlap, 0.0)))
+        vec = _pure_component(target)
+        if vec is not None:
+            overlap = float(np.real(vec.conj() @ other.matrix @ vec))
+            return float(np.sqrt(max(overlap, 0.0)))
     sqrt_a = matrix_sqrt_psd(a.matrix)
     inner = sqrt_a @ b.matrix @ sqrt_a
     return float(np.trace(matrix_sqrt_psd(inner)).real)

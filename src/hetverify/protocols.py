@@ -248,7 +248,7 @@ def ideal_output(circuit: Circuit) -> DensityMatrix:
     """Noiseless circuit output, conditioned on the ancilla reading 1."""
     state = run_statevector(circuit).density()
     if circuit.ancilla is not None:
-        state = condition_on_ancilla(state, circuit.ancilla, 1)
+        state = condition_on_ancilla(state, circuit.ancilla)
     return state
 
 

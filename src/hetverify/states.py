@@ -6,7 +6,7 @@ basis state |b0 b1 ... b_{n-1}> lives at index sum(b_q << (n-1-q)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class StateVector:
 
     def density(self) -> "DensityMatrix":
         mat = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(self.num_qubits, mat, physical=True)
+        return DensityMatrix(self.num_qubits, mat)
 
     def to_json(self) -> dict:
         return {
@@ -58,17 +58,16 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian unit-trace matrix over `num_qubits` qubits.
+    """Hermitian matrix over `num_qubits` qubits.
 
-    `physical` records whether the matrix is a valid quantum state
+    `physical` tells whether the matrix is a valid quantum state
     (positive semi-definite, trace one).  Raw tomographic reconstructions
-    may violate positivity; they carry physical=False and are still
-    accepted by the distance/fidelity helpers that tolerate it.
+    may violate positivity; they are still accepted by the
+    distance/fidelity helpers that tolerate it.
     """
 
     num_qubits: int
     matrix: np.ndarray
-    physical: bool = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -78,16 +77,14 @@ class DensityMatrix:
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-7:
             raise ValueError("density matrix is not Hermitian")
-        if self.physical is None:
-            object.__setattr__(self, "physical", self._check_physical(mat))
-        elif self.physical and not self._check_physical(mat):
-            raise ValueError("matrix claimed physical but is not PSD/unit-trace")
 
-    @staticmethod
-    def _check_physical(mat: np.ndarray) -> bool:
-        if abs(np.trace(mat).real - 1.0) > TRACE_ATOL:
+    @property
+    def physical(self) -> bool:
+        """Trace one within TRACE_ATOL and no eigenvalue below -EIGVAL_ATOL,
+        computed from the matrix on every read."""
+        if abs(np.trace(self.matrix).real - 1.0) > TRACE_ATOL:
             return False
-        return float(np.linalg.eigvalsh(mat).min()) >= -EIGVAL_ATOL
+        return float(np.linalg.eigvalsh(self.matrix).min()) >= -EIGVAL_ATOL
 
     def to_json(self) -> dict:
         return {
@@ -128,8 +125,7 @@ def tensor_product(a, b):
                            np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix(a.num_qubits + b.num_qubits,
-                             np.kron(a.matrix, b.matrix),
-                             physical=True if (a.physical and b.physical) else None)
+                             np.kron(a.matrix, b.matrix))
     raise TypeError(
         f"operands must both be StateVector or both DensityMatrix, "
         f"got {type(a).__name__} and {type(b).__name__}"
@@ -150,29 +146,26 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         axis = q - offset  # earlier traces shift axes
         tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
     dim = 2 ** len(keep)
-    return DensityMatrix(len(keep), tensor.reshape(dim, dim),
-                         physical=True if rho.physical else None)
+    return DensityMatrix(len(keep), tensor.reshape(dim, dim))
 
 
-def condition_on_ancilla(rho: DensityMatrix, qubit: int, outcome: int) -> DensityMatrix:
-    """Project one qubit onto a computational outcome, drop it, and
-    renormalize the rest to a proper state."""
+def condition_on_ancilla(rho: DensityMatrix, qubit: int) -> DensityMatrix:
+    """Project one qubit onto |1>, drop it, and renormalize the rest to a
+    proper state."""
     n = rho.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     tensor = rho.matrix.reshape([2] * (2 * n))
-    block = np.take(np.take(tensor, outcome, axis=qubit), outcome, axis=qubit + n - 1)
+    block = np.take(np.take(tensor, 1, axis=qubit), 1, axis=qubit + n - 1)
     dim = 2 ** (n - 1)
     block = block.reshape(dim, dim)
     prob = np.trace(block).real
     if prob < 1e-12:
         raise ValueError(
-            f"conditioning on outcome {outcome} of qubit {qubit} has "
+            f"conditioning on outcome 1 of qubit {qubit} has "
             f"probability {prob:.3e}; renormalization undefined"
         )
-    return DensityMatrix(n - 1, block / prob, physical=None)
+    return DensityMatrix(n - 1, block / prob)
 
 
 def project_to_physical(rho: DensityMatrix) -> DensityMatrix:
@@ -185,7 +178,7 @@ def project_to_physical(rho: DensityMatrix) -> DensityMatrix:
     mat = rho.matrix / np.trace(rho.matrix).real
     eigvals, eigvecs = np.linalg.eigh(mat)
     if eigvals.min() >= 0:
-        return DensityMatrix(rho.num_qubits, mat, physical=True)
+        return DensityMatrix(rho.num_qubits, mat)
 
     vals = eigvals[::-1].copy()  # descending
     new_vals = np.zeros_like(vals)
@@ -199,4 +192,4 @@ def project_to_physical(rho: DensityMatrix) -> DensityMatrix:
     new_vals = new_vals[::-1]
     projected = (eigvecs * new_vals) @ eigvecs.conj().T
     projected = (projected + projected.conj().T) / 2
-    return DensityMatrix(rho.num_qubits, projected, physical=True)
+    return DensityMatrix(rho.num_qubits, projected)

@@ -157,10 +157,8 @@ def reconstruct_single_qubit(expectations: dict) -> DensityMatrix:
     return reconstruct_multi_qubit({**expectations, "I": 1.0}, 1)
 
 
-def reconstruct_multi_qubit(expectations: dict, num_qubits: int = None) -> DensityMatrix:
+def reconstruct_multi_qubit(expectations: dict, num_qubits: int) -> DensityMatrix:
     """Pauli-sum reconstruction; the result may be unphysical for noisy data."""
-    if num_qubits is None:
-        num_qubits = len(next(iter(expectations)))
     try:
         values = [expectations[s] for s in pauli_strings(num_qubits)]
     except KeyError as err:
@@ -170,7 +168,7 @@ def reconstruct_multi_qubit(expectations: dict, num_qubits: int = None) -> Densi
     mat = (np.array(values) @ _pauli_stack(num_qubits).reshape(dim * dim, -1)
            ).reshape(dim, dim)
     mat = (mat + mat.conj().T) / (2 * dim)
-    return DensityMatrix(num_qubits, mat, physical=None)
+    return DensityMatrix(num_qubits, mat)
 
 
 def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
@@ -194,7 +192,7 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
     if shots is None:
         rho = run_density_matrix(circuit, noise)
         if postselect:
-            rho = condition_on_ancilla(rho, circuit.ancilla, 1)
+            rho = condition_on_ancilla(rho, circuit.ancilla)
         values = np.einsum("kij,ji->k", _pauli_stack(len(measured)), rho.matrix)
         return dict(zip(pauli_strings(len(measured)), values.real.tolist()))
 

@@ -17,6 +17,24 @@ def random_density(rng, num_qubits):
     return DensityMatrix(num_qubits, mat / np.trace(mat).real)
 
 
+def with_spectrum(rng, eigenvalues):
+    """Hermitian matrix with the given eigenvalues; its eigenbasis is the
+    Q factor of a complex Ginibre matrix."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    dim = eigenvalues.size
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mat = (q * eigenvalues) @ q.conj().T
+    return DensityMatrix(dim.bit_length() - 1, (mat + mat.conj().T) / 2)
+
+
+def random_unphysical(rng, num_qubits):
+    """Trace-one Hermitian matrix with one eigenvalue in [-0.2, -0.01], like
+    a raw reconstruction from few shots."""
+    shift = rng.uniform(0.01, 0.2)
+    rest = rng.dirichlet(np.ones(2**num_qubits - 1)) * (1 + shift)
+    return with_spectrum(rng, [-shift, *rest])
+
+
 def random_pure(rng, num_qubits=1):
     dim = 2**num_qubits
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -269,7 +269,11 @@ class TestMainExitCodes:
         (json.dumps({"num_qubits": 1, "gates": [
             {"kind": "u3", "qubits": [0], "angles": [0, 1e308, 1e308]}]}),
          "angles=(0.0, 1e+308, 1e+308)): the angles overflow the gate matrix"),
-    ], ids=["deeply-nested", "truncated", "huge-integer-angle", "overflowing-angles"])
+        (json.dumps({"num_qubits": 1, "gates": [
+            {"kind": "x", "qubits": [0], "angles": [1, 2, 3, 4, 5]}]}),
+         "x gate on qubits (0,): takes 0 angles, got 5"),
+    ], ids=["deeply-nested", "truncated", "huge-integer-angle", "overflowing-angles",
+            "x-with-angles"])
     def test_unreadable_circuit_json_exit_three(self, tmp_path, capsys, text, problem):
         path = tmp_path / "circuit.json"
         path.write_text(text)
@@ -380,7 +384,8 @@ def circuit_descriptions(draw):
         description[key] = draw(st.sampled_from(
             [0, 7, -1, "2", None, 1.5, [], [{"kind": "h", "qubits": [0]}],
              [{"kind": "u3", "qubits": [0], "angles": [1e400, 0, 0]}],
-             [{"kind": "u3", "qubits": [0], "angles": [10**400, 0, 0]}]]))
+             [{"kind": "u3", "qubits": [0], "angles": [10**400, 0, 0]}],
+             [{"kind": "x", "qubits": [0], "angles": [1, 2, 3, 4, 5]}]]))
     return description
 
 

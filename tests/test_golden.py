@@ -1,18 +1,20 @@
 """Golden outputs of every CLI command at fixed seeds.
 
 `data/golden_cli.json` holds, for each argv below, the exit code, the
-report's `result` block and a SHA-256 over every shot table the run
-sampled (setting, sorted counts, shots, in draw order).  A change to the
-simulation or tomography code must keep every table byte-identical,
-every exit code equal and every `result` float within 1e-12.
+report's `result` block, a SHA-256 over every shot table the run
+sampled (setting, sorted counts, shots, in draw order) and a SHA-256
+over the run's other deterministic outputs (see `outputs_digest`).  A
+change to the simulation or tomography code must keep every table and
+every other output byte-identical, every exit code equal and every
+`result` float within 1e-12.
 
 Rewrite the fixture only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
 
-The recorder rewrites only the entries whose exit code or hash differs,
-or whose `result` moved by more than 1e-12, so last-digit differences
-between hosts stay out of the diff.
+The recorder rewrites only the entries whose exit code or a hash
+differs, or whose `result` moved by more than 1e-12, so last-digit
+differences between hosts stay out of the diff.
 """
 import hashlib
 import json
@@ -29,7 +31,8 @@ from hetverify.cli import main
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "golden_cli.json"
-CIRCUIT = str(DATA / "golden_circuit.json")
+CIRCUIT_KEY = "data/golden_circuit.json"  # as fixture keys name it
+CIRCUIT = str(Path(__file__).parent / CIRCUIT_KEY)
 RESULT_ATOL = 1e-12
 
 NOISE = ["--noise-1q", "0.01", "--noise-2q", "0.02", "--readout-flip", "0.02"]
@@ -56,12 +59,37 @@ RUNS = [
 
 def _key(argv) -> str:
     """Fixture key: the argv with the circuit path made repo-relative."""
-    return " ".join("data/golden_circuit.json" if a == CIRCUIT else a
-                    for a in argv)
+    return " ".join(CIRCUIT_KEY if a == CIRCUIT else a for a in argv)
+
+
+def outputs_digest(outdir) -> str:
+    """SHA-256 over what a run writes, less its volatile fields and `result`.
+
+    Each file counts in name order: a report by its `config` (without
+    `output_dir`, with the circuit path as in the fixture keys),
+    `hardware_reference` and `provenance` version and seed; every other
+    file, CSV tables and plot data, by its bytes.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(outdir).iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith("_report.json"):
+            report = json.loads(data)
+            params = report["config"]["parameters"]
+            del params["output_dir"]
+            if params.get("circuit") == CIRCUIT:
+                params["circuit"] = CIRCUIT_KEY
+            kept = {"config": report["config"],
+                    "hardware_reference": report["hardware_reference"],
+                    "version": report["provenance"]["version"],
+                    "seed": report["provenance"]["seed"]}
+            data = json.dumps(kept, sort_keys=True).encode()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def run_cli(argv, outdir, patch) -> dict:
-    """Run one command; return its exit code, result and shot-table hash."""
+    """Run one command; return its exit code, result and both hashes."""
     digest = hashlib.sha256()
     sample_shots = hetverify.tomography.sample_shots
 
@@ -76,7 +104,8 @@ def run_cli(argv, outdir, patch) -> dict:
     reports = list(Path(outdir).glob("*_report.json"))
     result = json.loads(reports[0].read_text())["result"] if reports else None
     return {"exit_code": code, "result": result,
-            "shot_tables_sha256": digest.hexdigest()}
+            "shot_tables_sha256": digest.hexdigest(),
+            "outputs_sha256": outputs_digest(outdir)}
 
 
 def assert_close(actual, expected, path="result"):
@@ -100,20 +129,23 @@ def assert_close(actual, expected, path="result"):
 GOLDEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=_key)
-def test_cli_matches_golden(argv, tmp_path, monkeypatch):
-    expected = GOLDEN[_key(argv)]
-    actual = run_cli(argv, tmp_path, monkeypatch.setattr)
+def assert_matches(actual, expected):
+    """Equal exit code and hashes, `result` within RESULT_ATOL."""
     assert actual["exit_code"] == expected["exit_code"]
     assert actual["shot_tables_sha256"] == expected["shot_tables_sha256"]
+    assert actual["outputs_sha256"] == expected["outputs_sha256"]
     assert_close(actual["result"], expected["result"])
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=_key)
+def test_cli_matches_golden(argv, tmp_path, monkeypatch):
+    assert_matches(run_cli(argv, tmp_path, monkeypatch.setattr),
+                   GOLDEN[_key(argv)])
 
 
 def _matches(actual, expected) -> bool:
     try:
-        assert actual["exit_code"] == expected["exit_code"]
-        assert actual["shot_tables_sha256"] == expected["shot_tables_sha256"]
-        assert_close(actual["result"], expected["result"])
+        assert_matches(actual, expected)
     except AssertionError:
         return False
     return True

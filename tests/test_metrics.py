@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hetverify.circuits import measure_in_basis
 from hetverify.metrics import (
+    _pure_component,
     fidelity,
     matrix_sqrt_psd,
     total_variation_distance,
@@ -10,7 +13,13 @@ from hetverify.metrics import (
 )
 from hetverify.states import DensityMatrix, ProbabilityDistribution, StateVector
 
-from conftest import random_density
+from conftest import random_density, random_pure, random_unphysical
+
+KINDS = {
+    "pure": lambda rng, n: random_pure(rng, n).density(),
+    "mixed": random_density,
+    "unphysical": random_unphysical,
+}
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -138,3 +147,35 @@ class TestMetricAxiomsFuzz:
             a, b, c = (random_density(rng, 2) for _ in range(3))
             assert trace_distance(a, c) <= \
                 trace_distance(a, b) + trace_distance(b, c) + 1e-10
+
+
+def fidelity_oracle(a, b):
+    """fidelity as it was while its pure shortcut also asked whether the
+    target was physical."""
+    for target, other in ((b, a), (a, b)):
+        if target.physical:
+            vec = _pure_component(target)
+            if vec is not None:
+                overlap = float(np.real(vec.conj() @ other.matrix @ vec))
+                return float(np.sqrt(max(overlap, 0.0)))
+    sqrt_a = matrix_sqrt_psd(a.matrix)
+    inner = sqrt_a @ b.matrix @ sqrt_a
+    return float(np.trace(matrix_sqrt_psd(inner)).real)
+
+
+def outcome(score, a, b):
+    """The score, or the message of the ValueError it raised."""
+    try:
+        return score(a, b)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_fidelity_matches_physical_first_rule(rng, num_qubits):
+    for kind_a, kind_b in itertools.product(KINDS, repeat=2):
+        for _ in range(3):
+            a = KINDS[kind_a](rng, num_qubits)
+            b = KINDS[kind_b](rng, num_qubits)
+            assert outcome(fidelity, a, b) == outcome(fidelity_oracle, a, b), (
+                kind_a, kind_b)

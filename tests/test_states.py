@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from hetverify.states import (
     tensor_product,
 )
 
-from conftest import random_density
+from conftest import random_density, random_pure, random_unphysical, with_spectrum
 
 
 def bell_phi_plus():
@@ -96,13 +98,13 @@ class TestPartialTrace:
 class TestConditionOnAncilla:
     def test_product_state_renormalized(self):
         rho = StateVector.computational("01").density()
-        result = condition_on_ancilla(rho, 1, 1)
+        result = condition_on_ancilla(rho, 1)
         np.testing.assert_allclose(result.matrix, [[1, 0], [0, 0]], atol=1e-14)
 
     def test_zero_probability_branch_errors(self):
         rho = StateVector.computational("00").density()
         with pytest.raises(ValueError, match="probability"):
-            condition_on_ancilla(rho, 1, 1)
+            condition_on_ancilla(rho, 1)
 
 
 class TestProjectToPhysical:
@@ -112,12 +114,12 @@ class TestProjectToPhysical:
                                    rho.matrix, atol=1e-12)
 
     def test_single_negative_eigenvalue(self):
-        raw = DensityMatrix(1, np.diag([1.2, -0.2]), physical=False)
+        raw = DensityMatrix(1, np.diag([1.2, -0.2]))
         np.testing.assert_allclose(project_to_physical(raw).matrix,
                                    np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_invariants_after_clipping(self):
-        raw = DensityMatrix(2, np.diag([0.7, 0.5, -0.2, 0.0]), physical=False)
+        raw = DensityMatrix(2, np.diag([0.7, 0.5, -0.2, 0.0]))
         projected = project_to_physical(raw)
         eigvals = np.linalg.eigvalsh(projected.matrix)
         assert eigvals.min() >= -1e-12
@@ -127,7 +129,7 @@ class TestProjectToPhysical:
     def test_closest_in_two_norm_beats_naive_clip(self):
         # eigenvalue clipping with redistribution: deficit spread over the
         # surviving eigenvalues, matching the known closest-state result
-        raw = DensityMatrix(2, np.diag([0.7, 0.5, -0.2, 0.0]), physical=False)
+        raw = DensityMatrix(2, np.diag([0.7, 0.5, -0.2, 0.0]))
         projected = project_to_physical(raw)
         np.testing.assert_allclose(sorted(np.linalg.eigvalsh(projected.matrix)),
                                    [0.0, 0.0, 0.4, 0.6], atol=1e-12)
@@ -147,3 +149,90 @@ class TestConstructionValidation:
         assert not raw.physical
         good = DensityMatrix(1, np.diag([0.5, 0.5]))
         assert good.physical
+
+
+def check_physical_oracle(mat):
+    """The rule that used to run on every construction: trace one within
+    1e-8 and no eigenvalue below -1e-8."""
+    if abs(np.trace(mat).real - 1.0) > 1e-8:
+        return False
+    return float(np.linalg.eigvalsh(mat).min()) >= -1e-8
+
+
+class TestPhysicalProperty:
+    def test_fields_are_num_qubits_and_matrix(self):
+        assert [f.name for f in dataclasses.fields(DensityMatrix)] == [
+            "num_qubits", "matrix"]
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_matches_construction_rule_on_random_matrices(self, rng, num_qubits):
+        samples = []
+        for _ in range(10):
+            rho = random_density(rng, num_qubits)
+            scale = 1 + rng.choice([-1, 1]) * rng.uniform(1e-6, 0.1)
+            samples += [rho, random_pure(rng, num_qubits).density(),
+                        random_unphysical(rng, num_qubits),
+                        DensityMatrix(num_qubits, rho.matrix * scale)]
+        verdicts = [sample.physical for sample in samples]
+        assert verdicts == [check_physical_oracle(sample.matrix) for sample in samples]
+        assert verdicts == [True, True, False, False] * 10
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("margin,physical", [(0.9, True), (1.1, False)],
+                             ids=["inside", "outside"])
+    def test_tolerance_edges(self, rng, num_qubits, margin, physical):
+        offset = margin * 1e-8
+        spectrum = rng.dirichlet(np.ones(2**num_qubits))
+        cases = [
+            with_spectrum(rng, spectrum * (1 + offset)),  # trace 1 + offset
+            with_spectrum(rng, spectrum * (1 - offset)),  # trace 1 - offset
+            # Trace one, lowest eigenvalue -offset.
+            with_spectrum(rng, [-offset, *spectrum[1:] / spectrum[1:].sum() * (1 + offset)]),
+        ]
+        for rho in cases:
+            assert rho.physical is physical
+            assert check_physical_oracle(rho.matrix) is physical
+
+
+class TestFormerClaimSitesArePhysical:
+    """Every constructor that once declared its result physical yields a
+    physical state from physical inputs."""
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_statevector_density(self, rng, num_qubits):
+        for _ in range(20):
+            assert random_pure(rng, num_qubits).density().physical
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_partial_trace(self, rng, num_qubits):
+        for _ in range(10):
+            keep = rng.choice(num_qubits, size=rng.integers(1, num_qubits + 1),
+                              replace=False)
+            for rho in (random_density(rng, num_qubits),
+                        random_pure(rng, num_qubits).density()):
+                assert partial_trace(rho, keep).physical
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
+    def test_condition_on_ancilla(self, rng, num_qubits):
+        for _ in range(10):
+            qubit = int(rng.integers(num_qubits))
+            for rho in (random_density(rng, num_qubits),
+                        random_pure(rng, num_qubits).density()):
+                assert condition_on_ancilla(rho, qubit).physical
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4])
+    def test_tensor_product(self, rng, num_qubits):
+        for _ in range(10):
+            left = int(rng.integers(1, num_qubits))
+            a = random_density(rng, left)
+            b = random_pure(rng, num_qubits - left).density()
+            assert tensor_product(a, b).physical
+            assert tensor_product(b, a).physical
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_project_to_physical(self, rng, num_qubits):
+        for _ in range(10):
+            rho = random_density(rng, num_qubits)
+            for raw in (random_unphysical(rng, num_qubits), rho,
+                        DensityMatrix(num_qubits, 1.05 * rho.matrix)):
+                assert project_to_physical(raw).physical
