@@ -4,7 +4,9 @@ Supported gates are X, the three-angle single-qubit rotation U3, and its
 controlled version CU3 -- enough to express every circuit the protocols
 build.  Systems stay small (at most 6 qubits), so both backends work
 with dense matrices.  Each gate's matrix is built once per (gate,
-register size) and shared read-only by every later simulation.
+register size) and shared read-only by every later simulation, and
+each block of up to 9 basis rotations likewise: one measurement call
+gives the distributions of many settings, a row per setting.
 """
 from __future__ import annotations
 
@@ -232,12 +234,6 @@ class NoiseModel:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return (self.depolarizing_prob_1q == 0.0
-                and self.depolarizing_prob_2q == 0.0
-                and self.readout_flip_prob == 0.0)
-
 
 def depolarize(rho_mat: np.ndarray, qubits, prob: float, num_qubits: int) -> np.ndarray:
     """Mix the named qubits toward maximally mixed with probability `prob`.
@@ -284,50 +280,63 @@ def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMat
     return DensityMatrix(circuit.num_qubits, rho)
 
 
-# Bounded because callers may pass any qubit order; 256 holds the 81
-# settings of the largest tomography sweep, 4 system qubits and an ancilla.
-@lru_cache(maxsize=256)
-def _basis_rotation(setting: str, qubits: tuple, num_qubits: int) -> np.ndarray:
-    """Read-only pre-rotation of `qubits` into the bases of `setting`."""
-    rot = _embed({q: BASIS_ROTATIONS[letter] for q, letter in zip(qubits, setting)},
-                 num_qubits)
-    rot.setflags(write=False)  # shared by every later call
-    return rot
+_BLOCK = 9  # settings per stacked product; keeps its temporaries small
 
 
-def measure_in_basis(state, setting: str, qubits=None) -> ProbabilityDistribution:
+# Bounded because callers may pass any qubit order: an entry is at most 9
+# rotations of 64 KiB, and 16 hold the 9 blocks of the largest sweep.
+@lru_cache(maxsize=16)
+def _rotation_stack(settings: tuple, qubits: tuple, num_qubits: int) -> np.ndarray:
+    """Read-only pre-rotations of `qubits` into the bases of each setting."""
+    stack = np.stack([_embed({q: BASIS_ROTATIONS[letter]
+                              for q, letter in zip(qubits, setting)}, num_qubits)
+                      for setting in settings])
+    stack.setflags(write=False)  # shared by every later call
+    return stack
+
+
+def measure_in_basis(state, setting, qubits=None) -> ProbabilityDistribution:
     """Outcome distribution of measuring `qubits` in the given bases.
 
     `setting` is one letter from {X, Y, Z} per measured qubit; X and Y
     are realized by a pre-rotation into the computational basis followed
-    by a Z readout.  Each rotation is built once per (setting, qubits,
-    register size) and cached.  Unmeasured qubits are marginalized.
+    by a Z readout.  Unmeasured qubits are marginalized.  A sequence of
+    settings gives one distribution with a row per setting, computed as
+    stacked products over blocks of at most 9 cached rotations; each row
+    has the bytes that its setting measured alone would give.
     """
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot measure a {type(state).__name__}")
     num_qubits = state.num_qubits
-    qubits = list(range(num_qubits)) if qubits is None else list(qubits)
-    if len(setting) != len(qubits):
-        raise ValueError(f"setting {setting!r} does not match {len(qubits)} qubits")
-    bad = set(setting) - set("XYZ")
+    qubits = tuple(range(num_qubits)) if qubits is None else tuple(qubits)
+    settings = (setting,) if isinstance(setting, str) else tuple(setting)
+    if not settings:
+        raise ValueError("no basis setting to measure")
+    for one in settings:
+        if len(one) != len(qubits):
+            raise ValueError(f"setting {one!r} does not match {len(qubits)} qubits")
+    bad = set().union(*settings) - set("XYZ")
     if bad:
         raise ValueError(f"invalid basis character(s) {sorted(bad)}")
 
-    rot = _basis_rotation(setting, tuple(qubits), num_qubits)
-    if isinstance(state, StateVector):
-        probs_full = np.abs(rot @ state.amplitudes) ** 2
-    elif isinstance(state, DensityMatrix):
-        probs_full = np.real(np.diag(rot @ state.matrix @ rot.conj().T))
-    else:
-        raise TypeError(f"cannot measure a {type(state).__name__}")
+    probs_full = np.empty((len(settings), 2**num_qubits))
+    for start in range(0, len(settings), _BLOCK):
+        rot = _rotation_stack(settings[start:start + _BLOCK], qubits, num_qubits)
+        probs_full[start:start + len(rot)] = (
+            np.abs(rot @ state.amplitudes) ** 2 if isinstance(state, StateVector)
+            else np.diagonal(rot @ state.matrix @ rot.conj().transpose(0, 2, 1),
+                             axis1=1, axis2=2).real)
 
-    tensor = probs_full.reshape([2] * num_qubits)
-    unmeasured = tuple(q for q in range(num_qubits) if q not in qubits)
+    tensor = probs_full.reshape((len(settings),) + (2,) * num_qubits)
+    unmeasured = tuple(1 + q for q in range(num_qubits) if q not in qubits)
     marginal = tensor.sum(axis=unmeasured) if unmeasured else tensor
     # Report outcomes in the caller's qubit order.
     kept = [q for q in range(num_qubits) if q in qubits]
-    marginal = marginal.transpose([kept.index(q) for q in qubits]).reshape(-1)
-    marginal = np.clip(marginal, 0.0, None)
-    marginal /= marginal.sum()
-    return ProbabilityDistribution(_outcomes(len(qubits)), marginal)
+    marginal = marginal.transpose([0] + [1 + kept.index(q) for q in qubits])
+    marginal = np.clip(marginal.reshape(len(settings), -1), 0.0, None)
+    marginal /= marginal.sum(axis=1, keepdims=True)
+    return ProbabilityDistribution(_outcomes(len(qubits)),
+                                   marginal[0] if isinstance(setting, str) else marginal)
 
 
 @lru_cache(maxsize=None)
@@ -395,20 +404,16 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def sample_shots(dist: ProbabilityDistribution, shots: int, seed,
-                 setting: str = None) -> ShotTable:
-    """Seeded multinomial draw from a distribution; the draws become the
-    table's count vector as they are.
-
-    Readout flips are already in the distribution: `run_density_matrix`
-    folds them into the state it is measured from.
+def sample_shots(probabilities, shots: int, seed, setting: str = None) -> ShotTable:
+    """Seeded multinomial draw from outcome probabilities in index order,
+    such as one row of a `measure_in_basis` distribution; the draws become
+    the table's count vector as they are.  `setting` defaults to Z on
+    every bit.  Readout flips are already in the probabilities:
+    `run_density_matrix` folds them into the state they are measured from.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    num_bits = len(dist.outcomes[0])
-    probs = dist.probabilities
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs / probs.sum())
-    return ShotTable(setting if setting is not None else "Z" * num_bits,
+    probs = np.asarray(probabilities, dtype=float)
+    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return ShotTable("Z" * (probs.size.bit_length() - 1) if setting is None else setting,
                      draws, shots)
-

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, ProbabilityDistribution, EIGVAL_ATOL
+from .states import DensityMatrix, ProbabilityDistribution, StateVector, EIGVAL_ATOL
 
 
 def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -32,13 +32,14 @@ def _pure_component(rho: DensityMatrix):
     return None
 
 
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+def fidelity(a: DensityMatrix, b) -> float:
     """Square-root (Uhlmann) fidelity Tr sqrt(sqrt(a) b sqrt(a)).
 
     This is the non-squared convention: for a pure target b = |s><s| it
-    equals sqrt(<s|a|s>).  The value is NOT clamped to [0, 1]; a raw,
-    unphysical tomographic reconstruction can legitimately score above
-    one, and callers who want a proper state should project first.
+    equals sqrt(<s|a|s>), and a StateVector b gives |s> with no eigh.
+    The value is NOT clamped to [0, 1]; a raw, unphysical tomographic
+    reconstruction can legitimately score above one, and callers who
+    want a proper state should project first.
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError(
@@ -48,7 +49,8 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     # shortcut needs no other physicality check.  It also covers
     # unphysical partners, for which the full Uhlmann formula is undefined.
     for target, other in ((b, a), (a, b)):
-        vec = _pure_component(target)
+        vec = (target.amplitudes if isinstance(target, StateVector)
+               else _pure_component(target))
         if vec is not None:
             overlap = float(np.real(vec.conj() @ other.matrix @ vec))
             return float(np.sqrt(max(overlap, 0.0)))

@@ -276,14 +276,13 @@ def protocol1_run(initial, setting: HeterodyneSetting, plan: CopyPlan = None,
     the ideal post-detection state."""
     plan = plan or CopyPlan()
     circuit = single_mode_circuit(initial, setting)
-    target = ideal_output(circuit)
-    fidelities = [fidelity(rho, target) for rho in _reconstruct_copies(
+    target_vec = StateVector(1, _pure_component(ideal_output(circuit)))
+    fidelities = [fidelity(rho, target_vec) for rho in _reconstruct_copies(
         circuit, plan.n + plan.m, shots, seed, noise)]
     groups = []
     for label, chunk in (("N", fidelities[:plan.n]), ("M", fidelities[plan.n:])):
         mean, std = _mean_std(chunk)
         groups.append(GroupResult(label, setting.zeta, list(chunk), mean, std))
-    target_vec = StateVector(1, _pure_component(target))
     return ProtocolReport("protocol1", groups, target_state=target_vec)
 
 

@@ -109,7 +109,7 @@ def _decoded_fidelity(circuit: Circuit, bits: str, shots, seed, noise) -> float:
     """Fidelity of the tomographed system register against |bits>."""
     expectations = tomography_sweep(circuit, shots=shots, seed=seed, noise=noise)
     reconstruction = reconstruct_multi_qubit(expectations, len(bits))
-    return fidelity(reconstruction, StateVector.computational(bits).density())
+    return fidelity(reconstruction, StateVector.computational(bits))
 
 
 def qkd_single_run(initial, encode: str, decode: str, mode,

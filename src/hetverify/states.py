@@ -34,9 +34,10 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state vector not normalized: |psi| = {norm}")
+        # The trace of the density, to its tolerance; NaN fails the check.
+        norm2 = np.vdot(amps, amps).real
+        if not abs(norm2 - 1.0) <= TRACE_ATOL:
+            raise ValueError(f"state vector not normalized: |psi|^2 = {norm2}")
 
     @classmethod
     def computational(cls, bits: str) -> "StateVector":
@@ -75,8 +76,8 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-7:
-            raise ValueError("density matrix is not Hermitian")
+        if not np.isfinite(mat).all() or np.max(np.abs(mat - mat.conj().T)) > 1e-7:
+            raise ValueError("density matrix is not finite and Hermitian")
 
     @property
     def physical(self) -> bool:
@@ -96,23 +97,28 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class ProbabilityDistribution:
-    """Distribution over bitstring outcomes of a fixed register."""
+    """Distribution over bitstring outcomes of a fixed register, or a
+    stack of them: one row of `probabilities` per distribution."""
 
     outcomes: tuple
     probabilities: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
-        # Tiny negatives from floating-point rotation arithmetic are zeroed.
-        if probs.min() < -PROB_ATOL:
-            raise ValueError(f"negative probability: {probs.min()}")
-        probs = np.clip(probs, 0.0, None)
-        object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if len(self.outcomes) != probs.size:
+        if probs.ndim not in (1, 2) or probs.shape[-1] != len(self.outcomes):
             raise ValueError("outcome/probability length mismatch")
-        if abs(probs.sum() - 1.0) > PROB_ATOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+        # Tiny negatives from floating-point rotation arithmetic are zeroed.
+        # Each row is checked, and each check is written so that NaN fails it.
+        clipped = np.clip(probs, 0.0, None)
+        for row, (low, total) in enumerate(zip(np.atleast_2d(probs).min(axis=1).tolist(),
+                                               np.atleast_2d(clipped).sum(axis=1).tolist())):
+            where = f"row {row}: " if probs.ndim == 2 else ""
+            if not low >= -PROB_ATOL:
+                raise ValueError(f"{where}negative or NaN probability: {low}")
+            if not abs(total - 1.0) <= PROB_ATOL:
+                raise ValueError(f"{where}probabilities sum to {total}, not 1")
+        object.__setattr__(self, "probabilities", clipped)
 
 
 def tensor_product(a, b):

@@ -19,7 +19,9 @@ column, depends only on m and is worked out once from the 4^m x 3^m
 string-by-setting compatibility mask.
 
 The sweep always measures the circuit's system qubits and post-selects
-on the ancilla, if there is one, reading 1.  The ancilla is the last
+on the ancilla, if there is one, reading 1.  One stacked
+`measure_in_basis` call gives every setting's distribution, and each
+row is sampled with its own child seed.  The ancilla is the last
 readout bit, so post-selection keeps every second entry of each count
 vector.  The exact sweep (shots=None) needs no counts.  It conditions
 the circuit's density matrix, readout flips included, on the ancilla,
@@ -46,11 +48,7 @@ from .circuits import (
     seed_sequence,
 )
 from .metrics import fidelity
-from .states import (
-    DensityMatrix,
-    StateVector,
-    condition_on_ancilla,
-)
+from .states import DensityMatrix, condition_on_ancilla
 
 MAX_MEASURED_QUBITS = 4
 
@@ -196,10 +194,8 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
         values = np.einsum("kij,ji->k", _pauli_stack(len(measured)), rho.matrix)
         return dict(zip(pauli_strings(len(measured)), values.real.tolist()))
 
-    if noise.is_trivial:
-        state = run_statevector(circuit)
-    else:
-        state = run_density_matrix(circuit, noise)
+    state = (run_statevector(circuit) if noise == NoiseModel()
+             else run_density_matrix(circuit, noise))
 
     # The ancilla is read out in Z after the system qubits.
     readout, suffix = ((measured + [circuit.ancilla], "Z") if postselect
@@ -207,10 +203,10 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
     settings = ["".join(s) + suffix
                 for s in itertools.product("XYZ", repeat=len(measured))]
     children = seed_sequence(seed).spawn(len(settings))
+    dist = measure_in_basis(state, settings, readout)
     tables = []
-    for setting, child in zip(settings, children):
-        dist = measure_in_basis(state, setting, readout)
-        table = sample_shots(dist, shots, child, setting=setting)
+    for setting, child, probs in zip(settings, children, dist.probabilities):
+        table = sample_shots(probs, shots, child, setting=setting)
         if postselect:
             table = table.postselect(len(measured), 1)
             if table.shots == 0:
@@ -227,5 +223,4 @@ def reduced_fidelities(marginals, targets) -> list:
     if len(targets) != len(marginals):
         raise ValueError(f"need one target per qubit ({len(marginals)}), "
                          f"got {len(targets)}")
-    return [fidelity(m, t.density() if isinstance(t, StateVector) else t)
-            for m, t in zip(marginals, targets)]
+    return [fidelity(m, t) for m, t in zip(marginals, targets)]

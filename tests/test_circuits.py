@@ -13,9 +13,9 @@ from hetverify.circuits import (
     Circuit,
     NoiseModel,
     ShotTable,
-    _basis_rotation,
     _gate_unitary,
     _outcomes,
+    _rotation_stack,
     cu3,
     _embed,
     depolarize,
@@ -30,6 +30,8 @@ from hetverify.circuits import (
 )
 from hetverify.states import StateVector
 from hetverify.tomography import PAULI_MATRICES
+
+from conftest import random_density, random_pure
 
 PI = math.pi
 
@@ -324,24 +326,24 @@ class TestMeasureInBasis:
 class TestSampling:
     def test_deterministic_outcome(self):
         dist = measure_in_basis(StateVector.computational("0"), "Z")
-        table = sample_shots(dist, 100, seed=1)
+        table = sample_shots(dist.probabilities, 100, seed=1)
         assert table.counts == {"0": 100}
 
     def test_same_seed_same_table(self):
         dist = measure_in_basis(StateVector.computational("0"), "X")
-        a = sample_shots(dist, 5000, seed=42)
-        b = sample_shots(dist, 5000, seed=42)
+        a = sample_shots(dist.probabilities, 5000, seed=42)
+        b = sample_shots(dist.probabilities, 5000, seed=42)
         assert a == b
 
     def test_large_sample_frequency(self):
         dist = measure_in_basis(StateVector.computational("0"), "X")
-        table = sample_shots(dist, 10**6, seed=7)
+        table = sample_shots(dist.probabilities, 10**6, seed=7)
         assert abs(table.counts["0"] / 10**6 - 0.5) < 0.002
 
     def test_sampling_converges_in_tvd(self):
         circuit = Circuit(2, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0)])
         dist = measure_in_basis(run_statevector(circuit), "ZZ")
-        table = sample_shots(dist, 10**6, seed=5)
+        table = sample_shots(dist.probabilities, 10**6, seed=5)
         tvd = 0.5 * sum(abs(table.counts.get(o, 0) / table.shots - p)
                         for o, p in zip(dist.outcomes, dist.probabilities))
         assert tvd <= 0.005
@@ -349,7 +351,7 @@ class TestSampling:
     def test_shot_count_validation(self):
         dist = measure_in_basis(StateVector.computational("0"), "Z")
         with pytest.raises(ValueError, match="shots"):
-            sample_shots(dist, 0, seed=0)
+            sample_shots(dist.probabilities, 0, seed=0)
 
     def test_postselect(self):
         table = ShotTable("XZ", {"01": 30, "11": 20, "00": 50}, 100)
@@ -423,12 +425,94 @@ class TestBasisRotationCache:
         ("X", (0,), 1), ("YZ", (1, 0), 3), ("XYZZ", (0, 1, 2, 4), 5),
     ])
     def test_cached_rotation_is_read_only_embed(self, setting, qubits, num_qubits):
-        rot = _basis_rotation(setting, qubits, num_qubits)
-        expected = _embed({q: BASIS_ROTATIONS[letter]
-                           for q, letter in zip(qubits, setting)}, num_qubits)
-        assert np.array_equal(rot, expected)
-        assert not rot.flags.writeable
-        assert _basis_rotation(setting, qubits, num_qubits) is rot
+        settings = (setting, setting[::-1], "Z" * len(setting))
+        stack = _rotation_stack(settings, qubits, num_qubits)
+        for rot, one in zip(stack, settings):
+            expected = _embed({q: BASIS_ROTATIONS[letter]
+                               for q, letter in zip(qubits, one)}, num_qubits)
+            assert rot.tobytes() == expected.tobytes()
+        assert not stack.flags.writeable
+        assert _rotation_stack(settings, qubits, num_qubits) is stack
+
+    def test_cache_is_bounded(self):
+        # 16 entries of at most 9 rotations of 64 KiB (9 MiB) stay within
+        # the 256 x 64 KiB that the per-setting cache allowed.
+        assert _rotation_stack.cache_info().maxsize == 16
+        for setting in itertools.product("XYZ", repeat=3):
+            measure_in_basis(StateVector.computational("000"), "".join(setting))
+        assert _rotation_stack.cache_info().currsize == 16
+
+
+def measure_one(state, setting, qubits):
+    """The per-setting measurement the stacked rows must reproduce bytewise:
+    embedded rotation, diagonal of the rotated state, marginal in the
+    caller's qubit order, clipped and normalized."""
+    n = state.num_qubits
+    rot = _embed({q: BASIS_ROTATIONS[letter] for q, letter in zip(qubits, setting)}, n)
+    if isinstance(state, StateVector):
+        full = np.abs(rot @ state.amplitudes) ** 2
+    else:
+        full = np.real(np.diag(rot @ state.matrix @ rot.conj().T))
+    tensor = full.reshape([2] * n)
+    unmeasured = tuple(q for q in range(n) if q not in qubits)
+    marginal = tensor.sum(axis=unmeasured) if unmeasured else tensor
+    kept = [q for q in range(n) if q in qubits]
+    marginal = marginal.transpose([kept.index(q) for q in qubits]).reshape(-1)
+    marginal = np.clip(marginal, 0.0, None)
+    marginal /= marginal.sum()
+    return marginal
+
+
+def readouts(num_qubits):
+    """Up to four qubits in order; qubits 1.. then 0, as an ancilla at
+    index 0 is read last; and a shuffled subset that leaves qubits
+    unmeasured."""
+    rng = np.random.default_rng(num_qubits)
+    yield tuple(range(num_qubits))[:4]
+    if num_qubits > 1:
+        yield tuple(range(1, min(num_qubits, 5))) + (0,)
+        yield tuple(rng.permutation(num_qubits)[:max(1, num_qubits - 2)].tolist())
+
+
+class TestStackedMeasurement:
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_rows_match_per_setting_formula_bytewise(self, rng, num_qubits):
+        gates = [u3(q, 0.3 + q, 0.2, -0.4) for q in range(num_qubits)]
+        gates += [cu3(0, q, 1.1, 0.5, 0.0) for q in range(1, num_qubits)]
+        noisy = run_density_matrix(Circuit(num_qubits, gates), NoiseModel(0.01, 0.02, 0.03))
+        states = (random_pure(rng, num_qubits), random_density(rng, num_qubits), noisy)
+        for qubits in readouts(num_qubits):
+            settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(qubits))]
+            for state in states:
+                dist = measure_in_basis(state, settings, qubits)
+                assert dist.probabilities.shape == (len(settings), 2 ** len(qubits))
+                for setting, row in zip(settings, dist.probabilities):
+                    assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_stacks_spanning_several_blocks(self, rng, width):
+        # 27 and 81 settings: 3 and 9 blocks, ancilla at index 0 read last.
+        state = run_density_matrix(
+            Circuit(width + 1, [x(0)] + [cu3(0, q, 0.7 * q, 0.1, 0.2)
+                                         for q in range(1, width + 1)], ancilla=0),
+            NoiseModel(0.02, 0.04, 0.01))
+        qubits = tuple(range(1, width + 1)) + (0,)
+        settings = ["".join(s) + "Z" for s in itertools.product("XYZ", repeat=width)]
+        dist = measure_in_basis(state, settings, qubits)
+        assert len(dist.probabilities) == 3**width
+        for setting, row in zip(settings, dist.probabilities):
+            assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
+            single = measure_in_basis(state, setting, qubits).probabilities
+            assert single.ndim == 1 and single.tobytes() == row.tobytes()
+
+    def test_every_setting_of_a_stack_is_checked(self):
+        state = StateVector.computational("00")
+        with pytest.raises(ValueError, match="'XYZ' does not match 2 qubits"):
+            measure_in_basis(state, ["XY", "XYZ"])
+        with pytest.raises(ValueError, match="basis"):
+            measure_in_basis(state, ["XY", "QZ"])
+        with pytest.raises(ValueError, match="no basis setting"):
+            measure_in_basis(state, [])
 
 
 class TestGateUnitaryCache:

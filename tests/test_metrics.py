@@ -179,3 +179,27 @@ def test_fidelity_matches_physical_first_rule(rng, num_qubits):
             b = KINDS[kind_b](rng, num_qubits)
             assert outcome(fidelity, a, b) == outcome(fidelity_oracle, a, b), (
                 kind_a, kind_b)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_computational_vector_target_scores_as_its_density(rng, num_qubits):
+    # 6,000 random Hermitian matrices per size, spread over its
+    # computational targets: 12,000 scores in all, each byte for byte the
+    # score against the target's density, the eigendecomposition path.
+    dim = 2**num_qubits
+    per_target = 12_000 // (2 * dim)
+    for bits in itertools.product("01", repeat=num_qubits):
+        target = StateVector.computational("".join(bits))
+        for _ in range(per_target):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            a = DensityMatrix(num_qubits, (g + g.conj().T) / 2)
+            assert fidelity(a, target).hex() == fidelity(a, target.density()).hex()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_vector_target_scores_as_its_density(rng, num_qubits):
+    for kind in KINDS:
+        for _ in range(5):
+            a, target = KINDS[kind](rng, num_qubits), random_pure(rng, num_qubits)
+            assert fidelity(a, target) == pytest.approx(
+                fidelity(a, target.density()), abs=1e-12), kind

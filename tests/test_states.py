@@ -1,10 +1,14 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from hetverify.states import (
+    PROB_ATOL,
+    TRACE_ATOL,
     DensityMatrix,
+    ProbabilityDistribution,
     StateVector,
     condition_on_ancilla,
     partial_trace,
@@ -149,6 +153,64 @@ class TestConstructionValidation:
         assert not raw.physical
         good = DensityMatrix(1, np.diag([0.5, 0.5]))
         assert good.physical
+
+    @pytest.mark.parametrize("build", [
+        lambda bad: StateVector(1, [bad, 0]),
+        lambda bad: StateVector(2, [0.5, 0.5, 0.5, bad * 1j]),
+        lambda bad: DensityMatrix(1, [[bad, 0], [0, 0]]),
+        lambda bad: DensityMatrix(1, [[0.5, bad], [bad, 0.5]]),
+        lambda bad: ProbabilityDistribution(("0", "1"), [bad, 1.0]),
+        lambda bad: ProbabilityDistribution(("0", "1"), [[0.5, 0.5], [1.0, bad]]),
+    ], ids=["statevector", "statevector-imag", "density-diagonal",
+            "density-coherence", "distribution", "distribution-stack"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("margin,accepted", [(0.99, True), (1.01, False)],
+                             ids=["inside", "outside"])
+    def test_statevector_norm_edge_matches_density_trace(self, rng, num_qubits,
+                                                         margin, accepted):
+        # |psi|^2 = 1 +- margin * TRACE_ATOL, the tolerance of `physical`.
+        for sign in (1, -1):
+            amps = random_pure(rng, num_qubits).amplitudes
+            amps = amps * np.sqrt(1 + sign * margin * TRACE_ATOL)
+            if not accepted:
+                with pytest.raises(ValueError, match="normalized"):
+                    StateVector(num_qubits, amps)
+                continue
+            assert StateVector(num_qubits, amps).density().physical
+
+
+class TestProbabilityDistributionStack:
+    def test_rows_validated_and_clipped(self):
+        dist = ProbabilityDistribution(("0", "1"), [[1.0, 0.0], [0.5, 0.5],
+                                                    [-PROB_ATOL / 2, 1.0]])
+        assert dist.probabilities.shape == (3, 2)
+        assert dist.probabilities[2].tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("bad_row,problem", [
+        ([-0.1, 1.1], "row 2: negative or NaN probability: -0.1"),
+        ([0.5, 0.4], "row 2: probabilities sum to 0.9"),
+        ([0.5, 0.5 + 2 * PROB_ATOL], "row 2: probabilities sum to"),
+        ([np.nan, 1.0], "row 2: negative or NaN probability: nan"),
+    ], ids=["negative", "short", "long", "nan"])
+    def test_one_bad_row_is_named(self, bad_row, problem):
+        rows = [[1.0, 0.0], [0.25, 0.75], bad_row, [0.0, 1.0]]
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            ProbabilityDistribution(("0", "1"), rows)
+
+    def test_single_row_error_has_no_row_label(self):
+        with pytest.raises(ValueError, match="^negative or NaN probability"):
+            ProbabilityDistribution(("0", "1"), [-0.1, 1.1])
+
+    def test_shape_must_match_outcomes(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            ProbabilityDistribution(("0", "1"), [[0.25, 0.25, 0.5]])
+        with pytest.raises(ValueError, match="length mismatch"):
+            ProbabilityDistribution(("0", "1"), np.full((2, 2, 2), 0.5))
 
 
 def check_physical_oracle(mat):
