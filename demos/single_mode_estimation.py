@@ -7,26 +7,27 @@ and compare the reconstruction against the ideal output.  With no noise
 every copy should score close to 1; the spread across copies shows the
 shot-noise floor.
 """
-from hetverify import CopyPlan, HeterodyneSetting, NoiseModel, protocol1_run
+import math
+
+from hetverify import NoiseModel, protocol1_run
 
 
-def run(setting, noise=None, label=""):
-    report = protocol1_run("1", setting, CopyPlan(5, 5),
-                           shots=8192, seed=0, noise=noise)
-    print(f"\n{label} (zeta = {setting.zeta:.4f}, mode {setting.mode})")
-    for group in report.groups:
-        fids = ", ".join(f"{f:.4f}" for f in group.copy_fidelities)
-        print(f"  group {group.label}: [{fids}]")
-        print(f"  mean {group.mean:.4f}  std {group.std:.4f}")
+def run(zeta, noise=None, label=""):
+    report = protocol1_run("1", zeta, (5, 5), shots=8192, seed=0, noise=noise)
+    print(f"\n{label} (zeta = {zeta:.4f})")
+    for group in report["groups"]:
+        fids = ", ".join(f"{f:.4f}" for f in group["copy_fidelities"])
+        print(f"  group {group['label']}: [{fids}]")
+        print(f"  mean {group['mean']:.4f}  std {group['std']:.4f}")
 
 
 def main():
     print("Single-mode fidelity estimation, 8192 shots per setting")
-    run(HeterodyneSetting.balanced(), label="balanced detection")
-    run(HeterodyneSetting.unbalanced(), label="unbalanced detection")
+    run(0.0, label="balanced detection")
+    run(math.pi / 2, label="unbalanced detection")
 
     noise = NoiseModel(depolarizing_prob_1q=0.02, depolarizing_prob_2q=0.05)
-    run(HeterodyneSetting.unbalanced(), noise=noise,
+    run(math.pi / 2, noise=noise,
         label="unbalanced detection with depolarizing noise")
 
     print("\nWith noise the per-copy fidelities drop below the shot-noise")

@@ -7,24 +7,19 @@ witness protocol on |1100>, then the threshold verification protocol on
 a two-photon interferometer circuit, sweeping depolarizing noise to
 find where the verifier starts rejecting.
 """
-from hetverify import (
-    CopyPlan,
-    HeterodyneSetting,
-    NoiseModel,
-    protocol2_run,
-    protocol3_verify,
-)
+import math
+
+from hetverify import NoiseModel, protocol2_run, protocol3_verify
 
 
 def multi_mode_demo():
     print("Multi-mode witness on |1100>, exact backend")
-    for setting in (HeterodyneSetting.balanced(),
-                    HeterodyneSetting.unbalanced()):
-        report = protocol2_run("1100", setting, CopyPlan(1, 1), shots=None)
-        group = report.groups[0]
-        print(f"  {setting.mode}: global F = {report.global_fidelity:.4f}, "
-              f"witness vs ideal = {group.witness_ideal:.4f}, "
-              f"witness vs photon-number targets = {group.witness_input:.4f}")
+    for mode, zeta in (("balanced", 0.0), ("unbalanced", math.pi / 2)):
+        report = protocol2_run("1100", zeta, (1, 1), shots=None)
+        group = report["groups"][0]
+        print(f"  {mode}: global F = {report['global_fidelity']:.4f}, "
+              f"witness vs ideal = {group['witness_ideal']:.4f}, "
+              f"witness vs photon-number targets = {group['witness_input']:.4f}")
 
 
 def threshold_sweep():
@@ -33,10 +28,10 @@ def threshold_sweep():
     for p in (0.0, 0.05, 0.1, 0.2, 0.3):
         noise = NoiseModel(depolarizing_prob_1q=p, depolarizing_prob_2q=p)
         report = protocol3_verify(shots=None, noise=noise)
-        bounds = "ok" if all(c.holds for c in report.bound_checks) else \
-            ",".join(c.name for c in report.bound_checks if not c.holds)
-        print(f"  {p:5.2f}  {report.global_fidelity:8.4f}  "
-              f"{report.witness:8.4f}  {bounds:>7}  {report.verdict}")
+        failed = [c["name"] for c in report["bound_checks"] if not c["holds"]]
+        bounds = ",".join(failed) or "ok"
+        print(f"  {p:5.2f}  {report['global_fidelity']:8.4f}  "
+              f"{report['witness']:8.4f}  {bounds:>7}  {report['verdict']}")
     print("\nThe witness column is flat on purpose: depolarizing noise")
     print("preserves the diagonal, and the photon-number targets only")
     print("probe the diagonal of each marginal.  The looser of the two")

@@ -43,12 +43,9 @@ from .tomography import (
     tomography_sweep,
 )
 from .protocols import (
-    BoundCheck,
-    CopyPlan,
-    HeterodyneSetting,
-    ProtocolReport,
     bound_check,
     boson_sampling_circuit,
+    complementary,
     fidelity_witness,
     heterodyne_stage,
     ideal_output,

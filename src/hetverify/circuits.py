@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -351,8 +349,8 @@ class ShotTable:
 
     `vector` holds the counts of the setting's 2^len(setting) outcomes
     in index order, qubit 0 the most significant bit, and must sum to
-    `shots`.  It may be given as a {bitstring: count} dict.  An int64
-    array is stored without a copy and made read-only: the table owns it.
+    `shots`.  An int64 array is stored without a copy and made
+    read-only: the table owns it.
     """
 
     setting: str
@@ -361,15 +359,7 @@ class ShotTable:
 
     def __post_init__(self):
         width = len(self.setting)
-        counts = self.vector
-        if isinstance(counts, Mapping):
-            counts = np.zeros(2**width, dtype=np.int64)
-            for bits, count in self.vector.items():
-                if len(bits) != width or set(bits) - set("01"):
-                    raise ValueError(f"outcome {bits!r} of setting {self.setting!r}"
-                                     f" is not {width} bits")
-                counts[int(bits or "0", 2)] = count
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(self.vector, dtype=np.int64)
         if counts.shape != (2**width,):
             raise ValueError(f"setting {self.setting!r} needs {2**width} counts,"
                              f" got shape {counts.shape}")
@@ -377,12 +367,6 @@ class ShotTable:
         object.__setattr__(self, "vector", counts)
         if int(counts.sum()) != self.shots:
             raise ValueError("counts do not sum to the declared shot total")
-
-    @property
-    def counts(self) -> Mapping:
-        """Read-only {bitstring: count} view of the outcomes drawn at least once."""
-        return MappingProxyType({bits: c for bits, c in zip(
-            _outcomes(len(self.setting)), self.vector.tolist()) if c})
 
     def __eq__(self, other):
         if not isinstance(other, ShotTable):

@@ -20,8 +20,6 @@ from . import __version__
 from .circuits import Circuit, NoiseModel
 from .protocols import (
     DEFAULT_THRESHOLD,
-    CopyPlan,
-    HeterodyneSetting,
     format_angle,
     protocol1_run,
     protocol2_run,
@@ -238,28 +236,21 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
     exit_code = EXIT_OK
 
     if config.command == "protocol1":
-        plan = CopyPlan(*params["copies"])
-        report = protocol1_run(params["initial"], HeterodyneSetting(params["zeta"]),
-                               plan, shots=shots, seed=seed, noise=noise)
-        payload = report.to_json()
-        series = [(i + 1, f) for i, f in enumerate(
-            report.groups[0].copy_fidelities + report.groups[1].copy_fidelities)]
+        payload = protocol1_run(params["initial"], params["zeta"], params["copies"],
+                                shots=shots, seed=seed, noise=noise)
+        series = enumerate((f for group in payload["groups"]
+                            for f in group["copy_fidelities"]), 1)
         plot_path = os.path.join(outdir, "fidelity_vs_copy.txt")
         emit_plot_data(series, plot_path)
         emitted.append(plot_path)
     elif config.command == "protocol2":
-        plan = CopyPlan(*params["copies"])
-        report = protocol2_run(list(params["initial"]),
-                               HeterodyneSetting(params["zeta"]),
-                               plan, shots=shots, seed=seed, noise=noise)
-        payload = report.to_json()
+        payload = protocol2_run(list(params["initial"]), params["zeta"],
+                                params["copies"], shots=shots, seed=seed, noise=noise)
     elif config.command == "protocol3":
-        report = protocol3_verify(params["photons"], params["modes"],
-                                  setting=HeterodyneSetting(params["zeta"]),
-                                  threshold=params["threshold"],
-                                  shots=shots, seed=seed, noise=noise)
-        payload = report.to_json()
-        if report.verdict == "reject":
+        payload = protocol3_verify(params["photons"], params["modes"],
+                                   zeta=params["zeta"], threshold=params["threshold"],
+                                   shots=shots, seed=seed, noise=noise)
+        if payload["verdict"] == "reject":
             exit_code = EXIT_REJECT
     elif config.command in ("qkd-single", "qkd-bell"):
         kind = "single" if config.command == "qkd-single" else "bell"

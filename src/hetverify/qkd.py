@@ -17,7 +17,7 @@ from functools import partial
 
 from .circuits import Circuit, NoiseModel, cu3, seed_sequence, u3, x
 from .metrics import fidelity
-from .protocols import HeterodyneSetting, format_angle, heterodyne_stage
+from .protocols import _prep_gates, format_angle, heterodyne_stage
 from .states import StateVector
 from .tomography import reconstruct_multi_qubit, tomography_sweep
 
@@ -68,13 +68,15 @@ def _qkd_circuit(num_system: int, gates, mode) -> Circuit:
     if mode == "simple":
         return Circuit(num_system, gates)
     circuit = Circuit(num_system + 1, gates, ancilla=num_system)
-    return heterodyne_stage(circuit, HeterodyneSetting(float(mode)))
+    return heterodyne_stage(circuit, float(mode))
 
 
 def single_qkd_circuit(initial, encode: str, decode: str, mode) -> Circuit:
-    """System qubit 0; ancilla 1 present only in heterodyne modes."""
-    prep = [] if initial in ("0", 0) else [x(0)]
-    return _qkd_circuit(1, prep + _frame_gates(encode, 0)
+    """System qubit 0, prepared in |initial>, '0' or '1'; ancilla 1
+    present only in heterodyne modes."""
+    if initial not in ("0", "1", 0, 1):
+        raise ValueError(f"initial must be '0' or '1', got {initial!r}")
+    return _qkd_circuit(1, _prep_gates(initial, 0) + _frame_gates(encode, 0)
                         + _frame_gates(decode, 0, inverse=True), mode)
 
 

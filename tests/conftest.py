@@ -1,6 +1,9 @@
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
+from hetverify.circuits import ShotTable, _outcomes
 from hetverify.states import DensityMatrix, StateVector, partial_trace
 
 
@@ -44,3 +47,18 @@ def random_pure(rng, num_qubits=1):
 def marginals(rho):
     """Single-qubit marginals of every qubit, in order."""
     return [partial_trace(rho, [q]) for q in range(rho.num_qubits)]
+
+
+def shot_table(setting, counts, shots):
+    """A ShotTable from a {bitstring: count} dict; outcomes not named count 0."""
+    vector = np.zeros(2**len(setting), dtype=np.int64)
+    for bits, count in counts.items():
+        vector[int(bits or "0", 2)] = count
+    return ShotTable(setting, vector, shots)
+
+
+def counts(table):
+    """Read-only {bitstring: count} view of the outcomes a table drew at
+    least once, in index order."""
+    return MappingProxyType({bits: c for bits, c in zip(
+        _outcomes(len(table.setting)), table.vector.tolist()) if c})

@@ -15,8 +15,8 @@ from hetverify.circuits import NoiseModel
 from hetverify.cli import EXIT_REJECT, main
 from hetverify.metrics import fidelity
 from hetverify.protocols import (
-    CopyPlan,
-    HeterodyneSetting,
+    BALANCED_ZETA,
+    UNBALANCED_ZETA,
     bound_check,
     boson_sampling_circuit,
     ideal_output,
@@ -154,30 +154,28 @@ class TestAcceptance:
 
     def test_criterion_4_inequality_chains(self):
         fvg, tvd_chain = bound_check(0.6918, 0.3722, 0.1514)
-        ok = (round(fvg.lhs, 4), round(fvg.mid, 4), round(fvg.rhs, 4)) == \
+        ok = (round(fvg["lhs"], 4), round(fvg["mid"], 4), round(fvg["rhs"], 4)) == \
             (0.3082, 0.3722, 0.7221)
-        ok &= (round(tvd_chain.lhs, 4), round(tvd_chain.mid, 4)) == \
+        ok &= (round(tvd_chain["lhs"], 4), round(tvd_chain["mid"], 4)) == \
             (0.1514, 0.3722)
-        ok &= abs(tvd_chain.rhs - 0.5551) < 1e-4
-        ok &= fvg.holds and tvd_chain.holds
+        ok &= abs(tvd_chain["rhs"] - 0.5551) < 1e-4
+        ok &= fvg["holds"] and tvd_chain["holds"]
         _report(4, "distance bound chains at 4-decimal agreement", ok)
 
     def test_criterion_5_noiseless_protocols_and_reject_path(self, tmp_path):
-        r1 = protocol1_run("1", HeterodyneSetting.unbalanced(),
-                           CopyPlan(3, 3), shots=None)
+        r1 = protocol1_run("1", UNBALANCED_ZETA, (3, 3), shots=None)
         ok = all(abs(f - 1.0) < 1e-9
-                 for g in r1.groups for f in g.copy_fidelities)
-        r2 = protocol2_run("1100", HeterodyneSetting.balanced(),
-                           CopyPlan(1, 1), shots=None)
-        ok &= abs(r2.global_fidelity - 1.0) < 1e-9
-        ok &= abs(r2.groups[0].witness_ideal - 1.0) < 1e-9
+                 for g in r1["groups"] for f in g["copy_fidelities"])
+        r2 = protocol2_run("1100", BALANCED_ZETA, (1, 1), shots=None)
+        ok &= abs(r2["global_fidelity"] - 1.0) < 1e-9
+        ok &= abs(r2["groups"][0]["witness_ideal"] - 1.0) < 1e-9
         r3 = protocol3_verify(shots=None, threshold=0.6)
-        ok &= abs(r3.global_fidelity - 1.0) < 1e-9
-        ok &= abs(r3.groups[0].witness_ideal - 1.0) < 1e-9
-        ok &= r3.verdict == "accept"
+        ok &= abs(r3["global_fidelity"] - 1.0) < 1e-9
+        ok &= abs(r3["groups"][0]["witness_ideal"] - 1.0) < 1e-9
+        ok &= r3["verdict"] == "accept"
         noisy = protocol3_verify(shots=None, threshold=0.6,
                                  noise=NoiseModel(0.3, 0.3))
-        ok &= noisy.global_fidelity < 0.6 and noisy.verdict == "reject"
+        ok &= noisy["global_fidelity"] < 0.6 and noisy["verdict"] == "reject"
         code = main(["protocol3", "--exact", "--noise-1q", "0.3",
                      "--noise-2q", "0.3", "--output-dir", str(tmp_path)])
         ok &= code == EXIT_REJECT
@@ -186,20 +184,20 @@ class TestAcceptance:
 
     def test_criterion_6_fock_target_witness(self):
         report = protocol3_verify(shots=None)
-        reduced = report.groups[0].reduced_fidelities_input
+        reduced = report["groups"][0]["reduced_fidelities_input"]
         ok = all(abs(f - SQRT_HALF) < 1e-6 for f in reduced)
-        ok &= abs(report.witness - (1 - 4 * (1 - SQRT_HALF))) < 1e-6
+        ok &= abs(report["witness"] - (1 - 4 * (1 - SQRT_HALF))) < 1e-6
         _report(6, "ideal photon-number witness -0.1716, marginals 0.7071", ok)
 
     def test_criterion_7_tomography_oracle_equivalence(self):
         circuits = [
             single_qkd_circuit("0", "z", "x", BALANCED_QKD_ZETA),
-            single_mode_circuit("1", HeterodyneSetting.unbalanced()),
-            single_mode_circuit((0.6, 0.8), HeterodyneSetting.balanced()),
+            single_mode_circuit("1", UNBALANCED_ZETA),
+            single_mode_circuit((0.6, 0.8), BALANCED_ZETA),
             bell_qkd_circuit("b00", "b10", BALANCED_QKD_ZETA),
-            multi_mode_circuit("1100", HeterodyneSetting.unbalanced()),
+            multi_mode_circuit("1100", UNBALANCED_ZETA),
             boson_sampling_circuit(2, 4, [(PI / 2, PI / 2, PI / 2)] * 4,
-                                   HeterodyneSetting.unbalanced()),
+                                   UNBALANCED_ZETA),
         ]
         ok = True
         for circuit in circuits:
@@ -255,7 +253,7 @@ class TestAcceptance:
     def test_criterion_10_performance(self):
         circuit = boson_sampling_circuit(
             2, 4, [(PI / 2, PI / 2, PI / 2)] * 4,
-            HeterodyneSetting.unbalanced())
+            UNBALANCED_ZETA)
         start = time.perf_counter()
         tomography_sweep(circuit, shots=8192, seed=0)
         sweep_time = time.perf_counter() - start

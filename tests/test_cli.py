@@ -156,6 +156,13 @@ class TestParseConfig:
         assert parse_config(["protocol2"]).parameters["copies"] == (1, 1)
 
 
+GOLDEN_CIRCUIT = Path(__file__).parent / "data" / "golden_circuit.json"
+GROUP_KEYS = ["label", "zeta", "copy_fidelities", "mean", "std"]
+MULTI_MODE_GROUP_KEYS = GROUP_KEYS + [
+    "global_fidelity", "reduced_fidelities_ideal", "witness_ideal",
+    "reduced_fidelities_input", "witness_input"]
+
+
 class TestRunAndReport:
     def test_protocol1_noiseless_exact(self, tmp_path):
         config = parse_config(["protocol1", "--exact", "--initial", "1",
@@ -223,6 +230,31 @@ class TestRunAndReport:
         bundle = run_and_report(config)
         ex = bundle.payload["result"]["expectations"]
         assert ex["XI"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("argv,result_keys,group_keys", [
+        (["protocol1", "--copies", "1", "1"],
+         ["protocol", "groups", "target_state"], GROUP_KEYS),
+        (["protocol2"],
+         ["protocol", "groups", "global_fidelity", "witness"], MULTI_MODE_GROUP_KEYS),
+        (["protocol3"],
+         ["protocol", "groups", "global_fidelity", "witness", "trace_distance", "tvd",
+          "raw_min_eigenvalue", "threshold", "verdict", "bound_checks"],
+         MULTI_MODE_GROUP_KEYS),
+        (["qkd-single"], ["table", "verdicts", "verdict_mode"], None),
+        (["qkd-bell"], ["table", "verdicts", "verdict_mode"], None),
+        (["tomography", str(GOLDEN_CIRCUIT)], ["expectations", "reconstruction"], None),
+    ], ids=["protocol1", "protocol2", "protocol3", "qkd-single", "qkd-bell", "tomography"])
+    def test_result_key_order(self, tmp_path, argv, result_keys, group_keys):
+        # The golden fixture compares keys as sets; this pins the order
+        # in which each report's `result` is written.
+        assert main([*argv, "--exact", "--output-dir", str(tmp_path)]) == EXIT_OK
+        [path] = tmp_path.glob("*_report.json")
+        result = json.loads(path.read_text())["result"]
+        assert list(result) == result_keys
+        for group in result.get("groups", []):
+            assert list(group) == group_keys
+        for chain in result.get("bound_checks", []):
+            assert list(chain) == ["name", "lhs", "mid", "rhs", "holds"]
 
 
 class TestMainExitCodes:

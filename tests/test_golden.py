@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import hetverify.tomography
+from hetverify.circuits import _outcomes
 from hetverify.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -95,7 +96,9 @@ def run_cli(argv, outdir, patch) -> dict:
 
     def recording(*args, **kwargs):
         table = sample_shots(*args, **kwargs)
-        record = [table.setting, sorted(table.counts.items()), table.shots]
+        drawn = [(bits, c) for bits, c in zip(_outcomes(len(table.setting)),
+                                              table.vector.tolist()) if c]
+        record = [table.setting, drawn, table.shots]
         digest.update(json.dumps(record).encode())
         return table
 

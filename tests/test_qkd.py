@@ -43,6 +43,19 @@ class TestMatchedPairs:
             state = run_statevector(circuit)
             assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("initial", ["0", "1", 0, 1])
+    def test_scored_against_the_prepared_state(self, initial):
+        assert qkd_single_run(initial, "z", "z", "simple") == \
+            pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("initial", ["2", 2, "", "01", (0.6, 0.8), None])
+    def test_other_initial_rejected(self, initial):
+        # Only |0> and |1> are scored against their own preparation.
+        with pytest.raises(ValueError, match="initial must be '0' or '1'"):
+            qkd_single_run(initial, "z", "z", "simple")
+        with pytest.raises(ValueError, match="initial must be '0' or '1'"):
+            qkd_table(initial=initial, shots=None)
+
 
 class TestMismatchedPairs:
     @pytest.mark.parametrize("pair", [("z", "x"), ("z", "y"), ("x", "z")])
