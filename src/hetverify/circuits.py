@@ -278,7 +278,7 @@ def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMat
     return DensityMatrix(circuit.num_qubits, rho)
 
 
-_BLOCK = 9  # settings per stacked product; keeps its temporaries small
+_BLOCK = 9  # settings per stacked product; sizes each call's work arrays
 
 
 # Bounded because callers may pass any qubit order: an entry is at most 9
@@ -301,12 +301,20 @@ def measure_in_basis(state, setting, qubits=None) -> ProbabilityDistribution:
     by a Z readout.  Unmeasured qubits are marginalized.  A sequence of
     settings gives one distribution with a row per setting, computed as
     stacked products over blocks of at most 9 cached rotations; each row
-    has the bytes that its setting measured alone would give.
+    has the bytes that its setting measured alone would give.  For a
+    density matrix, the conjugated rotations and both products of every
+    block go into three work arrays allocated once per call: arrays
+    allocated per block would be returned to the operating system and
+    page-faulted back in at the next block.  `qubits` must be distinct
+    indices of the state.
     """
     if not isinstance(state, (StateVector, DensityMatrix)):
         raise TypeError(f"cannot measure a {type(state).__name__}")
     num_qubits = state.num_qubits
     qubits = tuple(range(num_qubits)) if qubits is None else tuple(qubits)
+    if len(set(qubits)) != len(qubits) or not set(qubits) <= set(range(num_qubits)):
+        raise ValueError(f"cannot measure qubits {list(qubits)}: each must be a "
+                         f"distinct index in [0, {num_qubits})")
     settings = (setting,) if isinstance(setting, str) else tuple(setting)
     if not settings:
         raise ValueError("no basis setting to measure")
@@ -317,13 +325,21 @@ def measure_in_basis(state, setting, qubits=None) -> ProbabilityDistribution:
     if bad:
         raise ValueError(f"invalid basis character(s) {sorted(bad)}")
 
-    probs_full = np.empty((len(settings), 2**num_qubits))
+    dim = 2**num_qubits
+    probs_full = np.empty((len(settings), dim))
+    if isinstance(state, DensityMatrix):
+        conj, left, both = (np.empty((min(_BLOCK, len(settings)), dim, dim), complex)
+                            for _ in range(3))
     for start in range(0, len(settings), _BLOCK):
         rot = _rotation_stack(settings[start:start + _BLOCK], qubits, num_qubits)
-        probs_full[start:start + len(rot)] = (
-            np.abs(rot @ state.amplitudes) ** 2 if isinstance(state, StateVector)
-            else np.diagonal(rot @ state.matrix @ rot.conj().transpose(0, 2, 1),
-                             axis1=1, axis2=2).real)
+        k = len(rot)
+        if isinstance(state, StateVector):
+            probs_full[start:start + k] = np.abs(rot @ state.amplitudes) ** 2
+        else:
+            np.conjugate(rot, out=conj[:k])
+            np.matmul(rot, state.matrix, out=left[:k])
+            np.matmul(left[:k], conj[:k].transpose(0, 2, 1), out=both[:k])
+            probs_full[start:start + k] = np.diagonal(both[:k], axis1=1, axis2=2).real
 
     tensor = probs_full.reshape((len(settings),) + (2,) * num_qubits)
     unmeasured = tuple(1 + q for q in range(num_qubits) if q not in qubits)

@@ -100,9 +100,11 @@ def heterodyne_stage(circuit: Circuit, zeta: float) -> Circuit:
 def _prep_gates(spec, qubit: int):
     """Gates preparing one qubit: '0', '1', or an (alpha, beta) pair of
     amplitudes whose norm is finite and nonzero."""
-    if spec in ("0", 0):
+    # An amplitude array is a pair; comparing it with "0" would go per element.
+    scalar = not (isinstance(spec, np.ndarray) and spec.ndim)
+    if scalar and spec in ("0", 0):
         return []
-    if spec in ("1", 1):
+    if scalar and spec in ("1", 1):
         return [x(qubit)]
     try:
         alpha, beta = map(complex, spec)

@@ -164,16 +164,27 @@ class QkdTable:
                                 + [f"{row[m]:.6f}" for m in self.modes])
 
 
-def qkd_table(initial="0", modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
+_KIND_DEFAULT = object()  # "0" for a single-qubit table, "00" for a Bell table
+
+
+def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
               shots: int = None, seed: int = 0, noise: NoiseModel = None,
               kind: str = "single") -> QkdTable:
     """Evaluate every encode/decode pair in every requested mode.
 
-    Each cell gets its own child seed, so the table is reproducible and
-    cells are independent.
+    A single-qubit table starts from `initial`, '0' by default.  Bell
+    circuits always start in |00>, so a Bell table records "00" and takes
+    no other `initial`.  Each cell gets its own child seed, so the table
+    is reproducible and cells are independent.
     """
     if kind not in ("single", "bell"):
         raise ValueError(f"kind must be 'single' or 'bell', got {kind!r}")
+    if kind == "bell":
+        if initial is not _KIND_DEFAULT and str(initial) != "00":
+            raise ValueError(f"a Bell table starts in '00', got initial={initial!r}")
+        initial = "00"
+    elif initial is _KIND_DEFAULT:
+        initial = "0"
     run = partial(qkd_single_run, initial) if kind == "single" else qkd_bell_run
     labels = [mode_label(m) for m in modes]
     table = QkdTable(kind, str(initial), labels)

@@ -322,6 +322,16 @@ class TestMeasureInBasis:
         with pytest.raises(ValueError, match="basis"):
             measure_in_basis(StateVector.computational("0"), "Q")
 
+    @pytest.mark.parametrize("qubits", [[0, 0], [1, 0, 1], [7, 0], [-1, 0], [2]],
+                             ids=str)
+    @pytest.mark.parametrize("mixed", [False, True], ids=["vector", "density"])
+    def test_qubits_must_be_distinct_and_in_range(self, qubits, mixed):
+        state = StateVector.computational("01")
+        state = state.density() if mixed else state
+        message = rf"cannot measure qubits \[{', '.join(map(str, qubits))}\]"
+        with pytest.raises(ValueError, match=message):
+            measure_in_basis(state, "Z" * len(qubits), qubits)
+
 
 class TestSampling:
     def test_deterministic_outcome(self):
@@ -512,6 +522,41 @@ class TestStackedMeasurement:
             measure_in_basis(state, ["XY", "QZ"])
         with pytest.raises(ValueError, match="no basis setting"):
             measure_in_basis(state, [])
+
+
+class TestDensityWorkArrays:
+    """The density-matrix branch reuses one set of block work arrays per
+    call, so a partial last block and a later, shorter call must still
+    give each setting's own bytes."""
+
+    QUBITS = (1, 3, 0)
+    SETTINGS = ["".join(s) for s in itertools.product("XYZ", repeat=3)]
+
+    @pytest.fixture
+    def state(self):
+        gates = [u3(q, 0.4 + q, -0.3, 0.9) for q in range(4)]
+        gates += [cu3(q, q + 1, 1.3, 0.2, -0.5) for q in range(3)]
+        return run_density_matrix(Circuit(4, gates), NoiseModel(0.01, 0.03, 0.02))
+
+    @pytest.mark.parametrize("count", [1, 10, 20])
+    def test_partial_last_block_matches_single_calls(self, state, count):
+        before = state.matrix.tobytes()
+        settings = self.SETTINGS[-count:]
+        dist = measure_in_basis(state, settings, self.QUBITS)
+        assert dist.probabilities.shape == (count, 8)
+        for setting, row in zip(settings, dist.probabilities):
+            assert row.tobytes() == measure_one(state, setting, self.QUBITS).tobytes()
+            single = measure_in_basis(state, setting, self.QUBITS).probabilities
+            assert single.tobytes() == row.tobytes()
+        assert state.matrix.tobytes() == before
+
+    def test_short_call_after_long_call_has_no_stale_rows(self, state):
+        measure_in_basis(state, self.SETTINGS[:20], self.QUBITS)
+        settings = self.SETTINGS[-2:]
+        dist = measure_in_basis(state, settings, self.QUBITS)
+        assert dist.probabilities.shape == (2, 8)
+        for setting, row in zip(settings, dist.probabilities):
+            assert row.tobytes() == measure_one(state, setting, self.QUBITS).tobytes()
 
 
 class TestGateUnitaryCache:

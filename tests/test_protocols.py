@@ -67,6 +67,18 @@ class TestPrepGates:
         expected /= np.linalg.norm(expected)
         assert abs(np.vdot(expected, state.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("pair", [(0.6, 0.8), (1j, 1), (0.0, 2.0)], ids=repr)
+    def test_amplitude_array_prepares_as_its_tuple(self, pair):
+        assert _prep_gates(np.array(pair), 0) == _prep_gates(pair, 0)
+
+    @pytest.mark.parametrize("spec", [
+        np.array([0]), np.array([1, 2, 3]), np.array([0, 0]),
+        np.array([[0.6, 0.8], [0.8, 0.6]]), np.array([np.nan, 1.0]),
+    ], ids=["one entry", "three entries", "zero norm", "two pairs", "nan"])
+    def test_malformed_amplitude_array_rejected(self, spec):
+        with pytest.raises(ValueError, match=r"cannot prepare array\("):
+            _prep_gates(spec, 0)
+
 
 class TestHeterodyneStage:
     def test_balanced_is_identity_action(self):

@@ -131,6 +131,19 @@ class TestQkdTable:
         np.testing.assert_allclose(values, [0.75, 0.4330127, 0.4330127, 0.25],
                                    atol=1e-6)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"initial": "00"}], ids=["default", "00"])
+    def test_bell_table_records_00(self, kwargs):
+        table = qkd_table(kind="bell", shots=None, **kwargs)
+        assert table.to_json()["initial"] == "00"
+
+    @pytest.mark.parametrize("initial", ["2", "0", "11", 0, None], ids=repr)
+    def test_bell_table_rejects_other_initial(self, initial):
+        with pytest.raises(ValueError, match="a Bell table starts in '00'"):
+            qkd_table(initial=initial, kind="bell", shots=None)
+
+    def test_single_table_defaults_to_0(self):
+        assert qkd_table(shots=None).to_json() == qkd_table("0", shots=None).to_json()
+
     def test_sampled_within_shot_noise(self):
         exact = qkd_table("0", shots=None)
         for seed in range(5):
