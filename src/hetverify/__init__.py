@@ -56,7 +56,6 @@ from .protocols import (
     single_mode_circuit,
 )
 from .qkd import (
-    QkdTable,
     qkd_bell_run,
     qkd_single_run,
     qkd_table,

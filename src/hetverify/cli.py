@@ -201,7 +201,7 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:  # line ends as given
             fh.write(text)
         os.replace(tmp, path)
     except OSError as err:
@@ -217,6 +217,15 @@ def emit_plot_data(series, path) -> None:
         raise ValueError("plot series is empty")
     lines = [f"{int(index)} {value:.6f}" for index, value in series]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def emit_table_csv(table, path) -> None:
+    """A `qkd_table` dict as csv.writer writes it, 6 decimals and CRLF line
+    ends; no mode label or pair name holds a comma or a quote to escape."""
+    lines = [",".join(["encode-decode", *table["modes"]])]
+    lines += [",".join([pair, *(f"{row[m]:.6f}" for m in table["modes"])])
+              for pair, row in table["rows"].items()]
+    _atomic_write(path, "\r\n".join(lines) + "\r\n")
 
 
 def _noise_from(params) -> NoiseModel:
@@ -253,19 +262,16 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
         if payload["verdict"] == "reject":
             exit_code = EXIT_REJECT
     elif config.command in ("qkd-single", "qkd-bell"):
-        kind = "single" if config.command == "qkd-single" else "bell"
-        initial = params.get("initial", "00")
-        table = qkd_table(initial=initial, shots=shots, seed=seed,
-                          noise=noise, kind=kind)
-        verdicts = threshold_verdict(table, BALANCED_QKD_ZETA,
-                                     params["threshold"])
+        table = qkd_table(initial=params.get("initial", "00"), shots=shots, seed=seed,
+                          noise=noise, kind=config.command.removeprefix("qkd-"))
         payload = {
-            "table": table.to_json(),
-            "verdicts": {f"{e}-{d}": v for (e, d), v in verdicts.items()},
+            "table": table,
+            "verdicts": threshold_verdict(table, BALANCED_QKD_ZETA,
+                                          params["threshold"]),
             "verdict_mode": mode_label(BALANCED_QKD_ZETA),
         }
         csv_path = os.path.join(outdir, f"{config.command}_table.csv")
-        table.write_csv(csv_path)
+        emit_table_csv(table, csv_path)
         emitted.append(csv_path)
     elif config.command == "tomography":
         circuit = Circuit.load(params["circuit"])

@@ -6,13 +6,12 @@ the original state scores how well the two frames match.  Estimation
 runs in one of three modes: "simple" (no detection stage) or a
 heterodyne stage with a chosen rotation angle; zeta = pi/3 gives the
 best matched-vs-mismatched separation, zeta = pi/2 is reported but
-excluded from verdicts.
+excluded from verdicts.  A table and its verdicts are plain dicts keyed
+by "e-d" pair names, as a report stores them.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
 from functools import partial
 
 from .circuits import Circuit, NoiseModel, cu3, seed_sequence, u3, x
@@ -25,9 +24,7 @@ BALANCED_QKD_ZETA = math.pi / 3
 SINGLE_BASES = ("z", "x", "y")
 BELL_LABELS = ("b00", "b01", "b10", "b11")
 
-SINGLE_PAIR_ORDER = [
-    (e, d) for e in SINGLE_BASES for d in SINGLE_BASES
-]
+SINGLE_PAIR_ORDER = [(e, d) for e in SINGLE_BASES for d in SINGLE_BASES]
 BELL_PAIR_ORDER = [("b00", d) for d in BELL_LABELS]
 
 # Encoders as U3 angle triples: z is the identity frame, x the Hadamard,
@@ -74,7 +71,7 @@ def _qkd_circuit(num_system: int, gates, mode) -> Circuit:
 def single_qkd_circuit(initial, encode: str, decode: str, mode) -> Circuit:
     """System qubit 0, prepared in |initial>, '0' or '1'; ancilla 1
     present only in heterodyne modes."""
-    if initial not in ("0", "1", 0, 1):
+    if str(initial) not in ("0", "1"):
         raise ValueError(f"initial must be '0' or '1', got {initial!r}")
     return _qkd_circuit(1, _prep_gates(initial, 0) + _frame_gates(encode, 0)
                         + _frame_gates(decode, 0, inverse=True), mode)
@@ -119,8 +116,7 @@ def qkd_single_run(initial, encode: str, decode: str, mode,
                    noise: NoiseModel = None) -> float:
     """Fidelity of the decoded single qubit against the initial state."""
     return _decoded_fidelity(single_qkd_circuit(initial, encode, decode, mode),
-                             "1" if initial in ("1", 1) else "0",
-                             shots, seed, noise)
+                             str(initial), shots, seed, noise)
 
 
 def qkd_bell_run(encode: str, decode: str, mode, shots: int = None,
@@ -130,47 +126,15 @@ def qkd_bell_run(encode: str, decode: str, mode, shots: int = None,
                              shots, seed, noise)
 
 
-@dataclass
-class QkdTable:
-    """Fidelity per (encode, decode) pair and estimation mode."""
-
-    kind: str                      # "single" | "bell"
-    initial: str
-    modes: list                    # mode labels, column order
-    rows: dict = field(default_factory=dict)  # (enc, dec) -> {label: fidelity}
-
-    @property
-    def pair_order(self) -> list:
-        return SINGLE_PAIR_ORDER if self.kind == "single" else BELL_PAIR_ORDER
-
-    def value(self, pair, label: str) -> float:
-        return self.rows[pair][label]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "initial": self.initial,
-            "modes": list(self.modes),
-            "rows": {f"{e}-{d}": vals for (e, d), vals in self.rows.items()},
-        }
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["encode-decode"] + list(self.modes))
-            for pair in self.pair_order:
-                row = self.rows[pair]
-                writer.writerow([f"{pair[0]}-{pair[1]}"]
-                                + [f"{row[m]:.6f}" for m in self.modes])
-
-
 _KIND_DEFAULT = object()  # "0" for a single-qubit table, "00" for a Bell table
 
 
 def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
               shots: int = None, seed: int = 0, noise: NoiseModel = None,
-              kind: str = "single") -> QkdTable:
-    """Evaluate every encode/decode pair in every requested mode.
+              kind: str = "single") -> dict:
+    """Evaluate every encode/decode pair in every requested mode, as the dict
+    {"kind", "initial", "modes", "rows"}: `rows` maps each "e-d" pair, in
+    pair order, to {mode label: fidelity}.  The labels must not repeat.
 
     A single-qubit table starts from `initial`, '0' by default.  Bell
     circuits always start in |00>, so a Bell table records "00" and takes
@@ -185,31 +149,32 @@ def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "sim
         initial = "00"
     elif initial is _KIND_DEFAULT:
         initial = "0"
-    run = partial(qkd_single_run, initial) if kind == "single" else qkd_bell_run
     labels = [mode_label(m) for m in modes]
-    table = QkdTable(kind, str(initial), labels)
-    children = iter(seed_sequence(seed).spawn(len(table.pair_order) * len(modes)))
-    for pair in table.pair_order:
-        table.rows[pair] = {
-            label: run(*pair, mode, shots=shots, seed=next(children), noise=noise)
-            for mode, label in zip(modes, labels)}
-    return table
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"modes repeat the column label {label!r}")
+    run = partial(qkd_single_run, initial) if kind == "single" else qkd_bell_run
+    pairs = SINGLE_PAIR_ORDER if kind == "single" else BELL_PAIR_ORDER
+    children = iter(seed_sequence(seed).spawn(len(pairs) * len(modes)))
+    rows = {f"{e}-{d}": {label: run(e, d, mode, shots=shots, seed=next(children),
+                                    noise=noise)
+                         for mode, label in zip(modes, labels)}
+            for e, d in pairs}
+    return {"kind": kind, "initial": str(initial), "modes": labels, "rows": rows}
 
 
-def threshold_verdict(table: QkdTable, mode, threshold: float = None) -> dict:
-    """Accept/reject each pair by comparing one mode column to a threshold."""
+def threshold_verdict(table: dict, mode, threshold: float = None) -> dict:
+    """Accept/reject each "e-d" pair by comparing one mode column to a threshold."""
     label = mode_label(mode)
-    if label not in table.modes:
+    if label not in table["modes"]:
         raise ValueError(f"table has no column for mode {label!r}")
     if threshold is None:
         try:
-            threshold = DEFAULT_THRESHOLDS[(table.kind, label)]
+            threshold = DEFAULT_THRESHOLDS[(table["kind"], label)]
         except KeyError:
-            raise ValueError(f"no default threshold for {table.kind}/{label}; "
+            raise ValueError(f"no default threshold for {table['kind']}/{label}; "
                              "pass one explicitly") from None
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    return {
-        pair: ("accept" if table.rows[pair][label] >= threshold else "reject")
-        for pair in table.pair_order
-    }
+    return {pair: ("accept" if row[label] >= threshold else "reject")
+            for pair, row in table["rows"].items()}

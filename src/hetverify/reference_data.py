@@ -13,8 +13,8 @@ unphysical estimates.
 from __future__ import annotations
 
 # Single-qubit basis fidelity tables measured on hardware, keyed by the
-# prepared state.  Rows follow the encode-decode pair order used by
-# qkd.QkdTable; columns are the detection modes pi/3, pi/2, simple.
+# prepared state.  Rows follow the encode-decode pair order of
+# qkd.qkd_table; columns are the detection modes pi/3, pi/2, simple.
 HARDWARE_SINGLE_QKD = {
     "0": {
         ("z", "z"): (0.8698, 0.7174, 0.9985),

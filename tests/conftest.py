@@ -62,3 +62,8 @@ def counts(table):
     least once, in index order."""
     return MappingProxyType({bits: c for bits, c in zip(
         _outcomes(len(table.setting)), table.vector.tolist()) if c})
+
+
+def cell(table, pair, mode):
+    """One fidelity of a `qkd_table` dict, by (encode, decode) pair and mode label."""
+    return table["rows"]["-".join(pair)][mode]

@@ -49,7 +49,7 @@ from hetverify.tomography import (
     tomography_sweep,
 )
 
-from conftest import marginals, random_density, random_pure
+from conftest import cell, marginals, random_density, random_pure
 
 PI = math.pi
 SQRT_HALF = 1 / np.sqrt(2)
@@ -99,7 +99,7 @@ def _table_matches(table, reference, pair_order, modes, atol):
         for mode, expected in zip(modes, row):
             if expected is None:
                 continue
-            if abs(table.value(pair, mode) - expected) > atol:
+            if abs(cell(table, pair, mode) - expected) > atol:
                 return False
     return True
 
@@ -108,13 +108,13 @@ class TestAcceptance:
     def test_criterion_1_single_qkd_table(self):
         start = time.perf_counter()
         exact = qkd_table("0", shots=None)
-        ok = math.isclose(exact.value(("z", "z"), "pi/3"), math.cos(PI / 6),
+        ok = math.isclose(cell(exact, ("z", "z"), "pi/3"), math.cos(PI / 6),
                           abs_tol=1e-4)
-        ok &= math.isclose(exact.value(("z", "x"), "pi/3"), 0.2588,
+        ok &= math.isclose(cell(exact, ("z", "x"), "pi/3"), 0.2588,
                            abs_tol=1e-4)
-        ok &= math.isclose(exact.value(("x", "x"), "simple"), 1.0,
+        ok &= math.isclose(cell(exact, ("x", "x"), "simple"), 1.0,
                            abs_tol=1e-9)
-        ok &= math.isclose(exact.value(("z", "y"), "simple"), SQRT_HALF,
+        ok &= math.isclose(cell(exact, ("z", "y"), "simple"), SQRT_HALF,
                            abs_tol=1e-4)
         modes = ("pi/3", "pi/2", "simple")
         sampled_0 = qkd_table("0", shots=8192, seed=0)
@@ -130,10 +130,10 @@ class TestAcceptance:
         start = time.perf_counter()
         exact = qkd_table(initial="00", kind="bell", shots=None)
         expected = [0.75, 0.4330127, 0.4330127, 0.25]
-        ok = all(math.isclose(exact.value(p, "pi/3"), v, abs_tol=1e-4)
+        ok = all(math.isclose(cell(exact, p, "pi/3"), v, abs_tol=1e-4)
                  for p, v in zip(BELL_PAIR_ORDER, expected))
         simple = [1.0, 0.0, 0.0, 0.0]
-        ok &= all(math.isclose(exact.value(p, "simple"), v, abs_tol=1e-6)
+        ok &= all(math.isclose(cell(exact, p, "simple"), v, abs_tol=1e-6)
                   for p, v in zip(BELL_PAIR_ORDER, simple))
         sampled = qkd_table(initial="00", kind="bell", shots=8192, seed=0)
         ok &= _table_matches(sampled, REFERENCE_BELL, BELL_PAIR_ORDER,
@@ -145,10 +145,10 @@ class TestAcceptance:
         table = qkd_table("0", shots=None)
         matched = [("z", "z"), ("x", "x"), ("y", "y")]
         mismatch = [("z", "x"), ("z", "y"), ("x", "z")]
-        gap_balanced = (min(table.value(p, "pi/3") for p in matched)
-                        - max(table.value(p, "pi/3") for p in mismatch))
-        gap_simple = (min(table.value(p, "simple") for p in matched)
-                      - max(table.value(p, "simple") for p in mismatch))
+        gap_balanced = (min(cell(table, p, "pi/3") for p in matched)
+                        - max(cell(table, p, "pi/3") for p in mismatch))
+        gap_simple = (min(cell(table, p, "simple") for p in matched)
+                      - max(cell(table, p, "simple") for p in mismatch))
         _report(3, "balanced-detection gap at least 1.9x the simple gap",
                 gap_balanced >= 1.9 * gap_simple)
 
@@ -246,7 +246,7 @@ class TestAcceptance:
         # no simulated quantity is asserted against the hardware numbers:
         # the exact backend diverges from them by design
         exact = qkd_table("0", shots=None)
-        ok &= abs(exact.value(("z", "z"), "simple")
+        ok &= abs(cell(exact, ("z", "z"), "simple")
                   - HARDWARE_SINGLE_QKD["0"][("z", "z")][2]) > 1e-4
         _report(9, "hardware columns shipped as display-only fixtures", ok)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hetverify.cli
 from hetverify.cli import (
     EXIT_OK,
     EXIT_REJECT,
@@ -256,6 +257,24 @@ class TestRunAndReport:
         for chain in result.get("bound_checks", []):
             assert list(chain) == ["name", "lhs", "mid", "rhs", "holds"]
 
+    @pytest.mark.parametrize("argv", [
+        ["protocol1", "--copies", "1", "1"], ["protocol2"], ["protocol3"],
+        ["qkd-single"], ["qkd-bell"], ["tomography", str(GOLDEN_CIRCUIT)],
+    ], ids=["protocol1", "protocol2", "protocol3", "qkd-single", "qkd-bell", "tomography"])
+    def test_every_output_written_atomically(self, tmp_path, monkeypatch, argv):
+        written = []
+        atomic_write = hetverify.cli._atomic_write
+
+        def recording(path, text):
+            written.append(path)
+            atomic_write(path, text)
+
+        monkeypatch.setattr(hetverify.cli, "_atomic_write", recording)
+        config = parse_config([*argv, "--exact", "--output-dir", str(tmp_path)])
+        bundle = run_and_report(config)
+        assert written == bundle.emitted_files
+        assert sorted(str(path) for path in tmp_path.iterdir()) == sorted(written)
+
 
 class TestMainExitCodes:
     def test_usage_error_exit_one(self, capsys):
@@ -264,6 +283,14 @@ class TestMainExitCodes:
 
     def test_unknown_command_exit_one(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_unwritable_table_csv_exit_three(self, tmp_path, capsys):
+        (tmp_path / "qkd-single_table.csv").mkdir()
+        argv = ["qkd-single", "--exact", "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_RUNTIME
+        assert "cannot write" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.tmp"))
+        assert not (tmp_path / "qkd_single_report.json").exists()
 
     def test_runtime_value_error_exit_three(self, tmp_path, capsys):
         from hetverify.circuits import Circuit

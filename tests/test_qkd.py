@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cell
 from hetverify.circuits import cu3, run_statevector, u3, x
+from hetverify.cli import EXIT_OK, main
 from hetverify.qkd import (
     BALANCED_QKD_ZETA,
     BELL_LABELS,
@@ -48,7 +50,8 @@ class TestMatchedPairs:
         assert qkd_single_run(initial, "z", "z", "simple") == \
             pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("initial", ["2", 2, "", "01", (0.6, 0.8), None])
+    @pytest.mark.parametrize("initial", ["2", 2, "", "01", (0.6, 0.8), None,
+                                         np.array([0.6, 0.8])])
     def test_other_initial_rejected(self, initial):
         # Only |0> and |1> are scored against their own preparation.
         with pytest.raises(ValueError, match="initial must be '0' or '1'"):
@@ -121,20 +124,20 @@ def test_bell_decoder_is_reversed_encoder(encode, decode):
 class TestQkdTable:
     def test_exact_single_table_values(self):
         table = qkd_table("0", shots=None)
-        assert table.value(("z", "z"), "pi/3") == pytest.approx(COS_PI_6)
-        assert table.value(("z", "x"), "simple") == pytest.approx(SQRT_HALF)
-        assert table.value(("y", "y"), "simple") == pytest.approx(1.0)
+        assert cell(table, ("z", "z"), "pi/3") == pytest.approx(COS_PI_6)
+        assert cell(table, ("z", "x"), "simple") == pytest.approx(SQRT_HALF)
+        assert cell(table, ("y", "y"), "simple") == pytest.approx(1.0)
 
     def test_exact_bell_table(self):
         table = qkd_table(initial="00", kind="bell", shots=None)
-        values = [table.value(p, "pi/3") for p in BELL_PAIR_ORDER]
+        values = [cell(table, p, "pi/3") for p in BELL_PAIR_ORDER]
         np.testing.assert_allclose(values, [0.75, 0.4330127, 0.4330127, 0.25],
                                    atol=1e-6)
 
     @pytest.mark.parametrize("kwargs", [{}, {"initial": "00"}], ids=["default", "00"])
     def test_bell_table_records_00(self, kwargs):
         table = qkd_table(kind="bell", shots=None, **kwargs)
-        assert table.to_json()["initial"] == "00"
+        assert table["initial"] == "00"
 
     @pytest.mark.parametrize("initial", ["2", "0", "11", 0, None], ids=repr)
     def test_bell_table_rejects_other_initial(self, initial):
@@ -142,30 +145,41 @@ class TestQkdTable:
             qkd_table(initial=initial, kind="bell", shots=None)
 
     def test_single_table_defaults_to_0(self):
-        assert qkd_table(shots=None).to_json() == qkd_table("0", shots=None).to_json()
+        assert qkd_table(shots=None) == qkd_table("0", shots=None)
+
+    def test_repeated_mode_label_rejected(self):
+        # Both angles print as pi/3, so the second column would overwrite the first.
+        with pytest.raises(ValueError, match="modes repeat the column label 'pi/3'"):
+            qkd_table("0", modes=(PI / 3, PI / 3 + 1e-13, "simple"), shots=None)
 
     def test_sampled_within_shot_noise(self):
         exact = qkd_table("0", shots=None)
         for seed in range(5):
             sampled = qkd_table("0", shots=8192, seed=seed)
             for pair in SINGLE_PAIR_ORDER:
-                for mode in sampled.modes:
-                    assert abs(sampled.value(pair, mode)
-                               - exact.value(pair, mode)) < 0.02
+                for mode in sampled["modes"]:
+                    assert abs(cell(sampled, pair, mode)
+                               - cell(exact, pair, mode)) < 0.02
 
     def test_seed_determinism(self):
         a = qkd_table("0", shots=2048, seed=9)
         b = qkd_table("0", shots=2048, seed=9)
-        assert a.rows == b.rows
+        assert a["rows"] == b["rows"]
 
     def test_csv_export_row_order(self, tmp_path):
+        # The file the CLI writes, as bytes: csv.writer ends every line in \r\n.
+        assert main(["qkd-single", "--exact", "--output-dir", str(tmp_path)]) == EXIT_OK
+        text = (tmp_path / "qkd-single_table.csv").read_bytes().decode()
+        lines = text.split("\r\n")
+        assert lines[-1] == "" and "\n" not in "".join(lines)
+        assert lines[0] == "encode-decode,pi/3,pi/2,simple"
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [row[0] for row in rows] == ["z-z", "z-x", "z-y", "x-z", "x-x", "x-y",
+                                            "y-z", "y-x", "y-y"]
         table = qkd_table("0", shots=None)
-        path = tmp_path / "table.csv"
-        table.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        pairs = [line.split(",")[0] for line in lines[1:]]
-        assert pairs == ["z-z", "z-x", "z-y", "x-z", "x-x", "x-y",
-                         "y-z", "y-x", "y-y"]
+        for pair, *values in rows:
+            assert values == [f"{table['rows'][pair][m]:.6f}" for m in table["modes"]]
+        assert rows[0][1:] == ["0.866025", "0.707107", "1.000000"]  # cos(pi/6), cos(pi/4), 1
 
     def test_mode_labels(self):
         assert mode_label("simple") == "simple"
@@ -178,25 +192,26 @@ class TestThresholdVerdict:
         table = qkd_table("0", shots=None)
         verdicts = threshold_verdict(table, BALANCED_QKD_ZETA)
         accepted = {p for p, v in verdicts.items() if v == "accept"}
-        assert accepted == {("z", "z"), ("x", "x"), ("y", "y")}
+        assert accepted == {"z-z", "x-x", "y-y"}
 
     def test_simple_default_accepts_only_matched(self):
         table = qkd_table("0", shots=None)
         verdicts = threshold_verdict(table, "simple")
         accepted = {p for p, v in verdicts.items() if v == "accept"}
-        assert accepted == {("z", "z"), ("x", "x"), ("y", "y")}
+        assert accepted == {"z-z", "x-x", "y-y"}
 
     def test_bell_defaults(self):
         table = qkd_table(initial="00", kind="bell", shots=None)
         balanced = threshold_verdict(table, BALANCED_QKD_ZETA)
-        assert balanced[("b00", "b00")] == "accept"
-        assert balanced[("b00", "b11")] == "reject"
+        assert balanced["b00-b00"] == "accept"
+        assert balanced["b00-b11"] == "reject"
 
     def test_impossible_threshold_rejects_all(self):
         table = qkd_table("0", shots=None)
         verdicts = threshold_verdict(table, "simple", threshold=1.0 + 0.0)
         # only exact-1 matched pairs survive a threshold of 1
-        assert all(v == "reject" for p, v in verdicts.items() if p[0] != p[1])
+        assert all(v == "reject" for p, v in verdicts.items()
+                   if p not in ("z-z", "x-x", "y-y"))
 
     def test_missing_mode_column(self):
         table = qkd_table("0", modes=("simple",), shots=None)
@@ -209,17 +224,17 @@ class TestSeparationClaim:
         table = qkd_table("0", shots=None)
         matched = [("z", "z"), ("x", "x"), ("y", "y")]
         strong_mismatch = [("z", "x"), ("z", "y"), ("x", "z")]
-        gap_balanced = (min(table.value(p, "pi/3") for p in matched)
-                        - max(table.value(p, "pi/3") for p in strong_mismatch))
-        gap_simple = (min(table.value(p, "simple") for p in matched)
-                      - max(table.value(p, "simple") for p in strong_mismatch))
+        gap_balanced = (min(cell(table, p, "pi/3") for p in matched)
+                        - max(cell(table, p, "pi/3") for p in strong_mismatch))
+        gap_simple = (min(cell(table, p, "simple") for p in matched)
+                      - max(cell(table, p, "simple") for p in strong_mismatch))
         assert gap_balanced >= 1.9 * gap_simple
 
     def test_bell_separation_exact(self):
         table = qkd_table(initial="00", kind="bell", shots=None)
-        gap_balanced = table.value(("b00", "b00"), "pi/3") \
-            - table.value(("b00", "b11"), "pi/3")
+        gap_balanced = cell(table, ("b00", "b00"), "pi/3") \
+            - cell(table, ("b00", "b11"), "pi/3")
         assert gap_balanced == pytest.approx(0.5, abs=1e-6)
-        gap_simple = table.value(("b00", "b00"), "simple") \
-            - table.value(("b00", "b11"), "simple")
+        gap_simple = cell(table, ("b00", "b00"), "simple") \
+            - cell(table, ("b00", "b11"), "simple")
         assert gap_simple == pytest.approx(1.0, abs=1e-6)
