@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -391,7 +392,10 @@ class ShotTable:
                 and np.array_equal(self.vector, other.vector))
 
     def postselect(self, bit: int, value: int) -> "ShotTable":
-        """Keep shots whose `bit` reads `value` and drop that bit."""
+        """Keep shots whose `bit` reads `value`, 0 or 1, and drop that bit."""
+        if bit not in range(len(self.setting)) or value not in (0, 1):
+            raise ValueError(f"cannot post-select bit {bit!r} on {value!r}: need a "
+                             f"bit in [0, {len(self.setting)}) and a value 0 or 1")
         kept = self.vector.reshape(2**bit, 2, -1)[:, value].reshape(-1)
         return ShotTable(self.setting[:bit] + self.setting[bit + 1:],
                          kept, int(kept.sum()))
@@ -404,16 +408,121 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+# SeedSequence's hashing constants, as numpy's bit_generator defines them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """The hash constant after `start`, `start` + 1, ..., `start` + `count`
+    hashmix calls, each of which multiplies it by `mult`."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                     for k in range(start, start + count + 1)], dtype=np.uint32)
+
+
+# SeedSequence's hashmix and mix, on uint32 arrays, whose products wrap
+# as numpy's C code does.  hashmix advances the hash constant from
+# `const` to `next_const`.
+def _hashmix(value, const, next_const):
+    value = (value ^ const) * next_const
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ result >> 16
+
+
+# generate_state(4, np.uint64) hashes 8 32-bit words, the pool's in turn.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 8)
+
+
+def _entropy_words(value) -> list:
+    """SeedSequence's 32-bit words of an entropy or spawn-key value: an
+    int least significant word first (0 is one word), a sequence the
+    words of its items in order."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        return [word for item in value for word in _entropy_words(item)]
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _state_words_type() -> type:
+    """An ISeedSequence that hands PCG64 the state words computed for it.
+
+    Defined on first use, because importing numpy.random takes about
+    10 ms that an exact run never needs.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def spawn_generators(seed, count: int) -> list:
+    """The Generators `[default_rng(c) for c in seed_sequence(seed).spawn(count)]`,
+    in the same PCG64 states, without advancing a SeedSequence `seed`.
+
+    A child's entropy words are its parent's, zero-padded to the pool
+    size, then its parent's spawn key and last its index; each index
+    fits in one 32-bit word.  Only that last word differs between
+    children, so numpy hashes the words before it into a pool once, as
+    the entropy of a SeedSequence with no spawn key.  The index column
+    is mixed into that pool, and each child's 8 `generate_state` words
+    produced, for all children at once.  numpy's own PCG64 is seeded
+    from those words, so unlike spawn's Generators these cannot spawn.
+    """
+    seed = seed_sequence(seed)
+    size = seed.pool_size
+    words = _entropy_words(seed.entropy)
+    words += [0] * (size - len(words)) + _entropy_words(seed.spawn_key)
+    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32), pool_size=size).pool
+    # Each entropy word takes `size` hashmix calls, and so does the index.
+    consts = _hash_consts(_INIT_A, _MULT_A, size * len(words), size)
+    slot = [i % size for i in range(8)]
+    start = seed.n_children_spawned
+    index = np.arange(start, start + count, dtype=np.uint32)[:, None]
+    state = _hashmix(_mix(pool[slot], _hashmix(index, consts[slot], consts[1:][slot])),
+                     _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
+    # generate_state pairs the words little-endian; PCG64 reads each
+    # row's memory, which the C-ordered result keeps contiguous.
+    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    state_words = _state_words_type()
+    return [np.random.Generator(np.random.PCG64(state_words(row))) for row in state]
+
+
 def sample_shots(probabilities, shots: int, seed, setting: str = None) -> ShotTable:
     """Seeded multinomial draw from outcome probabilities in index order,
     such as one row of a `measure_in_basis` distribution; the draws become
-    the table's count vector as they are.  `setting` defaults to Z on
-    every bit.  Readout flips are already in the probabilities:
+    the table's count vector as they are.  The probabilities are scaled to
+    sum to 1; there must be 2^k of them, with a finite, positive sum.
+    `seed` is anything `np.random.default_rng` takes; a Generator is used
+    as it is, and its state advances.  `setting` defaults to Z on every
+    bit.  Readout flips are already in the probabilities:
     `run_density_matrix` folds them into the state they are measured from.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     probs = np.asarray(probabilities, dtype=float)
-    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    if probs.ndim != 1 or probs.size & (probs.size - 1) or not probs.size:
+        raise ValueError(f"need 2^k outcome probabilities, got shape {probs.shape}")
+    total = probs.sum()
+    if not 0.0 < total < np.inf:  # also rejects NaN
+        raise ValueError(f"outcome probabilities must have a finite, positive "
+                         f"sum, got {total}")
+    draws = np.random.default_rng(seed).multinomial(shots, probs / total)
     return ShotTable("Z" * (probs.size.bit_length() - 1) if setting is None else setting,
                      draws, shots)

@@ -56,7 +56,12 @@ def _frame_gates(basis: str, qubit: int, inverse: bool = False):
 
 def mode_label(mode) -> str:
     """Canonical column label: 'simple' or the zeta angle, format_angle style."""
-    return "simple" if mode == "simple" else format_angle(float(mode))
+    if mode == "simple":
+        return "simple"
+    try:
+        return format_angle(float(mode))
+    except (TypeError, ValueError):
+        raise ValueError(f"a mode is 'simple' or a zeta angle, got {mode!r}") from None
 
 
 def _qkd_circuit(num_system: int, gates, mode) -> Circuit:
@@ -150,6 +155,8 @@ def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "sim
     elif initial is _KIND_DEFAULT:
         initial = "0"
     labels = [mode_label(m) for m in modes]
+    if not labels:
+        raise ValueError("a table needs at least one mode")
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"modes repeat the column label {label!r}")

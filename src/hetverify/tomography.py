@@ -21,7 +21,8 @@ string-by-setting compatibility mask.
 The sweep always measures the circuit's system qubits and post-selects
 on the ancilla, if there is one, reading 1.  One stacked
 `measure_in_basis` call gives every setting's distribution, and each
-row is sampled with its own child seed.  The ancilla is the last
+row is sampled with its own child seed's Generator; `spawn_generators`
+seeds all of them in one pass.  The ancilla is the last
 readout bit, so post-selection keeps every second entry of each count
 vector.  The exact sweep (shots=None) needs no counts.  It conditions
 the circuit's density matrix, readout flips included, on the ancilla,
@@ -45,7 +46,7 @@ from .circuits import (
     run_density_matrix,
     run_statevector,
     sample_shots,
-    seed_sequence,
+    spawn_generators,
 )
 from .metrics import fidelity
 from .states import DensityMatrix, condition_on_ancilla
@@ -175,10 +176,13 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
     assemble the full expectation set.
 
     shots=None uses exact probabilities; otherwise each setting is
-    sampled with a child seed derived from `seed`.  When the circuit has
-    an ancilla it is read out in Z and the data is conditioned on it
-    reading 1.  Readout flips come with the simulated state, so the
-    exact sweep is the expectation of the sampled one.
+    sampled with the Generator of a child seed of `seed`, as
+    `spawn_generators` gives them.  A SeedSequence `seed` is not advanced,
+    unlike by `SeedSequence.spawn`: two sweeps given the same SeedSequence
+    object sample the same tables.  When the circuit has an ancilla it is
+    read out in Z and the data is conditioned on it reading 1.  Readout
+    flips come with the simulated state, so the exact sweep is the
+    expectation of the sampled one.
     """
     measured = list(circuit.system_qubits)
     if not 1 <= len(measured) <= MAX_MEASURED_QUBITS:
@@ -202,7 +206,7 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
                        else (measured, ""))
     settings = ["".join(s) + suffix
                 for s in itertools.product("XYZ", repeat=len(measured))]
-    children = seed_sequence(seed).spawn(len(settings))
+    children = spawn_generators(seed, len(settings))
     dist = measure_in_basis(state, settings, readout)
     tables = []
     for setting, child, probs in zip(settings, children, dist.probabilities):

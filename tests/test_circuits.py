@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hetverify.circuits import (
     _I2,
@@ -24,6 +25,7 @@ from hetverify.circuits import (
     run_density_matrix,
     run_statevector,
     sample_shots,
+    spawn_generators,
     u3,
     u3_matrix,
     x,
@@ -367,6 +369,35 @@ class TestSampling:
         kept = table.postselect(1, 1)
         assert kept == shot_table("X", {"0": 30, "1": 20}, 50)
 
+    @pytest.mark.parametrize("bit, value", [(0, -1), (0, 2), (-1, 0), (2, 0),
+                                            (5, 1), (1, 0.5)])
+    def test_postselect_rejects_bit_or_value(self, bit, value):
+        table = shot_table("XZ", {"01": 30, "11": 20, "00": 50}, 100)
+        with pytest.raises(ValueError, match=r"cannot post-select .* need a bit "
+                                             r"in \[0, 2\) and a value 0 or 1"):
+            table.postselect(bit, value)
+
+    @pytest.mark.parametrize("probs", [[1, 0, 0], [0.5] * 6, [], [[0.5, 0.5]]],
+                             ids=["3", "6", "empty", "2d"])
+    def test_outcome_count_must_be_a_power_of_two(self, probs):
+        with pytest.raises(ValueError, match="need 2\\^k outcome probabilities"):
+            sample_shots(probs, 10, seed=0)
+
+    @pytest.mark.parametrize("probs", [[0, 0], [0.5, np.nan], [1, np.inf],
+                                       [-1, 0.5]], ids=["zero", "nan", "inf", "negative"])
+    def test_probability_sum_must_be_finite_and_positive(self, probs):
+        # pytest turns warnings into errors, so a divide warning would fail first.
+        with pytest.raises(ValueError, match="finite, positive sum"):
+            sample_shots(probs, 10, seed=0)
+
+    def test_generator_seed_used_as_is(self):
+        probs = measure_in_basis(StateVector.computational("0"), "X").probabilities
+        rng = np.random.default_rng(3)
+        first = sample_shots(probs, 1000, seed=rng)
+        assert first == sample_shots(probs, 1000, seed=3)
+        # The Generator's state advanced, so a second draw from it differs.
+        assert sample_shots(probs, 1000, seed=rng) != first
+
 
 def _postselect_by_loop(table, bit, value):
     """The dict loop that post-selection used before count vectors."""
@@ -427,6 +458,44 @@ class TestShotTable:
     def test_vector_length_must_match_setting(self):
         with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
             ShotTable("XZ", np.array([1, 2]), 3)
+
+
+def _spawned_reference(make, advanced, count):
+    """numpy's own children of a fresh parent: default_rng of each spawn."""
+    parent = make()
+    parent.spawn(advanced)
+    return [np.random.default_rng(child) for child in parent.spawn(count)]
+
+
+class TestSpawnGenerators:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(entropy=st.one_of(st.integers(0, 2**16), st.integers(2**64, 2**200),
+                             st.lists(st.integers(0, 2**40), max_size=10)),
+           spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+           pool_size=st.sampled_from([4, 8]),
+           advanced=st.integers(0, 5),
+           count=st.sampled_from([1, 3, 9, 81]))
+    @example(entropy=7, spawn_key=[], pool_size=4, advanced=0, count=1)
+    @example(entropy=2**200 + 3, spawn_key=[], pool_size=4, advanced=0, count=3)
+    @example(entropy=[1, 2**32, 5], spawn_key=[], pool_size=8, advanced=0, count=9)
+    @example(entropy=5, spawn_key=[2**32, 2**40 - 1], pool_size=4, advanced=0, count=81)
+    @example(entropy=[9] * 12, spawn_key=[3], pool_size=8, advanced=4, count=81)
+    def test_matches_spawn_and_default_rng(self, entropy, spawn_key, pool_size,
+                                           advanced, count):
+        def make():
+            return np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key),
+                                          pool_size=pool_size)
+        parent = make()
+        parent.spawn(advanced)
+        got = spawn_generators(parent, count)
+        want = _spawned_reference(make, advanced, count)
+        assert len(got) == count
+        for mine, theirs in zip(got, want):
+            assert mine.bit_generator.state == theirs.bit_generator.state
+            np.testing.assert_array_equal(mine.multinomial(1000, [0.1, 0.2, 0.3, 0.4]),
+                                          theirs.multinomial(1000, [0.1, 0.2, 0.3, 0.4]))
+        # Unlike spawn, the helper leaves its parent where it was.
+        assert parent.n_children_spawned == advanced
 
 
 class TestBasisRotationCache:

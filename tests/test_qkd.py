@@ -152,6 +152,16 @@ class TestQkdTable:
         with pytest.raises(ValueError, match="modes repeat the column label 'pi/3'"):
             qkd_table("0", modes=(PI / 3, PI / 3 + 1e-13, "simple"), shots=None)
 
+    @pytest.mark.parametrize("modes", [(None,), ("SIMPLE",), ("pi/3",), ([1, 2],)],
+                             ids=repr)
+    def test_unknown_mode_rejected(self, modes):
+        with pytest.raises(ValueError, match="a mode is 'simple' or a zeta angle"):
+            qkd_table("0", modes=modes, shots=None)
+
+    def test_no_modes_rejected(self):
+        with pytest.raises(ValueError, match="at least one mode"):
+            qkd_table("0", modes=(), shots=None)
+
     def test_sampled_within_shot_noise(self):
         exact = qkd_table("0", shots=None)
         for seed in range(5):

@@ -272,6 +272,17 @@ class TestTomographySweep:
         b = tomography_sweep(circuit, shots=2048, seed=11)
         assert a == b
 
+    def test_seed_sequence_is_not_advanced(self):
+        # The settings' Generators come from spawn_generators, which reads
+        # the parent's spawn count without advancing it: two sweeps given
+        # one SeedSequence object sample the same tables.
+        circuit = bell_circuit()
+        parent = np.random.SeedSequence(11)
+        first = tomography_sweep(circuit, shots=2048, seed=parent)
+        assert tomography_sweep(circuit, shots=2048, seed=parent) == first
+        assert parent.n_children_spawned == 0
+        assert first == tomography_sweep(circuit, shots=2048, seed=11)
+
     def test_convergence_rate(self):
         # median trace distance shrinks monotonically with shot count
         circuit = bell_circuit()
