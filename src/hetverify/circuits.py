@@ -362,43 +362,54 @@ def _outcomes(width: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class ShotTable:
-    """Shot counts for one basis setting.
+    """Shot counts for a stack of k basis settings of one width w.
 
-    `vector` holds the counts of the setting's 2^len(setting) outcomes
-    in index order, qubit 0 the most significant bit, and must sum to
-    `shots`.  An int64 array is stored without a copy and made
-    read-only: the table owns it.
-    """
+    Row i of the k x 2^w `counts` matrix counts the outcomes of
+    settings[i], letters from X, Y and Z, in index order, qubit 0 the
+    most significant bit; all rows sum to `shots`.  A string setting with
+    a count vector is a one-row stack.  An int64 array is stored without
+    a copy and made read-only."""
 
-    setting: str
-    vector: np.ndarray
+    settings: tuple
+    counts: np.ndarray
     shots: int
 
     def __post_init__(self):
-        width = len(self.setting)
-        counts = np.asarray(self.vector, dtype=np.int64)
-        if counts.shape != (2**width,):
-            raise ValueError(f"setting {self.setting!r} needs {2**width} counts,"
-                             f" got shape {counts.shape}")
+        one = isinstance(self.settings, str)
+        settings = (self.settings,) if one else tuple(self.settings)
+        if not settings:
+            raise ValueError("a shot table needs at least one setting")
+        width = len(settings[0])
+        for setting in settings:
+            if len(setting) != width or setting.strip("XYZ"):
+                raise ValueError(f"setting {setting!r} is not {width} letters "
+                                 "from X, Y, Z")
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if counts.shape != (len(settings), 2**width)[one:]:
+            raise ValueError(f"setting {settings[0]!r} needs {2**width} counts per "
+                             f"row, {len(settings)} rows, got shape {counts.shape}")
+        if counts.min() < 0 or int(counts.sum()) != self.shots:
+            raise ValueError("counts must be non-negative and sum to the declared "
+                             "shot total")
         counts.setflags(write=False)
-        object.__setattr__(self, "vector", counts)
-        if int(counts.sum()) != self.shots:
-            raise ValueError("counts do not sum to the declared shot total")
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "counts", counts.reshape(1, -1) if one else counts)
 
     def __eq__(self, other):
         if not isinstance(other, ShotTable):
             return NotImplemented
-        return ((self.setting, self.shots) == (other.setting, other.shots)
-                and np.array_equal(self.vector, other.vector))
+        return ((self.settings, self.shots) == (other.settings, other.shots)
+                and np.array_equal(self.counts, other.counts))
 
     def postselect(self, bit: int, value: int) -> "ShotTable":
-        """Keep shots whose `bit` reads `value`, 0 or 1, and drop that bit."""
-        if bit not in range(len(self.setting)) or value not in (0, 1):
+        """Keep every row's shots whose `bit` reads `value`, 0 or 1; drop that bit."""
+        width = len(self.settings[0])
+        if bit not in range(width) or value not in (0, 1):
             raise ValueError(f"cannot post-select bit {bit!r} on {value!r}: need a "
-                             f"bit in [0, {len(self.setting)}) and a value 0 or 1")
-        kept = self.vector.reshape(2**bit, 2, -1)[:, value].reshape(-1)
-        return ShotTable(self.setting[:bit] + self.setting[bit + 1:],
-                         kept, int(kept.sum()))
+                             f"bit in [0, {width}) and a value 0 or 1")
+        kept = self.counts.reshape(len(self.counts), 2**bit, 2, -1)[:, :, value]
+        return ShotTable(tuple(s[:bit] + s[bit + 1:] for s in self.settings),
+                         kept.reshape(len(kept), -1), int(kept.sum()))
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -504,25 +515,33 @@ def spawn_generators(seed, count: int) -> list:
     return [np.random.Generator(np.random.PCG64(state_words(row))) for row in state]
 
 
-def sample_shots(probabilities, shots: int, seed, setting: str = None) -> ShotTable:
-    """Seeded multinomial draw from outcome probabilities in index order,
-    such as one row of a `measure_in_basis` distribution; the draws become
-    the table's count vector as they are.  The probabilities are scaled to
-    sum to 1; there must be 2^k of them, with a finite, positive sum.
-    `seed` is anything `np.random.default_rng` takes; a Generator is used
-    as it is, and its state advances.  `setting` defaults to Z on every
-    bit.  Readout flips are already in the probabilities:
-    `run_density_matrix` folds them into the state they are measured from.
-    """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+def sample_shots(probabilities, shots: int, seed, settings=None) -> ShotTable:
+    """Seeded multinomial draws of `shots` shots from each row of a k x 2^w
+    stack of outcome probabilities, such as a `measure_in_basis`
+    distribution, as the rows of one table's count matrix.  Each row must
+    be non-negative with a finite, positive sum, and is scaled to sum to
+    1.  `seed` lists one seed per row, each anything `default_rng` takes;
+    a Generator's state advances.  A vector takes one seed and setting.
+    `settings` default to Z on every bit.  Readout flips are already in
+    the probabilities, folded in by `run_density_matrix`."""
     probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 1 or probs.size & (probs.size - 1) or not probs.size:
+    stack, seeds, names = ((probs[None], [seed], [settings]) if probs.ndim == 1
+                           else (probs, seed, settings))
+    if stack.ndim != 2 or not stack.size or stack.shape[1] & (stack.shape[1] - 1):
         raise ValueError(f"need 2^k outcome probabilities, got shape {probs.shape}")
-    total = probs.sum()
-    if not 0.0 < total < np.inf:  # also rejects NaN
-        raise ValueError(f"outcome probabilities must have a finite, positive "
-                         f"sum, got {total}")
-    draws = np.random.default_rng(seed).multinomial(shots, probs / total)
-    return ShotTable("Z" * (probs.size.bit_length() - 1) if setting is None else setting,
-                     draws, shots)
+    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(stack):
+        raise ValueError(f"need a list of {len(stack)} seeds, one per row, got {seed!r}")
+    limit = (2**63 - 1) // len(stack)  # the table's total fits int64
+    if not 1 <= _expect(shots, (int, np.integer), "shots must be an integer") <= limit:
+        raise ValueError(f"shots must be in [1, {limit}], got {shots}")
+    with np.errstate(over="ignore"):
+        total = stack.sum(axis=1, keepdims=True)
+    # np.min propagates NaN, and every comparison with NaN is false.
+    if not (stack.min() >= 0 and total.min() > 0 and total.max() < np.inf):
+        raise ValueError("outcome probabilities must be non-negative with a "
+                         "finite, positive sum")
+    draws = [np.random.default_rng(rng).multinomial(shots, p)
+             for rng, p in zip(seeds, stack / total)]
+    if settings is None:
+        names = ("Z" * (stack.shape[1].bit_length() - 1),) * len(stack)
+    return ShotTable(names, np.array(draws), shots * len(stack))

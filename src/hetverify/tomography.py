@@ -7,29 +7,28 @@ vector with the stacked Pauli-string matrices of `_pauli_stack`; the
 single-qubit Bloch formula is its m = 1 case.
 
 Counts are assembled into expectations with a Walsh-Hadamard transform.
-Each setting's count vector, indexed by outcome with qubit 0 the most
-significant bit, is copied in as one row of a count array over the 2^m
-outcomes; no outcome label is read.  One product with the +-1 matrix
-H^{(x)m}, whose entry (b, a) is the parity (-1)^popcount(b & a), gives
-every subset parity sum for every setting at once.  A Pauli string
-reads the column of its non-identity positions, a, from every setting
-that matches its non-identity letters, and the shot-weighted mean over
-those settings is its estimate.  Which strings each setting can estimate, and from which
-column, depends only on m and is worked out once from the 4^m x 3^m
-string-by-setting compatibility mask.
+A shot table's count matrix, a row per setting indexed by outcome with
+qubit 0 the most significant bit, is multiplied once by the +-1 matrix
+H^{(x)m}, whose entry (b, a) is the parity (-1)^popcount(b & a): that
+gives every subset parity sum of every setting, and no outcome label is
+read.  A Pauli string reads the column of its non-identity positions, a,
+from every setting that matches its non-identity letters, and the
+shot-weighted mean over those settings is its estimate.  Which string
+each setting estimates from each column depends only on m and is worked
+out once.
 
 The sweep always measures the circuit's system qubits and post-selects
-on the ancilla, if there is one, reading 1.  One stacked
-`measure_in_basis` call gives every setting's distribution, and each
-row is sampled with its own child seed's Generator; `spawn_generators`
-seeds all of them in one pass.  The ancilla is the last
-readout bit, so post-selection keeps every second entry of each count
-vector.  The exact sweep (shots=None) needs no counts.  It conditions
-the circuit's density matrix, readout flips included, on the ancilla,
-which leaves exactly the system qubits in ascending order, and reads
-all 4^m expectations Tr(P rho) in one contraction with the same stack.
-Reconstruction is the inverse contraction over that stack, so an exact
-sweep followed by reconstruction returns the conditioned state.
+on the ancilla, if there is one, reading 1, with one call of each layer
+for all 3^m settings.  A stacked `measure_in_basis` call gives every
+distribution, and `sample_shots` draws every row with its own child
+seed's Generator, seeded by `spawn_generators` in one pass.  The ancilla
+is the last readout bit, so post-selection keeps every second column of
+the count matrix.  The exact sweep (shots=None) needs no counts.  It
+conditions the circuit's density matrix, readout flips included, on the
+ancilla, which leaves exactly the system qubits in ascending order, and
+reads all 4^m expectations Tr(P rho) in one contraction with the same
+stack.  Reconstruction is the inverse contraction over that stack, so an
+exact sweep followed by reconstruction returns the conditioned state.
 """
 from __future__ import annotations
 
@@ -82,70 +81,55 @@ def _pauli_stack(num_qubits: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _assembly_layout(num_qubits: int):
-    """Index arrays shared by every assembly over `num_qubits` qubits.
+    """Read-only arrays shared by every assembly over `num_qubits` qubits.
 
-    Returns (strings, reach, walsh).  `strings` are the
-    4^m - 1 non-identity Pauli strings in pauli_strings order.  For each
-    setting, reach[setting] holds the indices of the strings it can
-    estimate and the Walsh-Hadamard column of each, the bitmask of its
-    non-identity positions (qubit 0 the most significant bit).
-    walsh[b, a] = (-1)^popcount(b & a).  The arrays are read-only
-    because every caller shares them.
+    Returns (strings, index, hits, walsh): the 4^m - 1 non-identity
+    Pauli strings in pauli_strings order, and for the subsets a = 1, ...,
+    2^m - 1 of a setting's letters (qubit 0 the most significant bit),
+    hits[index[setting], a - 1], the string that keeps those letters and
+    sets the rest to I, and walsh[b, a - 1] = (-1)^popcount(b & a).
     """
     strings = pauli_strings(num_qubits)[1:]
-    letters = np.array(list(itertools.product(range(4), repeat=num_qubits)),
-                       dtype=np.int8).reshape(-1, num_qubits)[1:]
-    bases = np.array(list(itertools.product(range(1, 4), repeat=num_qubits)),
-                     dtype=np.int8).reshape(-1, num_qubits)
-    compatible = np.ones((len(strings), len(bases)), dtype=bool)
-    for q in range(num_qubits):
-        column = letters[:, q, None]
-        compatible &= (column == 0) | (column == bases[None, :, q])
-    parity = (letters != 0) @ (1 << np.arange(num_qubits - 1, -1, -1))
-    reach = {}
-    for s, setting in enumerate(itertools.product("XYZ", repeat=num_qubits)):
-        hits = np.flatnonzero(compatible[:, s])
-        reach["".join(setting)] = (hits, parity[hits])
+    bases = np.array(list(itertools.product(range(1, 4), repeat=num_qubits)), dtype=int)
+    order = np.arange(num_qubits - 1, -1, -1)  # qubit 0 the most significant
+    subsets = np.arange(1, 2**num_qubits)[:, None] >> order & 1
+    # A string's index in base 4, less the all-identity string before it.
+    hits = (bases[:, None, :] * subsets) @ 4**order - 1
+    index = {"".join(s): i for i, s in
+             enumerate(itertools.product("XYZ", repeat=num_qubits))}
     # Every entry is exactly +-1, so the real part of the complex chain is exact.
-    walsh = _embed(dict.fromkeys(range(num_qubits), _WALSH_2), num_qubits).real.copy()
-    for array in (walsh, *itertools.chain.from_iterable(reach.values())):
+    full = _embed(dict.fromkeys(range(num_qubits), _WALSH_2), num_qubits)
+    walsh = full.real[:, 1:].copy()
+    for array in (hits, walsh):
         array.setflags(write=False)
-    return strings, reach, walsh
+    return strings, index, hits, walsh
 
 
-def expectations_from_tables(tables, num_qubits: int) -> dict:
-    """Assemble the full 4^m expectation set from 3^m setting tables.
+def expectations_from_tables(table, num_qubits: int) -> dict:
+    """Assemble the full 4^m expectation set from one ShotTable's rows.
 
     Strings with identity positions are estimated from every compatible
-    setting, weighted by shot count; tables with no shots are skipped,
-    and a later table for a setting replaces an earlier one.
+    setting, weighted by shot count; rows with no shots are skipped,
+    and a later row for a setting replaces an earlier one.
     """
-    strings, reach, walsh = _assembly_layout(num_qubits)
-    by_setting = {t.setting: t for t in tables}
-    for setting in by_setting:
-        if setting not in reach:
-            raise ValueError(f"setting {setting!r} is not {num_qubits} "
-                             "letters from X, Y, Z")
-    used = [t for t in by_setting.values() if t.shots > 0]
-    # A table's setting has num_qubits letters, so its count vector has
-    # one entry per column.
-    counts = np.zeros((len(used), len(walsh)))
-    for row, table in enumerate(used):
-        counts[row] = table.vector
-    shots = np.array([t.shots for t in used], dtype=float)[:, None]
-    # Per-table estimate times its shots, added table by table in
-    # by_setting order: every term and every partial sum rounds exactly
-    # as in a per-string loop over the tables' parity averages.
-    weighted = (counts @ walsh) / shots * shots
-    num = np.zeros(len(strings))
-    den = np.zeros(len(strings))
-    for table, terms in zip(used, weighted):
-        hits, columns = reach[table.setting]
-        num[hits] += terms[columns]
-        den[hits] += table.shots
-    missing = np.flatnonzero(den == 0)
-    if missing.size:
-        raise ValueError(f"no shot table can estimate {strings[missing[0]]!r}")
+    strings, index, hits, walsh = _assembly_layout(num_qubits)
+    if len(table.settings[0]) != num_qubits:
+        raise ValueError(f"setting {table.settings[0]!r} is not {num_qubits} "
+                         "letters from X, Y, Z")
+    # Each setting's last row, in the order the settings first appear.
+    last = {setting: row for row, setting in enumerate(table.settings)}
+    row_shots = table.counts.sum(axis=1).tolist()
+    used = [row for row in last.values() if row_shots[row]]
+    shots = np.array([row_shots[row] for row in used], dtype=float)[:, None]
+    # Each row's estimates times its shots, from exact integer products.
+    # bincount adds them row by row, so every partial sum rounds exactly
+    # as in a per-string loop over the rows' parity averages.
+    weighted = (table.counts[used] @ walsh) / shots * shots
+    targets = hits[[index[table.settings[row]] for row in used]].ravel()
+    num = np.bincount(targets, weighted.ravel(), len(strings))
+    den = np.bincount(targets, shots.repeat(walsh.shape[1]), len(strings))
+    if not den.all():
+        raise ValueError(f"no shot table can estimate {strings[den.argmin()]!r}")
     expectations = {"I" * num_qubits: 1.0}
     expectations.update(zip(strings, (num / den).tolist()))
     return expectations
@@ -175,9 +159,9 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
     """Run all 3^k basis settings over the circuit's system qubits and
     assemble the full expectation set.
 
-    shots=None uses exact probabilities; otherwise each setting is
-    sampled with the Generator of a child seed of `seed`, as
-    `spawn_generators` gives them.  A SeedSequence `seed` is not advanced,
+    shots=None uses exact probabilities; otherwise one stacked shot table
+    draws each setting's row with the Generator of a child seed of `seed`,
+    as `spawn_generators` gives them.  A SeedSequence `seed` is not advanced,
     unlike by `SeedSequence.spawn`: two sweeps given the same SeedSequence
     object sample the same tables.  When the circuit has an ancilla it is
     read out in Z and the data is conditioned on it reading 1.  Readout
@@ -208,17 +192,14 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
                 for s in itertools.product("XYZ", repeat=len(measured))]
     children = spawn_generators(seed, len(settings))
     dist = measure_in_basis(state, settings, readout)
-    tables = []
-    for setting, child, probs in zip(settings, children, dist.probabilities):
-        table = sample_shots(probs, shots, child, setting=setting)
-        if postselect:
-            table = table.postselect(len(measured), 1)
-            if table.shots == 0:
-                raise ValueError(
-                    f"setting {table.setting!r}: post-selecting ancilla outcome "
-                    f"1 kept 0 of {shots} shots")
-        tables.append(table)
-    return expectations_from_tables(tables, len(measured))
+    table = sample_shots(dist.probabilities, shots, children, settings)
+    if postselect:
+        table = table.postselect(len(measured), 1)
+        kept = table.counts.sum(axis=1)
+        if not kept.all():
+            raise ValueError(f"setting {table.settings[kept.argmin()]!r}: post-selecting "
+                             f"ancilla outcome 1 kept 0 of {shots} shots")
+    return expectations_from_tables(table, len(measured))
 
 
 def reduced_fidelities(marginals, targets) -> list:

@@ -50,18 +50,20 @@ def marginals(rho):
 
 
 def shot_table(setting, counts, shots):
-    """A ShotTable from a {bitstring: count} dict; outcomes not named count 0."""
+    """A one-row ShotTable from a {bitstring: count} dict; outcomes not
+    named count 0."""
     vector = np.zeros(2**len(setting), dtype=np.int64)
     for bits, count in counts.items():
         vector[int(bits or "0", 2)] = count
-    return ShotTable(setting, vector, shots)
+    return ShotTable((setting,), vector[None], shots)
 
 
 def counts(table):
-    """Read-only {bitstring: count} view of the outcomes a table drew at
-    least once, in index order."""
-    return MappingProxyType({bits: c for bits, c in zip(
-        _outcomes(len(table.setting)), table.vector.tolist()) if c})
+    """Read-only {bitstring: count} view of the outcomes a one-row table
+    drew at least once, in index order."""
+    (setting,), (row,) = table.settings, table.counts.tolist()
+    return MappingProxyType({bits: c for bits, c in zip(_outcomes(len(setting)), row)
+                             if c})
 
 
 def cell(table, pair, mode):

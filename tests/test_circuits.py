@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ class TestSampling:
     def test_deterministic_outcome(self):
         dist = measure_in_basis(StateVector.computational("0"), "Z")
         table = sample_shots(dist.probabilities, 100, seed=1)
-        assert table.vector.tolist() == [100, 0]
+        assert table.settings == ("Z",) and table.counts.tolist() == [[100, 0]]
 
     def test_same_seed_same_table(self):
         dist = measure_in_basis(StateVector.computational("0"), "X")
@@ -350,13 +351,13 @@ class TestSampling:
     def test_large_sample_frequency(self):
         dist = measure_in_basis(StateVector.computational("0"), "X")
         table = sample_shots(dist.probabilities, 10**6, seed=7)
-        assert abs(table.vector[0] / 10**6 - 0.5) < 0.002
+        assert abs(table.counts[0, 0] / 10**6 - 0.5) < 0.002
 
     def test_sampling_converges_in_tvd(self):
         circuit = Circuit(2, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0)])
         dist = measure_in_basis(run_statevector(circuit), "ZZ")
         table = sample_shots(dist.probabilities, 10**6, seed=5)
-        tvd = 0.5 * np.abs(table.vector / table.shots - dist.probabilities).sum()
+        tvd = 0.5 * np.abs(table.counts[0] / table.shots - dist.probabilities).sum()
         assert tvd <= 0.005
 
     def test_shot_count_validation(self):
@@ -377,8 +378,11 @@ class TestSampling:
                                              r"in \[0, 2\) and a value 0 or 1"):
             table.postselect(bit, value)
 
-    @pytest.mark.parametrize("probs", [[1, 0, 0], [0.5] * 6, [], [[0.5, 0.5]]],
-                             ids=["3", "6", "empty", "2d"])
+    # A 2-D stack is valid input: its rows are the 2^k probabilities.
+    @pytest.mark.parametrize("probs", [[1, 0, 0], [0.5] * 6, [], [[[0.5, 0.5]]],
+                                       [[1, 0, 0]] * 2, np.zeros((0, 2)), 1.0],
+                             ids=["3", "6", "empty", "3d", "rows-of-3", "no-rows",
+                                  "scalar"])
     def test_outcome_count_must_be_a_power_of_two(self, probs):
         with pytest.raises(ValueError, match="need 2\\^k outcome probabilities"):
             sample_shots(probs, 10, seed=0)
@@ -390,6 +394,53 @@ class TestSampling:
         with pytest.raises(ValueError, match="finite, positive sum"):
             sample_shots(probs, 10, seed=0)
 
+    def test_overflowing_sum_rejected(self):
+        # Finite entries whose sum overflows: no overflow warning first.
+        with pytest.raises(ValueError, match="finite, positive sum"):
+            sample_shots([1e308, 1e308], 10, seed=0)
+
+    def test_negative_entry_with_positive_sum_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            sample_shots([0.5, -0.5, 1, 0], 10, seed=0)
+
+    @pytest.mark.parametrize("shots", [10.5, True, "10", None], ids=str)
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample_shots([0.5, 0.5], shots, seed=0)
+
+    def test_shots_must_fit_int64(self):
+        message = re.escape(f"shots must be in [1, {2**63 - 1}]")
+        with pytest.raises(ValueError, match=message):
+            sample_shots([0.5, 0.5], 2**63, seed=0)
+        # Across a stack the table's total must fit too.
+        message = re.escape(f"shots must be in [1, {(2**63 - 1) // 2}]")
+        with pytest.raises(ValueError, match=message):
+            sample_shots([[0.5, 0.5]] * 2, 2**62, seed=[0, 1])
+
+    def test_bad_row_of_a_stack_rejected(self):
+        with pytest.raises(ValueError, match="finite, positive sum"):
+            sample_shots([[0.5, 0.5], [0.0, 0.0]], 10, seed=[0, 1])
+
+    @pytest.mark.parametrize("seed", [0, [0], (0, 1, 2), np.random.default_rng(0)],
+                             ids=["int", "too-few", "too-many", "generator"])
+    def test_stack_needs_one_seed_per_row(self, seed):
+        with pytest.raises(ValueError, match="need a list of 2 seeds, one per row"):
+            sample_shots([[0.5, 0.5]] * 2, 10, seed=seed)
+
+    @pytest.mark.parametrize("width", range(4))
+    def test_stack_rows_match_single_draws(self, rng, width):
+        """Each row of a stacked draw is that row drawn alone with its seed."""
+        probs = rng.dirichlet(np.full(2**width, 0.5), size=5)
+        settings = ["".join(rng.choice(list("XYZ"), size=width)) for _ in probs]
+        seeds = np.random.SeedSequence(11).spawn(len(probs))
+        table = sample_shots(probs, 300, seeds, settings)
+        assert table.settings == tuple(settings) and table.shots == 5 * 300
+        for row, p, seed, setting in zip(table.counts, probs, seeds, settings):
+            assert sample_shots(p, 300, seed, setting) == ShotTable(setting, row, 300)
+        default = sample_shots(probs, 300, seeds)
+        assert default.settings == ("Z" * width,) * 5
+        np.testing.assert_array_equal(default.counts, table.counts)
+
     def test_generator_seed_used_as_is(self):
         probs = measure_in_basis(StateVector.computational("0"), "X").probabilities
         rng = np.random.default_rng(3)
@@ -400,13 +451,15 @@ class TestSampling:
 
 
 def _postselect_by_loop(table, bit, value):
-    """The dict loop that post-selection used before count vectors."""
+    """The dict loop that post-selection used before count vectors, on a
+    one-row table."""
     kept = {}
     for bits, count in counts(table).items():
         if int(bits[bit]) == value:
             reduced = bits[:bit] + bits[bit + 1:]
             kept[reduced] = kept.get(reduced, 0) + count
-    return table.setting[:bit] + table.setting[bit + 1:], kept, sum(kept.values())
+    (setting,) = table.settings
+    return setting[:bit] + setting[bit + 1:], kept, sum(kept.values())
 
 
 def _random_draws(rng, width, shots=500):
@@ -431,12 +484,15 @@ class TestShotTable:
         draws = _random_draws(rng, 2)
         table = ShotTable("XY", draws, int(draws.sum()))
         with pytest.raises(ValueError):
-            table.vector[0] = 1
+            table.counts[0, 0] = 1
         with pytest.raises(TypeError):
             counts(table)["00"] = 1
         # The table owns the draws it was given: no copy, no writer left.
-        assert table.vector is draws and not draws.flags.writeable
+        assert table.counts.base is draws and not draws.flags.writeable
         assert shot_table("XY", counts(table), table.shots) == table
+        stack = np.stack([draws, draws])
+        table = ShotTable(("XY", "ZZ"), stack, 2 * int(draws.sum()))
+        assert table.counts is stack and not stack.flags.writeable
 
     @pytest.mark.parametrize("width", range(1, 6))
     def test_postselect_matches_dict_loop(self, rng, width):
@@ -446,8 +502,23 @@ class TestShotTable:
             for value in (0, 1):
                 kept = table.postselect(bit, value)
                 assert kept == shot_table(*_postselect_by_loop(table, bit, value))
-                assert (kept.setting, dict(counts(kept)), kept.shots) \
+                assert (kept.settings[0], dict(counts(kept)), kept.shots) \
                     == _postselect_by_loop(table, bit, value)
+
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_postselect_slices_every_row(self, rng, width):
+        """A stack post-selects as its rows do one by one."""
+        rows = [ShotTable("".join(rng.choice(list("XYZ"), size=width)),
+                          _random_draws(rng, width), 500) for _ in range(6)]
+        stack = ShotTable([r.settings[0] for r in rows],
+                          np.concatenate([r.counts for r in rows]), 3000)
+        for bit in range(width):
+            for value in (0, 1):
+                kept = [r.postselect(bit, value) for r in rows]
+                assert stack.postselect(bit, value) == ShotTable(
+                    [k.settings[0] for k in kept],
+                    np.concatenate([k.counts for k in kept]),
+                    sum(k.shots for k in kept))
 
     def test_total_must_match_shots(self):
         with pytest.raises(ValueError, match="sum to the declared shot total"):
@@ -458,6 +529,48 @@ class TestShotTable:
     def test_vector_length_must_match_setting(self):
         with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
             ShotTable("XZ", np.array([1, 2]), 3)
+        # A string setting takes a vector, a sequence of settings a matrix.
+        with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
+            ShotTable("XZ", np.ones((1, 4)), 4)
+        with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
+            ShotTable(("XZ", "YY"), np.ones(4), 4)
+        with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
+            ShotTable(("XZ", "YY"), np.ones((3, 4)), 12)
+
+    def test_string_setting_is_a_one_row_stack(self):
+        table = ShotTable("XZ", [1, 2, 3, 4], 10)
+        assert table == ShotTable(("XZ",), [[1, 2, 3, 4]], 10)
+        assert table.settings == ("XZ",) and table.counts.shape == (1, 4)
+
+    @pytest.mark.parametrize("vector", [[-1, 7], [7, -1], [-(2**62), 2**62 + 6]],
+                             ids=str)
+    def test_negative_counts_rejected(self, vector):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            ShotTable("X", vector, 6)
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            ShotTable(("X", "Y", "Z"), [vector] * 3, 18)
+
+    @pytest.mark.parametrize("setting", ["Q", "x", "I", "Z ", "XQ"])
+    def test_setting_letters_must_be_xyz(self, setting):
+        message = f"setting {setting!r} is not {len(setting)} letters from X, Y, Z"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ShotTable(setting, np.ones(2**len(setting)), 2**len(setting))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ShotTable(("X" * len(setting), setting),
+                      np.ones((2, 2**len(setting))), 2**(len(setting) + 1))
+
+    @pytest.mark.parametrize("settings", [("X", "ZZ"), ("XY", "Z"), ("XY", ""),
+                                          ("Z", "Y", "XZ")], ids=str)
+    def test_settings_of_mixed_width_rejected(self, settings):
+        bad = next(s for s in settings if len(s) != len(settings[0]))
+        message = f"setting {bad!r} is not {len(settings[0])} letters from X, Y, Z"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ShotTable(settings, np.ones((len(settings), 2)), 2 * len(settings))
+
+    @pytest.mark.parametrize("settings", [(), []], ids=["tuple", "list"])
+    def test_empty_stack_rejected(self, settings):
+        with pytest.raises(ValueError, match="at least one setting"):
+            ShotTable(settings, np.zeros((0, 2), dtype=np.int64), 0)
 
 
 def _spawned_reference(make, advanced, count):

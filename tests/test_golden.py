@@ -96,10 +96,10 @@ def run_cli(argv, outdir, patch) -> dict:
 
     def recording(*args, **kwargs):
         table = sample_shots(*args, **kwargs)
-        drawn = [(bits, c) for bits, c in zip(_outcomes(len(table.setting)),
-                                              table.vector.tolist()) if c]
-        record = [table.setting, drawn, table.shots]
-        digest.update(json.dumps(record).encode())
+        # One record per row, as when each setting was drawn by its own call.
+        for setting, row in zip(table.settings, table.counts.tolist()):
+            drawn = [(bits, c) for bits, c in zip(_outcomes(len(setting)), row) if c]
+            digest.update(json.dumps([setting, drawn, sum(row)]).encode())
         return table
 
     patch(hetverify.tomography, "sample_shots", recording)

@@ -57,6 +57,6 @@ def test_sampled_sweep_calls_each_traced_layer(monkeypatch, num_system):
     counting(monkeypatch, ShotTable, "postselect", calls)
     hetverify.tomography.tomography_sweep(circuit, shots=64, seed=3,
                                           noise=NoiseModel(0.01, 0.02, 0.01))
-    settings = 3**num_system
-    assert calls == {"measure_in_basis": 1, "sample_shots": settings,
-                     "postselect": settings, "expectations_from_tables": 1}
+    # One stacked call of each, whatever the number of settings.
+    assert calls == {"measure_in_basis": 1, "sample_shots": 1,
+                     "postselect": 1, "expectations_from_tables": 1}

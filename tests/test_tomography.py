@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hetverify.tomography
+
 from hetverify.circuits import (
     Circuit,
     NoiseModel,
@@ -12,6 +14,7 @@ from hetverify.circuits import (
     cu3,
     measure_in_basis,
     run_density_matrix,
+    run_statevector,
     u3,
     x,
 )
@@ -52,11 +55,12 @@ def expectation_from_counts(table: ShotTable, string: str) -> float:
     Identity positions are marginalized; every non-identity letter must
     match the table's measurement setting.
     """
-    if len(string) != len(table.setting):
-        raise ValueError(f"string {string!r} does not match setting {table.setting!r}")
-    if not all(p == "I" or p == s for p, s in zip(string, table.setting)):
+    (setting,) = table.settings
+    if len(string) != len(setting):
+        raise ValueError(f"string {string!r} does not match setting {setting!r}")
+    if not all(p == "I" or p == s for p, s in zip(string, setting)):
         raise ValueError(
-            f"setting {table.setting!r} cannot estimate Pauli string {string!r}"
+            f"setting {setting!r} cannot estimate Pauli string {string!r}"
         )
     active = [i for i, letter in enumerate(string) if letter != "I"]
     total = 0
@@ -198,7 +202,8 @@ def test_kronecker_tables_match_np_kron_bytewise(num_qubits):
              for s in pauli_strings(num_qubits)]
     assert _pauli_stack(num_qubits).tobytes() == np.array(stack).tobytes()
     walsh = kron_chain([[[1.0, 1.0], [1.0, -1.0]]] * num_qubits)
-    assert _assembly_layout(num_qubits)[2].tobytes() == walsh.tobytes()
+    # The layout keeps the columns of the non-empty subsets only.
+    assert _assembly_layout(num_qubits)[3].tobytes() == walsh[:, 1:].tobytes()
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
@@ -403,15 +408,17 @@ class TestReducedFidelities:
 
 class TestExpectationIO:
     def test_assembly_from_external_tables(self):
-        tables = [shot_table(s, {"0": 80, "1": 20}, 100) for s in ("X", "Y", "Z")]
-        ex = expectations_from_tables(tables, 1)
+        table = ShotTable(("X", "Y", "Z"), [[80, 20]] * 3, 300)
+        ex = expectations_from_tables(table, 1)
         assert ex == {"I": 1.0, "X": pytest.approx(0.6),
                       "Y": pytest.approx(0.6), "Z": pytest.approx(0.6)}
 
 
-def _assemble_by_loop(tables, num_qubits):
-    """Per-string reference assembly: the loop the vectorised code replaced."""
-    by_setting = {t.setting: t for t in tables}
+def _assemble_by_loop(table, num_qubits):
+    """Per-string reference assembly: the loop the vectorised code
+    replaced, over one-row tables of the stack's rows."""
+    by_setting = {setting: ShotTable(setting, row, int(row.sum()))
+                  for setting, row in zip(table.settings, table.counts)}
     expectations = {}
     for string in pauli_strings(num_qubits):
         if set(string) == {"I"}:
@@ -429,23 +436,26 @@ def _assemble_by_loop(tables, num_qubits):
     return expectations
 
 
-def _random_tables(num_qubits, seed, keep, zero_shot, duplicate):
-    """Shuffled tables over a random subset of settings, some empty and
-    some repeated, with uneven shot totals."""
+def _random_stack(num_qubits, seed, keep, zero_shot, duplicate):
+    """A stack of shuffled rows over a random subset of settings, some
+    empty and some repeated, with uneven shot totals.  A stack holds at
+    least one row, so the first setting stands in for an empty subset."""
     rng = np.random.default_rng(seed)
     settings_ = ["".join(s) for s in itertools.product("XYZ", repeat=num_qubits)]
-    chosen = [s for s in settings_ if rng.random() < keep]
+    chosen = [s for s in settings_ if rng.random() < keep] or settings_[:1]
     chosen += [s for s in chosen if rng.random() < duplicate]
-    tables = []
+    rows = []
     for setting in chosen:
         if rng.random() < zero_shot:
-            tables.append(ShotTable(setting, np.zeros(2**num_qubits, dtype=np.int64), 0))
+            rows.append((setting, np.zeros(2**num_qubits, dtype=np.int64)))
             continue
         shots = int(rng.integers(1, 5000))
         draws = rng.multinomial(shots, rng.dirichlet(np.ones(2**num_qubits)))
-        tables.append(ShotTable(setting, draws, shots))
-    rng.shuffle(tables)
-    return tables
+        rows.append((setting, draws))
+    rng.shuffle(rows)
+    settings_, counts_ = zip(*rows)
+    counts_ = np.array(counts_)
+    return ShotTable(settings_, counts_, int(counts_.sum()))
 
 
 class TestVectorisedAssembly:
@@ -456,30 +466,44 @@ class TestVectorisedAssembly:
            duplicate=st.sampled_from([0.0, 0.2]))
     def test_matches_per_string_loop(self, num_qubits, seed, keep,
                                      zero_shot, duplicate):
-        tables = _random_tables(num_qubits, seed, keep, zero_shot, duplicate)
+        table = _random_stack(num_qubits, seed, keep, zero_shot, duplicate)
         try:
-            expected = _assemble_by_loop(tables, num_qubits)
+            expected = _assemble_by_loop(table, num_qubits)
         except ValueError as err:
             with pytest.raises(ValueError) as caught:
-                expectations_from_tables(tables, num_qubits)
+                expectations_from_tables(table, num_qubits)
             assert str(caught.value) == str(err)
             return
-        got = expectations_from_tables(tables, num_qubits)
+        got = expectations_from_tables(table, num_qubits)
         assert list(got) == list(expected)
         # Terms are added in the loop's order, so the sums agree exactly.
         assert got == expected
 
     def test_duplicate_setting_last_table_wins(self):
-        tables = [shot_table(s, {"0": 10}, 10) for s in ("X", "Y", "Z")]
-        tables.append(shot_table("Z", {"1": 7}, 7))
-        assert expectations_from_tables(tables, 1)["Z"] == -1.0
+        table = ShotTable(("X", "Y", "Z", "Z"), [[10, 0]] * 3 + [[0, 7]], 37)
+        assert expectations_from_tables(table, 1)["Z"] == -1.0
+
+    def test_all_zero_row(self):
+        # An empty row is skipped; as the last row for its setting it
+        # hides an earlier one, and a later row replaces it.
+        counts_ = [[10, 0], [3, 4], [0, 5], [0, 0]]
+        table = ShotTable(("X", "Y", "Z", "Z"), counts_, 22)
+        with pytest.raises(ValueError, match="no shot table can estimate 'Z'"):
+            expectations_from_tables(table, 1)
+        counts_ = [[0, 0], [10, 0], [3, 4], [6, 2]]
+        table = ShotTable(("Z", "X", "Y", "Z"), counts_, 25)
+        expected = _assemble_by_loop(table, 1)
+        assert expectations_from_tables(table, 1) == expected
+        assert expected["Z"] == 0.5
 
     @pytest.mark.parametrize("setting", ["ZZ", "", "Q", "z"])
     def test_malformed_setting_rejected(self, setting):
-        tables = [shot_table(s, {"0": 5}, 5) for s in ("X", "Y", "Z")]
-        tables.append(shot_table(setting, {"0" * len(setting): 5}, 5))
+        # A stack holds settings of one width over X, Y and Z, and the
+        # assembly takes only a stack of its own width.
         with pytest.raises(ValueError, match="letters from X, Y, Z"):
-            expectations_from_tables(tables, 1)
+            ShotTable(("X", "Y", "Z", setting), np.full((4, 2), 5), 40)
+        with pytest.raises(ValueError, match="letters from X, Y, Z"):
+            expectations_from_tables(shot_table(setting, {"0" * len(setting): 5}, 5), 1)
 
     def test_malformed_outcome_rejected(self):
         # A table checks the length of its count vector when it is built,
@@ -488,7 +512,84 @@ class TestVectorisedAssembly:
             with pytest.raises(ValueError, match="'X' needs 2 counts"):
                 ShotTable("X", np.array(vector), 6)
 
+    def test_zero_qubits(self):
+        # A width-0 row, such as a one-bit table post-selected on its bit,
+        # estimates only the empty string.
+        table = ShotTable("Z", [3, 4], 7).postselect(0, 1)
+        assert expectations_from_tables(table, 0) == {"": 1.0}
+
     def test_unestimable_string_rejected(self):
-        tables = [shot_table("ZZ", {"00": 5}, 5), shot_table("XY", {"00": 0}, 0)]
+        table = ShotTable(("ZZ", "XY"), [[5, 0, 0, 0], [0, 0, 0, 0]], 5)
         with pytest.raises(ValueError, match="no shot table can estimate 'IX'"):
-            expectations_from_tables(tables, 2)
+            expectations_from_tables(table, 2)
+
+
+def _sweep_by_loop(circuit, shots, seed, noise):
+    """The per-setting loop that the stacked sweep replaced: each
+    setting's row drawn with numpy's own spawned child seed, then
+    post-selected as a table of its own."""
+    measured = list(circuit.system_qubits)
+    noiseless = noise is None or noise == NoiseModel()
+    state = (run_statevector(circuit) if noiseless
+             else run_density_matrix(circuit, noise))
+    ancilla = [] if circuit.ancilla is None else [circuit.ancilla]
+    settings_ = ["".join(s) + "Z" * len(ancilla)
+                 for s in itertools.product("XYZ", repeat=len(measured))]
+    dist = measure_in_basis(state, settings_, measured + ancilla)
+    children = np.random.SeedSequence(seed).spawn(len(settings_))
+    tables = []
+    for setting, child, p in zip(settings_, children, dist.probabilities):
+        table = ShotTable(setting, np.random.default_rng(child).multinomial(
+            shots, p / p.sum()), shots)
+        tables.append(table.postselect(len(measured), 1) if ancilla else table)
+    return tables
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("ancilla", [None, "first", "last"])
+    @pytest.mark.parametrize("num_system", [1, 2, 3, 4])
+    def test_matches_per_setting_loop(self, monkeypatch, num_system, ancilla, noisy):
+        """The stacked sweep's count matrix and expectations equal the
+        per-setting loop's tables, row for row, and their per-string
+        assembly."""
+        num_qubits = num_system + (ancilla is not None)
+        anc = {None: None, "first": 0, "last": num_qubits - 1}[ancilla]
+        system = [q for q in range(num_qubits) if q != anc]
+        gates = [u3(q, 0.3 + 0.4 * q, 0.2, -0.1 * q) for q in system]
+        gates += [cu3(a, b, 0.7, 0.1, 0.2) for a, b in zip(system, system[1:])]
+        if anc is not None:
+            gates += [x(anc), u3(anc, 0.5, 0.1, 0.0)]
+            gates += [cu3(anc, q, 0.4 + 0.1 * q, 0.0, 0.0) for q in system]
+        circuit = Circuit(num_qubits, gates, anc)
+        noise = NoiseModel(0.01, 0.02, 0.03) if noisy else None
+        assembled = []
+
+        def capture(table, m):
+            assembled.append(table)
+            return expectations_from_tables(table, m)
+
+        monkeypatch.setattr(hetverify.tomography, "expectations_from_tables", capture)
+        for seed in (0, 7):
+            assembled.clear()
+            got = tomography_sweep(circuit, shots=256, seed=seed, noise=noise)
+            rows = _sweep_by_loop(circuit, 256, seed, noise)
+            reference = ShotTable([r.settings[0] for r in rows],
+                                  np.concatenate([r.counts for r in rows]),
+                                  sum(r.shots for r in rows))
+            assert assembled == [reference]
+            assert got == _assemble_by_loop(reference, num_system)
+
+    def test_empty_postselection_names_first_empty_setting(self):
+        # The ancilla reads 1 half the time, so one shot leaves some
+        # settings empty, not always the first.
+        circuit = Circuit(3, [u3(2, PI / 2, 0, 0), u3(0, 0.3, 0, 0)], ancilla=2)
+        firsts = []
+        for seed in range(8):
+            rows = _sweep_by_loop(circuit, 1, seed, None)
+            first = next(i for i, r in enumerate(rows) if r.shots == 0)
+            firsts.append(first)
+            message = f"setting '{rows[first].settings[0]}': .* kept 0 of 1 shots"
+            with pytest.raises(ValueError, match=message):
+                tomography_sweep(circuit, shots=1, seed=seed)
+        assert max(firsts) > 0
