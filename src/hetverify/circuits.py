@@ -366,9 +366,9 @@ class ShotTable:
 
     Row i of the k x 2^w `counts` matrix counts the outcomes of
     settings[i], letters from X, Y and Z, in index order, qubit 0 the
-    most significant bit; all rows sum to `shots`.  A string setting with
-    a count vector is a one-row stack.  An int64 array is stored without
-    a copy and made read-only."""
+    most significant bit; all rows sum to `shots`, below 2^63, so no int64
+    sum of counts wraps.  A string setting with a count vector is a one-row
+    stack.  An int64 array is stored without a copy and made read-only."""
 
     settings: tuple
     counts: np.ndarray
@@ -388,9 +388,13 @@ class ShotTable:
         if counts.shape != (len(settings), 2**width)[one:]:
             raise ValueError(f"setting {settings[0]!r} needs {2**width} counts per "
                              f"row, {len(settings)} rows, got shape {counts.shape}")
-        if counts.min() < 0 or int(counts.sum()) != self.shots:
+        # As uint64 a negative count is at least 2^63, so if no count exceeds
+        # its share of 2^63 - 1, none is negative and the int64 sum is exact.
+        small = counts.view(np.uint64).max() <= (2**63 - 1) // counts.size
+        total = int(counts.sum()) if small else sum(counts.ravel().tolist())
+        if (not small and counts.min() < 0) or total != self.shots or total >= 2**63:
             raise ValueError("counts must be non-negative and sum to the declared "
-                             "shot total")
+                             "shot total, below 2^63")
         counts.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts.reshape(1, -1) if one else counts)

@@ -1,21 +1,24 @@
 """Linear-inversion state tomography from basis-resolved shot counts.
 
 An expectation set maps Pauli strings (over I/X/Y/Z) to real expectation
-values.  Reconstruction is the standard Pauli sum
-rho = (1/2^m) * sum_P <P> P, computed as one product of the expectation
-vector with the stacked Pauli-string matrices of `_pauli_stack`; the
-single-qubit Bloch formula is its m = 1 case.
+values.  Every string is P = i^#Y X^x Z^z for two m-bit masks x and z,
+qubit 0 the most significant bit, so P[i ^ x, i] = i^#Y (-1)^popcount(z & i)
+and every other entry is 0.  `_pauli_frame` holds that form once per m:
+each string's cell (x, z), its phase i^#Y, the flat index of entry
+[i ^ x, i], and the +-1 Walsh matrix H, whose entry (b, a) is
+(-1)^popcount(b & a).  Reconstruction is the standard Pauli sum
+rho = (1/2^m) * sum_P <P> P: put <P> i^#Y at cell (x, z) of a matrix C,
+and rho[i ^ x, i] = (C H)[x, i] / 2^m.  The single-qubit Bloch formula is
+its m = 1 case.
 
-Counts are assembled into expectations with a Walsh-Hadamard transform.
-A shot table's count matrix, a row per setting indexed by outcome with
-qubit 0 the most significant bit, is multiplied once by the +-1 matrix
-H^{(x)m}, whose entry (b, a) is the parity (-1)^popcount(b & a): that
-gives every subset parity sum of every setting, and no outcome label is
-read.  A Pauli string reads the column of its non-identity positions, a,
-from every setting that matches its non-identity letters, and the
-shot-weighted mean over those settings is its estimate.  Which string
-each setting estimates from each column depends only on m and is worked
-out once.
+Counts are assembled into expectations with the same H.  A shot table's
+count matrix, a row per setting indexed by outcome with qubit 0 the most
+significant bit, is multiplied once by H: that gives every subset parity
+sum of every setting, and no outcome label is read.  A Pauli string reads
+the column of its non-identity positions, a, from every setting that
+matches its non-identity letters, and the shot-weighted mean over those
+settings is its estimate.  Which cell each setting estimates from each
+column depends only on m and is held in the frame.
 
 The sweep always measures the circuit's system qubits and post-selects
 on the ancilla, if there is one, reading 1, with one call of each layer
@@ -26,21 +29,22 @@ is the last readout bit, so post-selection keeps every second column of
 the count matrix.  The exact sweep (shots=None) needs no counts.  It
 conditions the circuit's density matrix, readout flips included, on the
 ancilla, which leaves exactly the system qubits in ascending order, and
-reads all 4^m expectations Tr(P rho) in one contraction with the same
-stack.  Reconstruction is the inverse contraction over that stack, so an
-exact sweep followed by reconstruction returns the conditioned state.
+reads all 4^m expectations Tr(P rho) = i^#Y (G H)[x, z], with
+G[x, i] = rho[i, i ^ x], from one gather and one product.
+Reconstruction is the inverse, so an exact sweep followed by
+reconstruction returns the conditioned state.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .circuits import (
     Circuit,
     NoiseModel,
-    _embed,
     measure_in_basis,
     run_density_matrix,
     run_statevector,
@@ -52,14 +56,6 @@ from .states import DensityMatrix, condition_on_ancilla
 
 MAX_MEASURED_QUBITS = 4
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_WALSH_2 = np.array([[1, 1], [1, -1]], dtype=complex)  # unnormalized Hadamard
-
 
 @lru_cache(maxsize=None)
 def pauli_strings(num_qubits: int) -> tuple:
@@ -68,41 +64,34 @@ def pauli_strings(num_qubits: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _pauli_stack(num_qubits: int) -> np.ndarray:
-    """Matrices of pauli_strings(num_qubits), stacked in that order."""
-    dim = 2**num_qubits
-    stack = np.empty((dim * dim, dim, dim), dtype=complex)
-    for pauli, string in zip(stack, pauli_strings(num_qubits)):
-        pauli[...] = _embed({q: PAULI_MATRICES[letter]
-                             for q, letter in enumerate(string)}, num_qubits)
-    stack.setflags(write=False)  # shared by every caller
-    return stack
+def _pauli_frame(num_qubits: int):
+    """Read-only x/z tables shared by every user over `num_qubits` qubits.
 
-
-@lru_cache(maxsize=None)
-def _assembly_layout(num_qubits: int):
-    """Read-only arrays shared by every assembly over `num_qubits` qubits.
-
-    Returns (strings, index, hits, walsh): the 4^m - 1 non-identity
-    Pauli strings in pauli_strings order, and for the subsets a = 1, ...,
-    2^m - 1 of a setting's letters (qubit 0 the most significant bit),
-    hits[index[setting], a - 1], the string that keeps those letters and
-    sets the rest to I, and walsh[b, a - 1] = (-1)^popcount(b & a).
+    Returns (cells, phase, lift, walsh, hits, index): each string's cell
+    x * 2^m + z and its phase i^#Y, in pauli_strings order; lift[x, i],
+    the flat index of entry [i ^ x, i] of a 2^m x 2^m matrix;
+    walsh[b, a] = (-1)^popcount(b & a); and for each subset a of a
+    setting's letters, hits[index[setting], a], the cell of the string
+    that keeps those letters and sets the rest to I.
     """
-    strings = pauli_strings(num_qubits)[1:]
-    bases = np.array(list(itertools.product(range(1, 4), repeat=num_qubits)), dtype=int)
-    order = np.arange(num_qubits - 1, -1, -1)  # qubit 0 the most significant
-    subsets = np.arange(1, 2**num_qubits)[:, None] >> order & 1
-    # A string's index in base 4, less the all-identity string before it.
-    hits = (bases[:, None, :] * subsets) @ 4**order - 1
-    index = {"".join(s): i for i, s in
+    dim = 2**num_qubits
+    weights = 1 << np.arange(num_qubits - 1, -1, -1)  # qubit 0 the most significant
+    # One row of letter codes per string, I, X, Y, Z as 0-3.
+    codes = np.array(list(itertools.product(range(4), repeat=num_qubits)), dtype=int)
+    x, z = (codes % 3 > 0) @ weights, (codes > 1) @ weights
+    outcomes = np.arange(dim)
+    bits = (outcomes[:, None] & weights > 0).astype(int)
+    settings = (codes > 0).all(axis=1)
+    index = {"".join(s): row for row, s in
              enumerate(itertools.product("XYZ", repeat=num_qubits))}
-    # Every entry is exactly +-1, so the real part of the complex chain is exact.
-    full = _embed(dict.fromkeys(range(num_qubits), _WALSH_2), num_qubits)
-    walsh = full.real[:, 1:].copy()
-    for array in (hits, walsh):
+    arrays = (x * dim + z,
+              np.array([1, 1j, -1, -1j])[(codes == 2).sum(axis=1) % 4],
+              (outcomes[:, None] ^ outcomes) * dim + outcomes,
+              1.0 - 2 * (bits @ bits.T & 1),
+              (x[settings, None] & outcomes) * dim + (z[settings, None] & outcomes))
+    for array in arrays:
         array.setflags(write=False)
-    return strings, index, hits, walsh
+    return (*arrays, MappingProxyType(index))
 
 
 def expectations_from_tables(table, num_qubits: int) -> dict:
@@ -112,7 +101,7 @@ def expectations_from_tables(table, num_qubits: int) -> dict:
     setting, weighted by shot count; rows with no shots are skipped,
     and a later row for a setting replaces an earlier one.
     """
-    strings, index, hits, walsh = _assembly_layout(num_qubits)
+    cells, _, _, walsh, hits, index = _pauli_frame(num_qubits)
     if len(table.settings[0]) != num_qubits:
         raise ValueError(f"setting {table.settings[0]!r} is not {num_qubits} "
                          "letters from X, Y, Z")
@@ -123,16 +112,18 @@ def expectations_from_tables(table, num_qubits: int) -> dict:
     shots = np.array([row_shots[row] for row in used], dtype=float)[:, None]
     # Each row's estimates times its shots, from exact integer products.
     # bincount adds them row by row, so every partial sum rounds exactly
-    # as in a per-string loop over the rows' parity averages.
+    # as in a per-string loop over the rows' parity averages.  Column 0
+    # sums each row to its shots, so the identity reads exactly 1.
     weighted = (table.counts[used] @ walsh) / shots * shots
     targets = hits[[index[table.settings[row]] for row in used]].ravel()
-    num = np.bincount(targets, weighted.ravel(), len(strings))
-    den = np.bincount(targets, shots.repeat(walsh.shape[1]), len(strings))
+    num = np.bincount(targets, weighted.ravel(), walsh.size)
+    den = np.bincount(targets, shots.repeat(len(walsh)), walsh.size)
+    strings = pauli_strings(num_qubits)
     if not den.all():
-        raise ValueError(f"no shot table can estimate {strings[den.argmin()]!r}")
-    expectations = {"I" * num_qubits: 1.0}
-    expectations.update(zip(strings, (num / den).tolist()))
-    return expectations
+        # The identity lacks shots only if every string does; then name the next.
+        missing = den[cells[1:]].argmin() + 1 if len(cells) > 1 else 0
+        raise ValueError(f"no shot table can estimate {strings[missing]!r}")
+    return dict(zip(strings, (num / den)[cells].tolist()))
 
 
 def reconstruct_single_qubit(expectations: dict) -> DensityMatrix:
@@ -147,10 +138,13 @@ def reconstruct_multi_qubit(expectations: dict, num_qubits: int) -> DensityMatri
     except KeyError as err:
         raise ValueError("incomplete expectation set, "
                          f"missing e.g. {err.args[0]!r}") from None
-    dim = 2**num_qubits
-    mat = (np.array(values) @ _pauli_stack(num_qubits).reshape(dim * dim, -1)
-           ).reshape(dim, dim)
-    mat = (mat + mat.conj().T) / (2 * dim)
+    cells, phase, lift, walsh = _pauli_frame(num_qubits)[:4]
+    coeffs = np.empty(walsh.size, dtype=complex)
+    coeffs[cells] = np.array(values) * phase
+    # lift pairs [x, i] with [i ^ x, i] both ways, so one gather places
+    # every row.  Row x's columns i and i ^ x sum the same terms, the second
+    # conjugated, so real expectations give a Hermitian matrix.
+    mat = np.dot(coeffs.reshape(walsh.shape), walsh).take(lift) / len(walsh)
     return DensityMatrix(num_qubits, mat)
 
 
@@ -179,7 +173,9 @@ def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
         rho = run_density_matrix(circuit, noise)
         if postselect:
             rho = condition_on_ancilla(rho, circuit.ancilla)
-        values = np.einsum("kij,ji->k", _pauli_stack(len(measured)), rho.matrix)
+        cells, phase, lift, walsh = _pauli_frame(len(measured))[:4]
+        # G[x, i] = rho[i, i ^ x], the transpose's entry [i ^ x, i].
+        values = phase * (rho.matrix.T.take(lift) @ walsh).take(cells)
         return dict(zip(pauli_strings(len(measured)), values.real.tolist()))
 
     state = (run_statevector(circuit) if noise == NoiseModel()

@@ -6,6 +6,14 @@ import pytest
 from hetverify.circuits import ShotTable, _outcomes
 from hetverify.states import DensityMatrix, StateVector, partial_trace
 
+# The single-qubit Pauli matrices, the oracle for the Pauli-string tables.
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
 
 @pytest.fixture
 def rng():

@@ -32,9 +32,8 @@ from hetverify.circuits import (
     x,
 )
 from hetverify.states import StateVector
-from hetverify.tomography import PAULI_MATRICES
 
-from conftest import counts, random_density, random_pure, shot_table
+from conftest import PAULI_MATRICES, counts, random_density, random_pure, shot_table
 
 PI = math.pi
 
@@ -525,6 +524,20 @@ class TestShotTable:
             shot_table("Z", {"0": 3, "1": 4}, 8)
         with pytest.raises(ValueError, match="sum to the declared shot total"):
             ShotTable("Z", np.array([3, 4]), 6)
+
+    @pytest.mark.parametrize("rows,shots", [
+        ([[2**62, 2**62]], -(2**63)),  # the int64 sum wraps to the total
+        ([[2**62, 2**62]] * 2, 0),
+        ([[2**62, 2**62]], 2**63),  # exact, but past int64
+        ([[2**63 - 1, 1]], 2**63),
+    ], ids=str)
+    def test_total_is_exact_and_fits_int64(self, rows, shots):
+        with pytest.raises(ValueError, match="sum to the declared shot total"):
+            ShotTable(("X", "Y")[:len(rows)], rows, shots)
+
+    def test_largest_total_is_accepted(self):
+        table = ShotTable(("X", "Y"), [[2**62, 2**62 - 1], [0, 0]], 2**63 - 1)
+        assert table.postselect(0, 1).shots == 2**62 - 1
 
     def test_vector_length_must_match_setting(self):
         with pytest.raises(ValueError, match="'XZ' needs 4 counts"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from hetverify.circuits import (
 from hetverify.metrics import trace_distance
 from hetverify.states import StateVector
 from hetverify.tomography import (
-    PAULI_MATRICES,
-    _assembly_layout,
-    _pauli_stack,
+    _pauli_frame,
     expectations_from_tables,
     pauli_strings,
     reconstruct_multi_qubit,
@@ -38,7 +37,15 @@ from hetverify.protocols import (
     single_mode_circuit,
 )
 
-from conftest import counts, marginals, random_pure, shot_table
+from conftest import (
+    PAULI_MATRICES,
+    counts,
+    marginals,
+    random_density,
+    random_pure,
+    random_unphysical,
+    shot_table,
+)
 
 PI = math.pi
 
@@ -118,7 +125,7 @@ class TestSingleQubitReconstruction:
         for _ in range(50):
             state = random_pure(rng, 1).density()
             ex = {
-                p: float(np.real(np.trace(_pauli(p) @ state.matrix)))
+                p: float(np.real(np.trace(PAULI_MATRICES[p] @ state.matrix)))
                 for p in ("X", "Y", "Z")
             }
             bloch = reconstruct_single_qubit(ex)
@@ -128,12 +135,6 @@ class TestSingleQubitReconstruction:
                 [[1 + ex["Z"], ex["X"] - 1j * ex["Y"]],
                  [ex["X"] + 1j * ex["Y"], 1 - ex["Z"]]])
             np.testing.assert_allclose(bloch.matrix, formula, rtol=0, atol=1e-12)
-
-
-def _pauli(letter):
-    from hetverify.tomography import PAULI_MATRICES
-
-    return PAULI_MATRICES[letter]
 
 
 class TestMultiQubitReconstruction:
@@ -174,14 +175,24 @@ class TestMultiQubitReconstruction:
             atol=1e-12)
 
 
+def kron_chain(factors):
+    full = np.ones((1, 1))
+    for factor in factors:
+        full = np.kron(full, factor)
+    return full
+
+
+def kron_stack(num_qubits):
+    """Every Pauli string's matrix as an np.kron chain, in pauli_strings order."""
+    return np.array([kron_chain([PAULI_MATRICES[p] for p in s])
+                     for s in pauli_strings(num_qubits)])
+
+
 def _reconstruct_by_loop(expectations, num_qubits):
-    """The per-string Pauli sum that the stacked product replaced."""
+    """The per-string Pauli sum over the np.kron matrices."""
     dim = 2**num_qubits
     mat = np.zeros((dim, dim), dtype=complex)
-    for string in pauli_strings(num_qubits):
-        pauli = np.array([[1.0 + 0j]])
-        for letter in string:
-            pauli = np.kron(pauli, PAULI_MATRICES[letter])
+    for string, pauli in zip(pauli_strings(num_qubits), kron_stack(num_qubits)):
         mat += expectations[string] * pauli
     mat /= dim
     return (mat + mat.conj().T) / 2
@@ -189,32 +200,70 @@ def _reconstruct_by_loop(expectations, num_qubits):
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
 def test_kronecker_tables_match_np_kron_bytewise(num_qubits):
-    """The Pauli stack and the Walsh matrix come from `_embed`; every
-    entry is 0, +-1 or +-i, so they equal the np.kron chains byte for
+    """Each string's np.kron matrix P has P[i ^ x, i] = i^#Y (-1)^popcount(z & i)
+    exactly at the frame's cell (x, z), flat index lift[x, i] and phase,
+    and 0 elsewhere; the Walsh matrix equals its np.kron chain byte for
     byte, signed zeros included."""
-    def kron_chain(factors):
-        full = np.ones((1, 1))
-        for factor in factors:
-            full = np.kron(full, factor)
-        return full
+    cells, phase, lift, walsh = _pauli_frame(num_qubits)[:4]
+    dim = 2**num_qubits
+    for pauli, cell, unit in zip(kron_stack(num_qubits), cells, phase):
+        x, z = divmod(int(cell), dim)
+        signs = [(-1) ** bin(z & i).count("1") for i in range(dim)]
+        assert lift[x].tolist() == [(i ^ x) * dim + i for i in range(dim)]
+        assert np.array_equal(pauli.ravel()[lift[x]], unit * np.array(signs))
+        assert not np.delete(pauli.ravel(), lift[x]).any()
+    assert walsh.tobytes() == kron_chain([[[1.0, 1.0], [1.0, -1.0]]] * num_qubits).tobytes()
 
-    stack = [kron_chain([np.array([[1.0 + 0j]])] + [PAULI_MATRICES[p] for p in s])
-             for s in pauli_strings(num_qubits)]
-    assert _pauli_stack(num_qubits).tobytes() == np.array(stack).tobytes()
-    walsh = kron_chain([[[1.0, 1.0], [1.0, -1.0]]] * num_qubits)
-    # The layout keeps the columns of the non-empty subsets only.
-    assert _assembly_layout(num_qubits)[3].tobytes() == walsh[:, 1:].tobytes()
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_exact_expectations_match_kron_einsum(monkeypatch, rng, num_qubits):
+    # The exact sweep reads only rho.matrix, so any complex matrix can
+    # stand in for the simulated state: Tr(P rho) must not assume that
+    # rho is exactly Hermitian.
+    dim = 2**num_qubits
+    general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for matrix in (random_density(rng, num_qubits).matrix,
+                   random_unphysical(rng, num_qubits).matrix, general):
+        monkeypatch.setattr(hetverify.tomography, "run_density_matrix",
+                            lambda circuit, noise: SimpleNamespace(matrix=matrix))
+        got = tomography_sweep(Circuit(num_qubits), shots=None)
+        want = np.einsum("kij,ji->k", kron_stack(num_qubits), matrix).real
+        assert list(got) == list(pauli_strings(num_qubits))
+        np.testing.assert_allclose(list(got.values()), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", range(3))
 def test_reconstruction_matches_per_string_loop(num_qubits, seed):
+    # Uniform expectations in [-1, 1] are almost never a physical state;
+    # the second set does not fix the identity's 1 either.
     rng = np.random.default_rng(seed)
     ex = {p: float(rng.uniform(-1, 1)) for p in pauli_strings(num_qubits)}
-    ex["I" * num_qubits] = 1.0
-    np.testing.assert_allclose(reconstruct_multi_qubit(ex, num_qubits).matrix,
-                               _reconstruct_by_loop(ex, num_qubits),
-                               rtol=0, atol=1e-12)
+    for identity in (1.0, ex["I" * num_qubits]):
+        ex["I" * num_qubits] = identity
+        mat = reconstruct_multi_qubit(ex, num_qubits).matrix
+        np.testing.assert_allclose(mat, _reconstruct_by_loop(ex, num_qubits),
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(mat, mat.conj().T)
+
+
+class TestPauliFrameCache:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_cached_frame_is_read_only(self, num_qubits):
+        frame = _pauli_frame(num_qubits)
+        assert all(a is b for a, b in zip(_pauli_frame(num_qubits), frame))
+        cells, phase, lift, walsh, hits, index = frame
+        for array in (cells, phase, lift, walsh, hits):
+            assert not array.flags.writeable
+        with pytest.raises(TypeError):
+            index["X" * num_qubits] = 0
+
+    def test_frame_stays_small(self):
+        # Every table at m = 4 together, against 1 MiB for the 256 dense
+        # 16 x 16 matrices that the frame replaced.
+        arrays = [a for a in _pauli_frame(4) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5
+        assert sum(a.nbytes for a in arrays) < 64 * 1024
 
 
 def five_qubit_circuit():
@@ -517,11 +566,19 @@ class TestVectorisedAssembly:
         # estimates only the empty string.
         table = ShotTable("Z", [3, 4], 7).postselect(0, 1)
         assert expectations_from_tables(table, 0) == {"": 1.0}
+        # With no shots at all, even the identity has no estimate.
+        with pytest.raises(ValueError, match="no shot table can estimate ''"):
+            expectations_from_tables(ShotTable("Z", [3, 0], 3).postselect(0, 1), 0)
 
     def test_unestimable_string_rejected(self):
         table = ShotTable(("ZZ", "XY"), [[5, 0, 0, 0], [0, 0, 0, 0]], 5)
         with pytest.raises(ValueError, match="no shot table can estimate 'IX'"):
             expectations_from_tables(table, 2)
+        # The identity reads every row; the error still names a Pauli
+        # string when no row has shots.
+        empty = ShotTable(("ZZ", "XY"), np.zeros((2, 4), dtype=np.int64), 0)
+        with pytest.raises(ValueError, match="no shot table can estimate 'IX'"):
+            expectations_from_tables(empty, 2)
 
 
 def _sweep_by_loop(circuit, shots, seed, noise):
