@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -58,11 +59,10 @@ class Gate:
         if self.kind not in ("x", "u3", "cu3"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        where = f"{self.kind} gate on qubits {self.qubits}"
         try:
-            object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+            object.__setattr__(self, "angles", tuple(map(float, self.angles)))
         except OverflowError:  # an integer past the float range
-            raise ValueError(f"{where}: angles must be finite") from None
+            raise self._invalid("angles must be finite") from None
         expected = 2 if self.kind == "cu3" else 1
         if len(self.qubits) != expected:
             raise ValueError(f"{self.kind} gate acts on {expected} qubit(s)")
@@ -70,10 +70,12 @@ class Gate:
             raise ValueError("control and target must differ")
         num_angles = 0 if self.kind == "x" else 3
         if len(self.angles) != num_angles:
-            raise ValueError(f"{where}: takes {num_angles} angles, "
-                             f"got {len(self.angles)}")
-        if any(not np.isfinite(a) for a in self.angles):
-            raise ValueError(f"{where}: angles must be finite")
+            raise self._invalid(f"takes {num_angles} angles, got {len(self.angles)}")
+        if not all(map(math.isfinite, self.angles)):
+            raise self._invalid("angles must be finite")
+
+    def _invalid(self, problem: str) -> ValueError:
+        return ValueError(f"{self.kind} gate on qubits {self.qubits}: {problem}")
 
     def matrix_2x2(self) -> np.ndarray:
         """Local action on the target qubit."""
@@ -294,7 +296,7 @@ def _rotation_stack(settings: tuple, qubits: tuple, num_qubits: int) -> np.ndarr
     return stack
 
 
-def measure_in_basis(state, setting, qubits=None) -> ProbabilityDistribution:
+def measure_in_basis(state, setting, qubits=None):
     """Outcome distribution of measuring `qubits` in the given bases.
 
     `setting` is one letter from {X, Y, Z} per measured qubit; X and Y
@@ -302,16 +304,22 @@ def measure_in_basis(state, setting, qubits=None) -> ProbabilityDistribution:
     by a Z readout.  Unmeasured qubits are marginalized.  A sequence of
     settings gives one distribution with a row per setting, computed as
     stacked products over blocks of at most 9 cached rotations; each row
-    has the bytes that its setting measured alone would give.  For a
-    density matrix, the conjugated rotations and both products of every
-    block go into three work arrays allocated once per call: arrays
-    allocated per block would be returned to the operating system and
-    page-faulted back in at the next block.  `qubits` must be distinct
-    indices of the state.
+    has the bytes that its setting measured alone would give.  A list or
+    tuple of states of one kind and size gives a list of their
+    distributions, each as the state measured alone.  For density
+    matrices, the conjugated rotations and both products of every block
+    go into three work arrays allocated once per call: arrays allocated
+    per block would be returned to the operating system and page-faulted
+    back in at the next block.  `qubits` must be distinct state indices.
     """
-    if not isinstance(state, (StateVector, DensityMatrix)):
-        raise TypeError(f"cannot measure a {type(state).__name__}")
-    num_qubits = state.num_qubits
+    states = list(state) if isinstance(state, (list, tuple)) else [state]
+    for one in states:
+        if not isinstance(one, (StateVector, DensityMatrix)):
+            raise TypeError(f"cannot measure a {type(one).__name__}")
+    layouts = {(type(one), one.num_qubits) for one in states}
+    if len(layouts) != 1:
+        raise ValueError("need at least one state, all of one kind and size")
+    (kind, num_qubits), = layouts
     qubits = tuple(range(num_qubits)) if qubits is None else tuple(qubits)
     if len(set(qubits)) != len(qubits) or not set(qubits) <= set(range(num_qubits)):
         raise ValueError(f"cannot measure qubits {list(qubits)}: each must be a "
@@ -327,31 +335,36 @@ def measure_in_basis(state, setting, qubits=None) -> ProbabilityDistribution:
         raise ValueError(f"invalid basis character(s) {sorted(bad)}")
 
     dim = 2**num_qubits
-    probs_full = np.empty((len(settings), dim))
-    if isinstance(state, DensityMatrix):
+    probs_full = np.empty((len(states), len(settings), dim))
+    if kind is DensityMatrix:
         conj, left, both = (np.empty((min(_BLOCK, len(settings)), dim, dim), complex)
                             for _ in range(3))
     for start in range(0, len(settings), _BLOCK):
         rot = _rotation_stack(settings[start:start + _BLOCK], qubits, num_qubits)
         k = len(rot)
-        if isinstance(state, StateVector):
-            probs_full[start:start + k] = np.abs(rot @ state.amplitudes) ** 2
-        else:
-            np.conjugate(rot, out=conj[:k])
-            np.matmul(rot, state.matrix, out=left[:k])
+        if kind is StateVector:
+            # A matrix-vector product per state and setting, as for one state alone.
+            amps = np.array([one.amplitudes for one in states])[:, None, :, None]
+            probs_full[:, start:start + k] = np.abs(rot @ amps)[..., 0] ** 2
+            continue
+        np.conjugate(rot, out=conj[:k])
+        for row, one in enumerate(states):
+            np.matmul(rot, one.matrix, out=left[:k])
             np.matmul(left[:k], conj[:k].transpose(0, 2, 1), out=both[:k])
-            probs_full[start:start + k] = np.diagonal(both[:k], axis1=1, axis2=2).real
+            probs_full[row, start:start + k] = np.diagonal(both[:k], axis1=1, axis2=2).real
 
-    tensor = probs_full.reshape((len(settings),) + (2,) * num_qubits)
+    tensor = probs_full.reshape((-1,) + (2,) * num_qubits)
     unmeasured = tuple(1 + q for q in range(num_qubits) if q not in qubits)
     marginal = tensor.sum(axis=unmeasured) if unmeasured else tensor
     # Report outcomes in the caller's qubit order.
     kept = [q for q in range(num_qubits) if q in qubits]
     marginal = marginal.transpose([0] + [1 + kept.index(q) for q in qubits])
-    marginal = np.clip(marginal.reshape(len(settings), -1), 0.0, None)
+    marginal = np.clip(marginal.reshape(len(tensor), -1), 0.0, None)
     marginal /= marginal.sum(axis=1, keepdims=True)
-    return ProbabilityDistribution(_outcomes(len(qubits)),
-                                   marginal[0] if isinstance(setting, str) else marginal)
+    dists = [ProbabilityDistribution(_outcomes(len(qubits)),
+                                     probs[0] if isinstance(setting, str) else probs)
+             for probs in marginal.reshape(len(states), len(settings), -1)]
+    return dists if isinstance(state, (list, tuple)) else dists[0]
 
 
 @lru_cache(maxsize=None)
@@ -417,9 +430,10 @@ class ShotTable:
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """`seed` itself if it is a SeedSequence, else a new one built from it."""
+    """A new SeedSequence built from `seed`.  A SeedSequence `seed` is copied,
+    so spawning from the copy leaves `seed` where it was."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(**seed.state)
     return np.random.SeedSequence(seed)
 
 
@@ -487,36 +501,52 @@ def _state_words_type() -> type:
     return StateWords
 
 
-def spawn_generators(seed, count: int) -> list:
+def spawn_generators(seed, count) -> list:
     """The Generators `[default_rng(c) for c in seed_sequence(seed).spawn(count)]`,
-    in the same PCG64 states, without advancing a SeedSequence `seed`.
+    in the same PCG64 states, leaving a SeedSequence `seed` unadvanced.  A list
+    or tuple `seed` is a sequence of seeds (list entropy must come as a
+    SeedSequence), with `count` one int per seed or one for all, and gives
+    one such list per seed.
 
     A child's entropy words are its parent's, zero-padded to the pool
-    size, then its parent's spawn key and last its index; each index
-    fits in one 32-bit word.  Only that last word differs between
-    children, so numpy hashes the words before it into a pool once, as
-    the entropy of a SeedSequence with no spawn key.  The index column
-    is mixed into that pool, and each child's 8 `generate_state` words
-    produced, for all children at once.  numpy's own PCG64 is seeded
-    from those words, so unlike spawn's Generators these cannot spawn.
+    size, then its parent's spawn key and last its index, which fits in
+    one 32-bit word.  numpy hashes a pool word past the entropy as 0, so
+    the parent's own pool is the hash of every word before the index.
+    The index column is mixed into the pools, and each child's 8
+    `generate_state` words produced, for all children at once.  numpy's
+    own PCG64 is seeded from those words, so unlike spawn's Generators
+    these cannot spawn.
     """
-    seed = seed_sequence(seed)
-    size = seed.pool_size
-    words = _entropy_words(seed.entropy)
-    words += [0] * (size - len(words)) + _entropy_words(seed.spawn_key)
-    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32), pool_size=size).pool
-    # Each entropy word takes `size` hashmix calls, and so does the index.
-    consts = _hash_consts(_INIT_A, _MULT_A, size * len(words), size)
-    slot = [i % size for i in range(8)]
-    start = seed.n_children_spawned
-    index = np.arange(start, start + count, dtype=np.uint32)[:, None]
-    state = _hashmix(_mix(pool[slot], _hashmix(index, consts[slot], consts[1:][slot])),
+    many = isinstance(seed, (list, tuple))
+    # Only read, never spawned from, so a SeedSequence needs no copy here.
+    seeds = [one if isinstance(one, np.random.SeedSequence) else np.random.SeedSequence(one)
+             for one in (seed if many else [seed])]
+    counts = [count] * len(seeds) if isinstance(count, (int, np.integer)) else list(count)
+    rows, index, consts = [], [], {}
+    for one, n in zip(seeds, counts):
+        size = one.pool_size
+        # The words before a child's index, the entropy padded to the pool size
+        # and the spawn key, take `size` hashmix calls each, as does the index.
+        num_words = (max(len(_entropy_words(one.entropy)), size)
+                     + len(_entropy_words(one.spawn_key)))
+        key, slot = (size, num_words), [i % size for i in range(8)]
+        if key not in consts:
+            consts[key] = _hash_consts(_INIT_A, _MULT_A, size * num_words, size).tolist()
+        rows.append(one.pool[slot].tolist() + [consts[key][i + j] for j in (0, 1) for i in slot])
+        index += range(one.n_children_spawned, one.n_children_spawned + n)
+    # A row per child: its seed's pool and hash constants, and its index.
+    pool, now, after = (np.array(rows, dtype=np.uint32).reshape(-1, 3, 8)
+                        .swapaxes(0, 1).repeat(counts, axis=1))
+    index = np.array(index, dtype=np.uint32)[:, None]
+    state = _hashmix(_mix(pool, _hashmix(index, now, after)),
                      _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
     # generate_state pairs the words little-endian; PCG64 reads each
     # row's memory, which the C-ordered result keeps contiguous.
     state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     state_words = _state_words_type()
-    return [np.random.Generator(np.random.PCG64(state_words(row))) for row in state]
+    generators = [np.random.Generator(np.random.PCG64(state_words(row))) for row in state]
+    lists = [generators[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
+    return lists if many else lists[0]
 
 
 def sample_shots(probabilities, shots: int, seed, settings=None) -> ShotTable:

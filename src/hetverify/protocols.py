@@ -184,10 +184,10 @@ def _reconstruct_copies(circuit: Circuit, copies: int, shots, seed,
                         noise) -> list:
     """Tomograph `copies` runs of `circuit` over its system qubits, one
     child seed of `seed` per copy."""
-    return [reconstruct_multi_qubit(
-                tomography_sweep(circuit, shots=shots, seed=child, noise=noise),
-                len(circuit.system_qubits))
-            for child in seed_sequence(seed).spawn(copies)]
+    sweeps = tomography_sweep([circuit] * copies, shots=shots,
+                              seed=seed_sequence(seed).spawn(copies), noise=noise)
+    return [reconstruct_multi_qubit(expectations, len(circuit.system_qubits))
+            for expectations in sweeps]
 
 
 def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
@@ -278,8 +278,7 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
     input_targets = _input_targets(
         ["1"] * n_photons + ["0"] * (m_modes - n_photons))
     group, recons, target = _multi_mode_group(
-        circuit, "N", zeta, 1, input_targets, shots,
-        seed_sequence(seed), noise)
+        circuit, "N", zeta, 1, input_targets, shots, seed, noise)
     raw = recons[0]
     f_global = group["copy_fidelities"][0]
     rho = project_to_physical(raw)

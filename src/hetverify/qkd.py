@@ -109,26 +109,26 @@ def bell_qkd_circuit(encode: str, decode: str, mode) -> Circuit:
                         + _bell_encode_gates(decode)[::-1], mode)
 
 
-def _decoded_fidelity(circuit: Circuit, bits: str, shots, seed, noise) -> float:
-    """Fidelity of the tomographed system register against |bits>."""
-    expectations = tomography_sweep(circuit, shots=shots, seed=seed, noise=noise)
-    reconstruction = reconstruct_multi_qubit(expectations, len(bits))
-    return fidelity(reconstruction, StateVector.computational(bits))
+def _decoded_fidelities(circuits, bits: str, shots, seeds, noise) -> list:
+    """Fidelity of each circuit's tomographed system register against |bits>."""
+    sweeps = tomography_sweep(circuits, shots=shots, seed=seeds, noise=noise)
+    target = StateVector.computational(bits)
+    return [fidelity(reconstruct_multi_qubit(ex, len(bits)), target) for ex in sweeps]
 
 
 def qkd_single_run(initial, encode: str, decode: str, mode,
                    shots: int = None, seed: int = 0,
                    noise: NoiseModel = None) -> float:
     """Fidelity of the decoded single qubit against the initial state."""
-    return _decoded_fidelity(single_qkd_circuit(initial, encode, decode, mode),
-                             str(initial), shots, seed, noise)
+    return _decoded_fidelities([single_qkd_circuit(initial, encode, decode, mode)],
+                               str(initial), shots, [seed], noise)[0]
 
 
 def qkd_bell_run(encode: str, decode: str, mode, shots: int = None,
                  seed: int = 0, noise: NoiseModel = None) -> float:
     """Fidelity of the decoded two-qubit register against |00>."""
-    return _decoded_fidelity(bell_qkd_circuit(encode, decode, mode), "00",
-                             shots, seed, noise)
+    return _decoded_fidelities([bell_qkd_circuit(encode, decode, mode)], "00",
+                               shots, [seed], noise)[0]
 
 
 _KIND_DEFAULT = object()  # "0" for a single-qubit table, "00" for a Bell table
@@ -144,7 +144,8 @@ def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "sim
     A single-qubit table starts from `initial`, '0' by default.  Bell
     circuits always start in |00>, so a Bell table records "00" and takes
     no other `initial`.  Each cell gets its own child seed, so the table
-    is reproducible and cells are independent.
+    is reproducible and cells are independent; a SeedSequence `seed` is
+    not advanced.  One sweep draws every cell's tables, in pair then mode order.
     """
     if kind not in ("single", "bell"):
         raise ValueError(f"kind must be 'single' or 'bell', got {kind!r}")
@@ -160,13 +161,12 @@ def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "sim
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"modes repeat the column label {label!r}")
-    run = partial(qkd_single_run, initial) if kind == "single" else qkd_bell_run
+    build = partial(single_qkd_circuit, initial) if kind == "single" else bell_qkd_circuit
     pairs = SINGLE_PAIR_ORDER if kind == "single" else BELL_PAIR_ORDER
-    children = iter(seed_sequence(seed).spawn(len(pairs) * len(modes)))
-    rows = {f"{e}-{d}": {label: run(e, d, mode, shots=shots, seed=next(children),
-                                    noise=noise)
-                         for mode, label in zip(modes, labels)}
-            for e, d in pairs}
+    circuits = [build(e, d, mode) for e, d in pairs for mode in modes]
+    cells = iter(_decoded_fidelities(circuits, str(initial), shots,
+                                     seed_sequence(seed).spawn(len(circuits)), noise))
+    rows = {f"{e}-{d}": {label: next(cells) for label in labels} for e, d in pairs}
     return {"kind": kind, "initial": str(initial), "modes": labels, "rows": rows}
 
 

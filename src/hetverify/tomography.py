@@ -21,18 +21,19 @@ settings is its estimate.  Which cell each setting estimates from each
 column depends only on m and is held in the frame.
 
 The sweep always measures the circuit's system qubits and post-selects
-on the ancilla, if there is one, reading 1, with one call of each layer
-for all 3^m settings.  A stacked `measure_in_basis` call gives every
-distribution, and `sample_shots` draws every row with its own child
-seed's Generator, seeded by `spawn_generators` in one pass.  The ancilla
-is the last readout bit, so post-selection keeps every second column of
-the count matrix.  The exact sweep (shots=None) needs no counts.  It
-conditions the circuit's density matrix, readout flips included, on the
-ancilla, which leaves exactly the system qubits in ascending order, and
-reads all 4^m expectations Tr(P rho) = i^#Y (G H)[x, z], with
-G[x, i] = rho[i, i ^ x], from one gather and one product.
-Reconstruction is the inverse, so an exact sweep followed by
-reconstruction returns the conditioned state.
+on the ancilla, if there is one, reading 1.  A sweep over many circuits
+makes one `measure_in_basis` call per register layout, for all 3^m
+settings of all its circuits, and one `spawn_generators` pass that seeds
+a Generator per row of every circuit.  Then each circuit in input order
+makes one call of each of `sample_shots`, post-selection and assembly.
+The ancilla is the last readout bit, so post-selection keeps every
+second column of the count matrix.  The exact sweep (shots=None) needs
+no counts.  It conditions the circuit's density matrix, readout flips
+included, on the ancilla, which leaves exactly the system qubits in
+ascending order, and reads all 4^m expectations
+Tr(P rho) = i^#Y (G H)[x, z], with G[x, i] = rho[i, i ^ x], from one
+gather and one product.  Reconstruction is the inverse, so an exact
+sweep followed by reconstruction returns the conditioned state.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .circuits import (
-    Circuit,
     NoiseModel,
     measure_in_basis,
     run_density_matrix,
@@ -148,54 +148,65 @@ def reconstruct_multi_qubit(expectations: dict, num_qubits: int) -> DensityMatri
     return DensityMatrix(num_qubits, mat)
 
 
-def tomography_sweep(circuit: Circuit, shots: int = None, seed: int = 0,
-                     noise: NoiseModel = None) -> dict:
+def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = None):
     """Run all 3^k basis settings over the circuit's system qubits and
     assemble the full expectation set.
 
     shots=None uses exact probabilities; otherwise one stacked shot table
     draws each setting's row with the Generator of a child seed of `seed`,
-    as `spawn_generators` gives them.  A SeedSequence `seed` is not advanced,
-    unlike by `SeedSequence.spawn`: two sweeps given the same SeedSequence
-    object sample the same tables.  When the circuit has an ancilla it is
-    read out in Z and the data is conditioned on it reading 1.  Readout
-    flips come with the simulated state, so the exact sweep is the
-    expectation of the sampled one.
+    as `spawn_generators` gives them, so a SeedSequence `seed` is not
+    advanced.  When the circuit has an ancilla it is read out in Z and the
+    data is conditioned on it reading 1.  Readout flips come with the
+    simulated state, so the exact sweep is the expectation of the sampled
+    one.  A list or tuple of circuits, with one of as many seeds, gives the
+    list of their expectation sets, each as the circuit swept alone with
+    its seed; the tables are drawn in input order.
     """
-    measured = list(circuit.system_qubits)
-    if not 1 <= len(measured) <= MAX_MEASURED_QUBITS:
-        raise ValueError(f"need at least 1 and at most {MAX_MEASURED_QUBITS} "
-                         f"measured qubits, got {len(measured)}")
-    noise = noise or NoiseModel()
-    postselect = circuit.ancilla is not None
-
+    many = isinstance(circuit, (list, tuple))
+    circuits, seeds = (circuit, seed) if many else ([circuit], [seed])
+    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(circuits):
+        raise ValueError(f"need one seed per circuit ({len(circuits)}), got {seed!r}")
+    for one in circuits:
+        if not 1 <= len(one.system_qubits) <= MAX_MEASURED_QUBITS:
+            raise ValueError(f"need at least 1 and at most {MAX_MEASURED_QUBITS} "
+                             f"measured qubits, got {len(one.system_qubits)}")
+    noise, sweeps = noise or NoiseModel(), []
     if shots is None:
-        rho = run_density_matrix(circuit, noise)
-        if postselect:
-            rho = condition_on_ancilla(rho, circuit.ancilla)
-        cells, phase, lift, walsh = _pauli_frame(len(measured))[:4]
-        # G[x, i] = rho[i, i ^ x], the transpose's entry [i ^ x, i].
-        values = phase * (rho.matrix.T.take(lift) @ walsh).take(cells)
-        return dict(zip(pauli_strings(len(measured)), values.real.tolist()))
+        for one in circuits:
+            rho = run_density_matrix(one, noise)
+            if one.ancilla is not None:
+                rho = condition_on_ancilla(rho, one.ancilla)
+            m = len(one.system_qubits)
+            cells, phase, lift, walsh = _pauli_frame(m)[:4]
+            # G[x, i] = rho[i, i ^ x], the transpose's entry [i ^ x, i].
+            values = phase * (rho.matrix.T.take(lift) @ walsh).take(cells)
+            sweeps.append(dict(zip(pauli_strings(m), values.real.tolist())))
+        return sweeps if many else sweeps[0]
 
-    state = (run_statevector(circuit) if noise == NoiseModel()
-             else run_density_matrix(circuit, noise))
-
-    # The ancilla is read out in Z after the system qubits.
-    readout, suffix = ((measured + [circuit.ancilla], "Z") if postselect
-                       else (measured, ""))
-    settings = ["".join(s) + suffix
-                for s in itertools.product("XYZ", repeat=len(measured))]
-    children = spawn_generators(seed, len(settings))
-    dist = measure_in_basis(state, settings, readout)
-    table = sample_shots(dist.probabilities, shots, children, settings)
-    if postselect:
-        table = table.postselect(len(measured), 1)
-        kept = table.counts.sum(axis=1)
-        if not kept.all():
-            raise ValueError(f"setting {table.settings[kept.argmin()]!r}: post-selecting "
-                             f"ancilla outcome 1 kept 0 of {shots} shots")
-    return expectations_from_tables(table, len(measured))
+    # Circuits of one register layout share their settings and one measurement.
+    layouts, measured, noiseless = {}, [None] * len(circuits), noise == NoiseModel()
+    for row, one in enumerate(circuits):
+        layouts.setdefault((one.num_qubits, one.ancilla), []).append(row)
+    for rows in layouts.values():
+        system, ancilla = list(circuits[rows[0]].system_qubits), circuits[rows[0]].ancilla
+        # The ancilla is read out in Z after the system qubits.
+        readout, suffix = (system + [ancilla], "Z") if ancilla is not None else (system, "")
+        settings = ["".join(s) + suffix for s in itertools.product("XYZ", repeat=len(system))]
+        states = [run_statevector(circuits[row]) if noiseless
+                  else run_density_matrix(circuits[row], noise) for row in rows]
+        for row, dist in zip(rows, measure_in_basis(states, settings, readout)):
+            measured[row] = dist.probabilities, settings
+    children = spawn_generators(seeds, [len(settings) for _, settings in measured])
+    for one, (probs, settings), rngs in zip(circuits, measured, children):
+        table = sample_shots(probs, shots, rngs, settings)
+        if one.ancilla is not None:
+            table = table.postselect(len(one.system_qubits), 1)
+            kept = table.counts.sum(axis=1)
+            if not kept.all():
+                raise ValueError(f"setting {table.settings[kept.argmin()]!r}: post-selecting "
+                                 f"ancilla outcome 1 kept 0 of {shots} shots")
+        sweeps.append(expectations_from_tables(table, len(one.system_qubits)))
+    return sweeps if many else sweeps[0]
 
 
 def reduced_fidelities(marginals, targets) -> list:

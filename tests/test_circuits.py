@@ -13,6 +13,7 @@ from hetverify.circuits import (
     _P1,
     BASIS_ROTATIONS,
     Circuit,
+    Gate,
     NoiseModel,
     ShotTable,
     _gate_unitary,
@@ -112,6 +113,30 @@ class TestU3Matrix:
     def test_unitarity(self, angles):
         mat = u3_matrix(*angles)
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(2), atol=1e-12)
+
+
+class TestGateValidation:
+    @pytest.mark.parametrize("kind,qubits,angles,message", [
+        ("h", (0,), (), "unknown gate kind 'h'"),
+        ("u3", (0,), (math.inf, 0, 0), "u3 gate on qubits (0,): angles must be finite"),
+        ("u3", (0,), (0, math.nan, 0), "u3 gate on qubits (0,): angles must be finite"),
+        ("cu3", (0, 1), (0, 0, 10**400), "cu3 gate on qubits (0, 1): angles must be finite"),
+        ("u3", [1], (0, 0), "u3 gate on qubits (1,): takes 3 angles, got 2"),
+        ("x", (0,), (1.0,), "x gate on qubits (0,): takes 0 angles, got 1"),
+        ("u3", (0, 1), (0, 0, 0), "u3 gate acts on 1 qubit(s)"),
+        ("cu3", (1, 1), (0, 0, 0), "control and target must differ"),
+        ("u3", (0,), ("a", 0, 0), "could not convert string to float"),
+    ], ids=["kind", "inf", "nan", "huge-int", "two-angles", "x-angle", "qubits",
+            "control", "text"])
+    def test_rejected_with_the_same_message(self, kind, qubits, angles, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Gate(kind, qubits, angles)
+
+    def test_angles_become_floats_and_qubits_a_tuple(self):
+        gate = Gate("cu3", [0, 1], [1, np.float32(0.5), -0.0])
+        assert gate.qubits == (0, 1)
+        assert [type(a) for a in gate.angles] == [float] * 3
+        assert math.copysign(1.0, gate.angles[2]) == -1.0
 
 
 class TestGateApplication:
@@ -586,6 +611,11 @@ class TestShotTable:
             ShotTable(settings, np.zeros((0, 2), dtype=np.int64), 0)
 
 
+def rng_states(generators):
+    """The bit-generator states of a list of Generators, for comparison."""
+    return [gen.bit_generator.state for gen in generators]
+
+
 def _spawned_reference(make, advanced, count):
     """numpy's own children of a fresh parent: default_rng of each spawn."""
     parent = make()
@@ -622,6 +652,23 @@ class TestSpawnGenerators:
                                           theirs.multinomial(1000, [0.1, 0.2, 0.3, 0.4]))
         # Unlike spawn, the helper leaves its parent where it was.
         assert parent.n_children_spawned == advanced
+        # One pass over several seeds, whose spawn keys differ in length and
+        # which have spawned before, gives each seed's own list.
+        other = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key) + (3, 2**33),
+                                       pool_size=pool_size)
+        other.spawn(2)
+        seeds, counts = [parent, other, 11, parent], [count, 3, 1, 2]
+        batch = spawn_generators(seeds, counts)
+        assert [len(gens) for gens in batch] == counts
+        for one, n, gens in zip(seeds, counts, batch):
+            assert rng_states(gens) == rng_states(spawn_generators(one, n))
+        assert rng_states(batch[0]) == rng_states(_spawned_reference(make, advanced, count))
+        assert (parent.n_children_spawned, other.n_children_spawned) == (advanced, 2)
+
+    def test_one_count_for_every_seed_and_no_seeds(self):
+        batch = spawn_generators((4, np.random.SeedSequence(4)), 5)
+        assert rng_states(batch[0]) == rng_states(batch[1]) == rng_states(spawn_generators(4, 5))
+        assert spawn_generators([], 3) == []
 
 
 class TestBasisRotationCache:
@@ -708,6 +755,38 @@ class TestStackedMeasurement:
             assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
             single = measure_in_basis(state, setting, qubits).probabilities
             assert single.ndim == 1 and single.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("num_qubits", range(1, 6))
+    @pytest.mark.parametrize("mixed", [False, True], ids=["vector", "density"])
+    def test_list_of_states_matches_per_state_calls(self, rng, num_qubits, mixed):
+        make = random_density if mixed else random_pure
+        states = [make(rng, num_qubits) for _ in range(3)]
+        for qubits in readouts(num_qubits):
+            settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(qubits))]
+            for setting in (settings, settings[-1]):
+                dists = measure_in_basis(states, setting, qubits)
+                assert isinstance(dists, list) and len(dists) == len(states)
+                for state, dist in zip(states, dists):
+                    alone = measure_in_basis(state, setting, qubits)
+                    assert dist.outcomes == alone.outcomes
+                    assert dist.probabilities.shape == alone.probabilities.shape
+                    assert dist.probabilities.tobytes() == alone.probabilities.tobytes()
+        # A tuple works the same, and one state in a list still gives a list.
+        assert len(measure_in_basis(tuple(states), "Z" * num_qubits)) == 3
+        assert len(measure_in_basis(states[:1], "Z" * num_qubits)) == 1
+
+    def test_list_of_states_must_share_kind_and_size(self, rng):
+        pure, mixed = random_pure(rng, 2), random_density(rng, 2)
+        with pytest.raises(ValueError, match="all of one kind and size"):
+            measure_in_basis([pure, mixed], "ZZ")
+        with pytest.raises(ValueError, match="all of one kind and size"):
+            measure_in_basis([pure, random_pure(rng, 3)], "ZZ", [0, 1])
+        with pytest.raises(ValueError, match="all of one kind and size"):
+            measure_in_basis([], "Z")
+        with pytest.raises(TypeError, match="cannot measure a ndarray"):
+            measure_in_basis([pure, pure.amplitudes], "ZZ")
+        with pytest.raises(TypeError, match="cannot measure a ndarray"):
+            measure_in_basis(pure.amplitudes, "ZZ")
 
     def test_every_setting_of_a_stack_is_checked(self):
         state = StateVector.computational("00")

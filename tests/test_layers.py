@@ -60,3 +60,32 @@ def test_sampled_sweep_calls_each_traced_layer(monkeypatch, num_system):
     # One stacked call of each, whatever the number of settings.
     assert calls == {"measure_in_basis": 1, "sample_shots": 1,
                      "postselect": 1, "expectations_from_tables": 1}
+
+
+def test_sweep_over_two_layouts_measures_once_per_layout(monkeypatch):
+    # Alternating layouts: one system qubit with an ancilla after it, and
+    # two system qubits with none.
+    with_ancilla = [Circuit(2, [u3(0, 0.3 + i, 0.1, 0.2), x(1), cu3(1, 0, 0.4, 0.0, 0.0)],
+                            ancilla=1) for i in range(3)]
+    without = [Circuit(2, [u3(0, 0.5 + i, 0.0, 0.1), cu3(0, 1, 0.7, 0.2, 0.0)])
+               for i in range(2)]
+    circuits = [with_ancilla[0], without[0], with_ancilla[1], without[1], with_ancilla[2]]
+    calls = {}
+    for name in ("measure_in_basis", "sample_shots", "expectations_from_tables"):
+        counting(monkeypatch, hetverify.tomography, name, calls)
+    counting(monkeypatch, ShotTable, "postselect", calls)
+    drawn = []
+    sample = hetverify.tomography.sample_shots
+
+    def recording(probabilities, shots, seed, settings):
+        drawn.append(len(settings))
+        return sample(probabilities, shots, seed, settings)
+
+    monkeypatch.setattr(hetverify.tomography, "sample_shots", recording)
+    hetverify.tomography.tomography_sweep(circuits, shots=64, seed=list(range(5)),
+                                          noise=NoiseModel(0.01, 0.02, 0.01))
+    # One measurement per layout; one draw, post-selection where there is
+    # an ancilla, and assembly per circuit, drawn in input order.
+    assert calls == {"measure_in_basis": 2, "sample_shots": 5,
+                     "postselect": 3, "expectations_from_tables": 5}
+    assert drawn == [3, 9, 3, 9, 3]

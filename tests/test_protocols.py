@@ -201,6 +201,13 @@ class TestProtocol1:
                           shots=1024, seed=5)
         assert a["groups"][0]["copy_fidelities"] == b["groups"][0]["copy_fidelities"]
 
+    def test_seed_sequence_is_not_advanced(self):
+        parent = np.random.SeedSequence(5)
+        first = protocol1_run("1", BALANCED_ZETA, (2, 2), shots=256, seed=parent)
+        assert protocol1_run("1", BALANCED_ZETA, (2, 2), shots=256, seed=parent) == first
+        assert parent.n_children_spawned == 0
+        assert first == protocol1_run("1", BALANCED_ZETA, (2, 2), shots=256, seed=5)
+
     def test_copy_plan_validation(self):
         for run, initial in ((protocol1_run, "1"), (protocol2_run, "1100")):
             for copies in ((0, 5), (-1, 5)):
@@ -227,6 +234,13 @@ class TestProtocol2:
         assert [g["label"] for g in report["groups"]] == ["N", "M"]
         assert report["groups"][0]["zeta"] == pytest.approx(PI / 2)
         assert report["groups"][1]["zeta"] == pytest.approx(0.0)
+
+    def test_seed_sequence_is_not_advanced(self):
+        parent = np.random.SeedSequence(5)
+        first = protocol2_run("1100", BALANCED_ZETA, (1, 2), shots=64, seed=parent)
+        assert protocol2_run("1100", BALANCED_ZETA, (1, 2), shots=64, seed=parent) == first
+        assert parent.n_children_spawned == 0
+        assert first == protocol2_run("1100", BALANCED_ZETA, (1, 2), shots=64, seed=5)
 
     def test_superposition_input(self):
         initial = [(0.6, 0.8), (1, 0), (0, 1), (SQRT_HALF, SQRT_HALF)]
@@ -273,6 +287,13 @@ class TestProtocol3:
         report = protocol3_verify(shots=256, seed=1)
         assert report["raw_min_eigenvalue"] == pytest.approx(-0.0646, abs=1e-4)
         assert report["verdict"] == "accept"
+
+    def test_seed_sequence_is_not_advanced(self):
+        parent = np.random.SeedSequence(5)
+        first = protocol3_verify(m_modes=2, n_photons=1, shots=64, seed=parent)
+        assert protocol3_verify(m_modes=2, n_photons=1, shots=64, seed=parent) == first
+        assert parent.n_children_spawned == 0
+        assert first == protocol3_verify(m_modes=2, n_photons=1, shots=64, seed=5)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bound_chains_hold_on_sampled_runs(self, seed):

@@ -176,6 +176,28 @@ class TestQkdTable:
         b = qkd_table("0", shots=2048, seed=9)
         assert a["rows"] == b["rows"]
 
+    @pytest.mark.parametrize("kind", ["single", "bell"])
+    def test_seed_sequence_is_not_advanced(self, kind):
+        # The cells' seeds are the parent's next children, read without
+        # spawning from it: the same table twice, as from its int seed.
+        parent = np.random.SeedSequence(5)
+        first = qkd_table(shots=256, seed=parent, kind=kind)
+        assert qkd_table(shots=256, seed=parent, kind=kind) == first
+        assert parent.n_children_spawned == 0
+        assert first == qkd_table(shots=256, seed=5, kind=kind)
+
+    def test_cells_match_single_runs_with_child_seeds(self):
+        table = qkd_table("1", shots=512, seed=7)
+        children = iter(np.random.SeedSequence(7).spawn(27))
+        for e, d in SINGLE_PAIR_ORDER:
+            for mode, label in zip((BALANCED_QKD_ZETA, PI / 2, "simple"), table["modes"]):
+                value = qkd_single_run("1", e, d, mode, shots=512, seed=next(children))
+                assert table["rows"][f"{e}-{d}"][label] == value
+        bell = qkd_table(kind="bell", modes=("simple",), shots=512, seed=7)
+        for (e, d), child in zip(BELL_PAIR_ORDER, np.random.SeedSequence(7).spawn(4)):
+            value = qkd_bell_run(e, d, "simple", shots=512, seed=child)
+            assert bell["rows"][f"{e}-{d}"]["simple"] == value
+
     def test_csv_export_row_order(self, tmp_path):
         # The file the CLI writes, as bytes: csv.writer ends every line in \r\n.
         assert main(["qkd-single", "--exact", "--output-dir", str(tmp_path)]) == EXIT_OK

@@ -16,6 +16,7 @@ from hetverify.circuits import (
     measure_in_basis,
     run_density_matrix,
     run_statevector,
+    sample_shots,
     u3,
     x,
 )
@@ -650,3 +651,91 @@ class TestStackedSweep:
             with pytest.raises(ValueError, match=message):
                 tomography_sweep(circuit, shots=1, seed=seed)
         assert max(firsts) > 0
+
+
+def _layout_circuit(num_system, ancilla, shift):
+    """`num_system` system qubits, entangled in a chain, and with `ancilla`
+    "first" or "last" an ancilla in |1> tilted by a little, controlling a
+    rotation of each of them; `shift` varies the angles."""
+    num_qubits = num_system + (ancilla is not None)
+    anc = {None: None, "first": 0, "last": num_qubits - 1}[ancilla]
+    system = [q for q in range(num_qubits) if q != anc]
+    gates = [u3(q, 0.3 + 0.4 * q + shift, 0.2, -0.1 * q) for q in system]
+    gates += [cu3(a, b, 0.7 - shift, 0.1, 0.2) for a, b in zip(system, system[1:])]
+    if anc is not None:
+        gates += [x(anc), u3(anc, 0.5, 0.1, shift)]
+        gates += [cu3(anc, q, 0.4 + 0.1 * q, 0.0, 0.0) for q in system]
+    return Circuit(num_qubits, gates, anc)
+
+
+# Mixed layouts, with repeats that are not next to each other.
+BATCH = [(1, "last"), (2, None), (1, "last"), (3, "first"), (4, "last"),
+         (2, None), (1, None), (2, "last"), (4, None), (1, "last")]
+
+
+def _exact_bits(sweeps):
+    """Every expectation's exact bits, so equality is byte for byte."""
+    return [[(s, v.hex()) for s, v in sweep.items()] for sweep in sweeps]
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("shots", [None, 128], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("seeds", ["int", "SeedSequence"])
+    def test_list_matches_per_circuit_calls(self, seeds, noisy, shots):
+        circuits = [_layout_circuit(m, anc, 0.1 * i) for i, (m, anc) in enumerate(BATCH)]
+        noise = NoiseModel(0.01, 0.02, 0.03) if noisy else None
+        if seeds == "int":
+            seeds = [5 * i + 1 for i in range(len(circuits))]
+        else:
+            parent = np.random.SeedSequence(42)
+            parent.spawn(3)
+            seeds = parent.spawn(len(circuits))
+            seeds[4] = np.random.SeedSequence(8, spawn_key=(1, 2, 3))
+        got = tomography_sweep(circuits, shots=shots, seed=seeds, noise=noise)
+        alone = [tomography_sweep(c, shots=shots, seed=s, noise=noise)
+                 for c, s in zip(circuits, seeds)]
+        assert _exact_bits(got) == _exact_bits(alone)
+        assert tomography_sweep(tuple(circuits), shots=shots, seed=tuple(seeds),
+                                noise=noise) == got
+        assert all(getattr(s, "n_children_spawned", 0) == 0 for s in seeds)
+
+    def test_draws_in_input_order(self, monkeypatch):
+        """The tables are drawn circuit by circuit, in input order, with
+        each circuit's rows as its own sweep draws them."""
+        circuits = [_layout_circuit(m, anc, 0.2 * i) for i, (m, anc) in enumerate(BATCH)]
+        draws = []
+
+        def recording(probabilities, shots, seed, settings):
+            table = sample_shots(probabilities, shots, seed, settings)
+            draws.append((table.settings, table.counts.tobytes()))
+            return table
+
+        monkeypatch.setattr(hetverify.tomography, "sample_shots", recording)
+        tomography_sweep(circuits, shots=64, seed=list(range(len(circuits))))
+        batched = list(draws)
+        draws.clear()
+        for seed, circuit in enumerate(circuits):
+            tomography_sweep(circuit, shots=64, seed=seed)
+        assert batched == draws and len(draws) == len(circuits)
+
+    def test_one_circuit_list_and_empty_list(self):
+        circuit = bell_circuit()
+        assert tomography_sweep([circuit], shots=256, seed=[3]) == [
+            tomography_sweep(circuit, shots=256, seed=3)]
+        assert tomography_sweep([], shots=256, seed=[]) == []
+        assert tomography_sweep([], shots=None, seed=[]) == []
+
+    @pytest.mark.parametrize("seed", [3, [1], (1, 2, 3), np.random.SeedSequence(1)],
+                             ids=["int", "short", "long", "SeedSequence"])
+    def test_needs_one_seed_per_circuit(self, seed):
+        with pytest.raises(ValueError, match=r"need one seed per circuit \(2\)"):
+            tomography_sweep([bell_circuit()] * 2, shots=16, seed=seed)
+
+    def test_every_circuit_is_checked_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hetverify.tomography, "run_statevector",
+                            lambda c: calls.append(c))
+        with pytest.raises(ValueError, match="at most 4 measured qubits, got 5"):
+            tomography_sweep([bell_circuit(), Circuit(5)], shots=16, seed=[1, 2])
+        assert calls == []
