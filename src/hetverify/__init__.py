@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .states import (
     DensityMatrix,
-    ProbabilityDistribution,
     StateVector,
     condition_on_ancilla,
     partial_trace,
@@ -56,8 +55,6 @@ from .protocols import (
     single_mode_circuit,
 )
 from .qkd import (
-    qkd_bell_run,
-    qkd_single_run,
     qkd_table,
     threshold_verdict,
 )

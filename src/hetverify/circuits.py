@@ -6,7 +6,8 @@ build.  Systems stay small (at most 6 qubits), so both backends work
 with dense matrices.  Each gate's matrix is built once per (gate,
 register size) and shared read-only by every later simulation, and
 each block of up to 9 basis rotations likewise: one measurement call
-gives the distributions of many settings, a row per setting.
+gives the outcome probabilities of many settings as one array, a row per
+setting, indexed by outcome as a ShotTable's count rows are.
 """
 from __future__ import annotations
 
@@ -19,11 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import (
-    DensityMatrix,
-    ProbabilityDistribution,
-    StateVector,
-)
+from .states import PROB_ATOL, DensityMatrix, StateVector
 
 MAX_QUBITS = 6
 
@@ -296,21 +293,26 @@ def _rotation_stack(settings: tuple, qubits: tuple, num_qubits: int) -> np.ndarr
     return stack
 
 
-def measure_in_basis(state, setting, qubits=None):
-    """Outcome distribution of measuring `qubits` in the given bases.
+def measure_in_basis(state, setting, qubits=None) -> np.ndarray:
+    """Outcome probabilities of measuring `qubits` in the given bases, as
+    floats indexed by outcome, the first of `qubits` the most significant
+    bit: the layout of a ShotTable's count rows.
 
     `setting` is one letter from {X, Y, Z} per measured qubit; X and Y
     are realized by a pre-rotation into the computational basis followed
-    by a Z readout.  Unmeasured qubits are marginalized.  A sequence of
-    settings gives one distribution with a row per setting, computed as
-    stacked products over blocks of at most 9 cached rotations; each row
-    has the bytes that its setting measured alone would give.  A list or
-    tuple of states of one kind and size gives a list of their
-    distributions, each as the state measured alone.  For density
-    matrices, the conjugated rotations and both products of every block
-    go into three work arrays allocated once per call: arrays allocated
-    per block would be returned to the operating system and page-faulted
-    back in at the next block.  `qubits` must be distinct state indices.
+    by a Z readout.  Unmeasured qubits are marginalized.  One setting
+    gives a vector, and a sequence of settings an array with a row per
+    setting, computed as stacked products over blocks of at most 9 cached
+    rotations; each row has the bytes of its setting measured alone.  A
+    list or tuple of states of one kind and size adds a leading state
+    axis, each state's rows as if measured alone.  For density matrices,
+    the conjugated rotations and both products of every block go into
+    three work arrays allocated once per call: arrays allocated per block
+    would be returned to the operating system and page-faulted back in
+    at the next block.  `qubits` must be distinct state indices.  A
+    probability below -PROB_ATOL, or a row sum that is not finite and
+    positive, raises ValueError; smaller negatives are set to zero, and
+    each row is scaled to sum to 1.
     """
     states = list(state) if isinstance(state, (list, tuple)) else [state]
     for one in states:
@@ -359,18 +361,19 @@ def measure_in_basis(state, setting, qubits=None):
     # Report outcomes in the caller's qubit order.
     kept = [q for q in range(num_qubits) if q in qubits]
     marginal = marginal.transpose([0] + [1 + kept.index(q) for q in qubits])
-    marginal = np.clip(marginal.reshape(len(tensor), -1), 0.0, None)
+    marginal = marginal.reshape(len(tensor), -1)
+    # A density matrix may be unphysical; NaN fails each check.
+    with np.errstate(over="ignore"):
+        low, sums = marginal.min(), marginal.sum(axis=1)
+    if not low >= -PROB_ATOL:
+        raise ValueError(f"the state gives outcome probability {low}, below -{PROB_ATOL}")
+    if not (sums.min() > 0 and sums.max() < np.inf):
+        raise ValueError("the state's outcome probabilities need a finite, positive sum")
+    marginal = np.clip(marginal, 0.0, None)
     marginal /= marginal.sum(axis=1, keepdims=True)
-    dists = [ProbabilityDistribution(_outcomes(len(qubits)),
-                                     probs[0] if isinstance(setting, str) else probs)
-             for probs in marginal.reshape(len(states), len(settings), -1)]
-    return dists if isinstance(state, (list, tuple)) else dists[0]
-
-
-@lru_cache(maxsize=None)
-def _outcomes(width: int) -> tuple:
-    """Bitstring labels of a `width`-bit register in index order."""
-    return tuple(map("".join, itertools.product("01", repeat=width)))
+    probs = marginal.reshape(len(states), len(settings), -1)
+    probs = probs[:, 0] if isinstance(setting, str) else probs
+    return probs if isinstance(state, (list, tuple)) else probs[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,12 +504,11 @@ def _state_words_type() -> type:
     return StateWords
 
 
-def spawn_generators(seed, count) -> list:
-    """The Generators `[default_rng(c) for c in seed_sequence(seed).spawn(count)]`,
-    in the same PCG64 states, leaving a SeedSequence `seed` unadvanced.  A list
-    or tuple `seed` is a sequence of seeds (list entropy must come as a
-    SeedSequence), with `count` one int per seed or one for all, and gives
-    one such list per seed.
+def spawn_generators(seeds, counts) -> list:
+    """For each seed and its count, the Generators
+    `[default_rng(c) for c in seed_sequence(seed).spawn(count)]`, in the
+    same PCG64 states, leaving a SeedSequence seed unadvanced.  A seed is
+    anything SeedSequence takes (list entropy must come as a SeedSequence).
 
     A child's entropy words are its parent's, zero-padded to the pool
     size, then its parent's spawn key and last its index, which fits in
@@ -517,11 +519,9 @@ def spawn_generators(seed, count) -> list:
     own PCG64 is seeded from those words, so unlike spawn's Generators
     these cannot spawn.
     """
-    many = isinstance(seed, (list, tuple))
     # Only read, never spawned from, so a SeedSequence needs no copy here.
     seeds = [one if isinstance(one, np.random.SeedSequence) else np.random.SeedSequence(one)
-             for one in (seed if many else [seed])]
-    counts = [count] * len(seeds) if isinstance(count, (int, np.integer)) else list(count)
+             for one in seeds]
     rows, index, consts = [], [], {}
     for one, n in zip(seeds, counts):
         size = one.pool_size
@@ -545,14 +545,13 @@ def spawn_generators(seed, count) -> list:
     state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     state_words = _state_words_type()
     generators = [np.random.Generator(np.random.PCG64(state_words(row))) for row in state]
-    lists = [generators[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
-    return lists if many else lists[0]
+    return [generators[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
 
 
 def sample_shots(probabilities, shots: int, seed, settings=None) -> ShotTable:
     """Seeded multinomial draws of `shots` shots from each row of a k x 2^w
-    stack of outcome probabilities, such as a `measure_in_basis`
-    distribution, as the rows of one table's count matrix.  Each row must
+    stack of outcome probabilities, such as `measure_in_basis` returns
+    for k settings, as the rows of one table's count matrix.  Each row must
     be non-negative with a finite, positive sum, and is scaled to sum to
     1.  `seed` lists one seed per row, each anything `default_rng` takes;
     a Generator's state advances.  A vector takes one seed and setting.

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, ProbabilityDistribution, StateVector, EIGVAL_ATOL
+from .states import DensityMatrix, StateVector, EIGVAL_ATOL, PROB_ATOL
 
 
 def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -69,9 +69,18 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.sum(np.abs(eigvals)) / 2)
 
 
-def total_variation_distance(p: ProbabilityDistribution,
-                             q: ProbabilityDistribution) -> float:
-    """Half the L1 distance between two distributions on the same outcomes."""
-    if p.outcomes != q.outcomes:
-        raise ValueError("distributions are over different outcome spaces")
-    return float(np.sum(np.abs(p.probabilities - q.probabilities)) / 2)
+def total_variation_distance(p, q) -> float:
+    """Half the L1 distance between two probability vectors of one length,
+    each with no entry below -PROB_ATOL and, those set to zero, a sum
+    within PROB_ATOL of 1.  Every check is written so that NaN fails it."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.ndim != 1 or p.shape != q.shape or not p.size:
+        raise ValueError("need two probability vectors of one length, got shapes "
+                         f"{p.shape} and {q.shape}")
+    for name, probs in (("p", p), ("q", q)):
+        low, total = probs.min(), np.clip(probs, 0.0, None).sum()
+        if not low >= -PROB_ATOL:
+            raise ValueError(f"{name}: negative or NaN probability: {low}")
+        if not abs(total - 1.0) <= PROB_ATOL:
+            raise ValueError(f"{name}: probabilities sum to {total}, not 1")
+    return float(np.sum(np.abs(np.clip(p, 0.0, None) - np.clip(q, 0.0, None))) / 2)

@@ -207,9 +207,9 @@ def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
 
 
 def _input_targets(initial) -> list:
-    """The single-qubit density matrix _prep_gates prepares from each spec."""
-    return [run_statevector(Circuit(1, _prep_gates(spec, 0))).density()
-            for spec in initial]
+    """The single-qubit state vector _prep_gates prepares from each spec,
+    which `fidelity` scores from its amplitudes."""
+    return [run_statevector(Circuit(1, _prep_gates(spec, 0))) for spec in initial]
 
 
 def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
@@ -283,9 +283,8 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
     f_global = group["copy_fidelities"][0]
     rho = project_to_physical(raw)
     dist = trace_distance(rho, target)
-    p_rho = measure_in_basis(rho, "Z" * m_modes)
-    p_sigma = measure_in_basis(target, "Z" * m_modes)
-    tvd = total_variation_distance(p_rho, p_sigma)
+    tvd = total_variation_distance(measure_in_basis(rho, "Z" * m_modes),
+                                   measure_in_basis(target, "Z" * m_modes))
     return {"protocol": "protocol3", "groups": [group],
             "global_fidelity": f_global,
             "witness": group["witness_input"],

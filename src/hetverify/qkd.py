@@ -116,21 +116,6 @@ def _decoded_fidelities(circuits, bits: str, shots, seeds, noise) -> list:
     return [fidelity(reconstruct_multi_qubit(ex, len(bits)), target) for ex in sweeps]
 
 
-def qkd_single_run(initial, encode: str, decode: str, mode,
-                   shots: int = None, seed: int = 0,
-                   noise: NoiseModel = None) -> float:
-    """Fidelity of the decoded single qubit against the initial state."""
-    return _decoded_fidelities([single_qkd_circuit(initial, encode, decode, mode)],
-                               str(initial), shots, [seed], noise)[0]
-
-
-def qkd_bell_run(encode: str, decode: str, mode, shots: int = None,
-                 seed: int = 0, noise: NoiseModel = None) -> float:
-    """Fidelity of the decoded two-qubit register against |00>."""
-    return _decoded_fidelities([bell_qkd_circuit(encode, decode, mode)], "00",
-                               shots, [seed], noise)[0]
-
-
 _KIND_DEFAULT = object()  # "0" for a single-qubit table, "00" for a Bell table
 
 

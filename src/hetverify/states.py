@@ -95,32 +95,6 @@ class DensityMatrix:
         }
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
-    """Distribution over bitstring outcomes of a fixed register, or a
-    stack of them: one row of `probabilities` per distribution."""
-
-    outcomes: tuple
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if probs.ndim not in (1, 2) or probs.shape[-1] != len(self.outcomes):
-            raise ValueError("outcome/probability length mismatch")
-        # Tiny negatives from floating-point rotation arithmetic are zeroed.
-        # Each row is checked, and each check is written so that NaN fails it.
-        clipped = np.clip(probs, 0.0, None)
-        for row, (low, total) in enumerate(zip(np.atleast_2d(probs).min(axis=1).tolist(),
-                                               np.atleast_2d(clipped).sum(axis=1).tolist())):
-            where = f"row {row}: " if probs.ndim == 2 else ""
-            if not low >= -PROB_ATOL:
-                raise ValueError(f"{where}negative or NaN probability: {low}")
-            if not abs(total - 1.0) <= PROB_ATOL:
-                raise ValueError(f"{where}probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probabilities", clipped)
-
-
 def tensor_product(a, b):
     """Kronecker composition of two states of the same kind.
 

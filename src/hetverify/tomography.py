@@ -24,8 +24,10 @@ The sweep always measures the circuit's system qubits and post-selects
 on the ancilla, if there is one, reading 1.  A sweep over many circuits
 makes one `measure_in_basis` call per register layout, for all 3^m
 settings of all its circuits, and one `spawn_generators` pass that seeds
-a Generator per row of every circuit.  Then each circuit in input order
-makes one call of each of `sample_shots`, post-selection and assembly.
+a Generator per row of every circuit.  The measurement gives each
+circuit a 3^m-row probability array in the count rows' outcome order,
+and each circuit in input order makes one call of each of
+`sample_shots`, post-selection and assembly on it.
 The ancilla is the last readout bit, so post-selection keeps every
 second column of the count matrix.  The exact sweep (shots=None) needs
 no counts.  It conditions the circuit's density matrix, readout flips
@@ -194,8 +196,8 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
         settings = ["".join(s) + suffix for s in itertools.product("XYZ", repeat=len(system))]
         states = [run_statevector(circuits[row]) if noiseless
                   else run_density_matrix(circuits[row], noise) for row in rows]
-        for row, dist in zip(rows, measure_in_basis(states, settings, readout)):
-            measured[row] = dist.probabilities, settings
+        for row, probs in zip(rows, measure_in_basis(states, settings, readout)):
+            measured[row] = probs, settings
     children = spawn_generators(seeds, [len(settings) for _, settings in measured])
     for one, (probs, settings), rngs in zip(circuits, measured, children):
         table = sample_shots(probs, shots, rngs, settings)

@@ -1,9 +1,10 @@
+import itertools
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from hetverify.circuits import ShotTable, _outcomes
+from hetverify.circuits import ShotTable
 from hetverify.states import DensityMatrix, StateVector, partial_trace
 
 # The single-qubit Pauli matrices, the oracle for the Pauli-string tables.
@@ -66,11 +67,17 @@ def shot_table(setting, counts, shots):
     return ShotTable((setting,), vector[None], shots)
 
 
+def outcome_labels(width):
+    """Bitstring labels of a `width`-bit register in index order, the
+    outcome order of count rows and measured probabilities."""
+    return tuple(map("".join, itertools.product("01", repeat=width)))
+
+
 def counts(table):
     """Read-only {bitstring: count} view of the outcomes a one-row table
     drew at least once, in index order."""
     (setting,), (row,) = table.settings, table.counts.tolist()
-    return MappingProxyType({bits: c for bits, c in zip(_outcomes(len(setting)), row)
+    return MappingProxyType({bits: c for bits, c in zip(outcome_labels(len(setting)), row)
                              if c})
 
 

@@ -17,7 +17,6 @@ from hetverify.circuits import (
     NoiseModel,
     ShotTable,
     _gate_unitary,
-    _outcomes,
     _rotation_stack,
     cu3,
     _embed,
@@ -32,9 +31,10 @@ from hetverify.circuits import (
     u3_matrix,
     x,
 )
-from hetverify.states import StateVector
+from hetverify.states import PROB_ATOL, DensityMatrix, StateVector
 
-from conftest import PAULI_MATRICES, counts, random_density, random_pure, shot_table
+from conftest import (PAULI_MATRICES, counts, outcome_labels, random_density, random_pure,
+                      shot_table)
 
 PI = math.pi
 
@@ -309,23 +309,23 @@ class TestRunDensityMatrix:
 
 class TestMeasureInBasis:
     def test_z_on_zero(self):
-        dist = measure_in_basis(StateVector.computational("0"), "Z")
-        assert dist.outcomes == ("0", "1")
-        assert dist.probabilities.tolist() == [1.0, 0.0]
+        probs = measure_in_basis(StateVector.computational("0"), "Z")
+        assert isinstance(probs, np.ndarray) and probs.dtype == float
+        assert probs.tolist() == [1.0, 0.0]
 
     def test_x_on_zero_is_uniform(self):
-        dist = measure_in_basis(StateVector.computational("0"), "X")
-        np.testing.assert_allclose(dist.probabilities, [0.5, 0.5])
+        probs = measure_in_basis(StateVector.computational("0"), "X")
+        np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_y_eigenstate_deterministic(self):
         plus_i = StateVector(1, np.array([1, 1j]) / np.sqrt(2))
-        dist = measure_in_basis(plus_i, "Y")
-        np.testing.assert_allclose(dist.probabilities, [1.0, 0.0], atol=1e-12)
+        probs = measure_in_basis(plus_i, "Y")
+        np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_plus_in_x_deterministic(self):
         plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-        dist = measure_in_basis(plus, "X")
-        np.testing.assert_allclose(dist.probabilities, [1.0, 0.0], atol=1e-12)
+        probs = measure_in_basis(plus, "X")
+        np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_rotation_consistency(self):
         # measuring an X-rotated state in Z equals measuring original in X
@@ -333,17 +333,16 @@ class TestMeasureInBasis:
         state = run_statevector(circuit)
         rotated = apply_gate(state, u3(0, PI / 2, 0, PI))  # Hadamard
         np.testing.assert_allclose(
-            measure_in_basis(state, "X").probabilities,
-            measure_in_basis(rotated, "Z").probabilities, atol=1e-12)
+            measure_in_basis(state, "X"),
+            measure_in_basis(rotated, "Z"), atol=1e-12)
 
     def test_marginalization_and_order(self):
         state = StateVector.computational("10")
-        dist = measure_in_basis(state, "Z", [1])
-        assert dist.outcomes == ("0", "1")
-        assert dist.probabilities[0] == pytest.approx(1.0)
-        swapped = measure_in_basis(state, "ZZ", [1, 0])
-        assert swapped.outcomes[1] == "01"
-        assert swapped.probabilities[1] == pytest.approx(1.0)
+        probs = measure_in_basis(state, "Z", [1])
+        assert probs.shape == (2,) and probs[0] == pytest.approx(1.0)
+        # The first qubit measured is the most significant bit: qubit 1
+        # reads 0 and qubit 0 reads 1, outcome "01" at index 1.
+        assert measure_in_basis(state, "ZZ", [1, 0]).tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_invalid_basis_letter(self):
         with pytest.raises(ValueError, match="basis"):
@@ -359,35 +358,57 @@ class TestMeasureInBasis:
         with pytest.raises(ValueError, match=message):
             measure_in_basis(state, "Z" * len(qubits), qubits)
 
+    @pytest.mark.parametrize("settings", ["Z", ["Z", "X", "Y"]], ids=["one", "stack"])
+    def test_negative_probability_rejected_before_clipping(self, rng, settings):
+        state = DensityMatrix(1, np.diag([1.5, -0.5]))
+        with pytest.raises(ValueError, match=r"outcome probability -0\.5, below -1e-09"):
+            measure_in_basis(state, settings)
+        with pytest.raises(ValueError, match="below"):
+            measure_in_basis([random_density(rng, 1), state], settings)
+
+    def test_small_negatives_set_to_zero(self):
+        probs = measure_in_basis(DensityMatrix(1, np.diag([1 + PROB_ATOL / 2,
+                                                             -PROB_ATOL / 2])), "Z")
+        assert probs.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 2)), np.diag([1e308, 1e308])],
+                             ids=["zero", "overflow"])
+    def test_sum_must_be_finite_and_positive(self, matrix):
+        # Under filterwarnings = error a numpy warning from the division
+        # would be raised instead of the function's own error.
+        state = DensityMatrix(1, matrix)
+        with pytest.raises(ValueError, match="finite, positive sum"):
+            measure_in_basis(state, "Z")
+
 
 class TestSampling:
     def test_deterministic_outcome(self):
-        dist = measure_in_basis(StateVector.computational("0"), "Z")
-        table = sample_shots(dist.probabilities, 100, seed=1)
+        probs = measure_in_basis(StateVector.computational("0"), "Z")
+        table = sample_shots(probs, 100, seed=1)
         assert table.settings == ("Z",) and table.counts.tolist() == [[100, 0]]
 
     def test_same_seed_same_table(self):
-        dist = measure_in_basis(StateVector.computational("0"), "X")
-        a = sample_shots(dist.probabilities, 5000, seed=42)
-        b = sample_shots(dist.probabilities, 5000, seed=42)
+        probs = measure_in_basis(StateVector.computational("0"), "X")
+        a = sample_shots(probs, 5000, seed=42)
+        b = sample_shots(probs, 5000, seed=42)
         assert a == b
 
     def test_large_sample_frequency(self):
-        dist = measure_in_basis(StateVector.computational("0"), "X")
-        table = sample_shots(dist.probabilities, 10**6, seed=7)
+        probs = measure_in_basis(StateVector.computational("0"), "X")
+        table = sample_shots(probs, 10**6, seed=7)
         assert abs(table.counts[0, 0] / 10**6 - 0.5) < 0.002
 
     def test_sampling_converges_in_tvd(self):
         circuit = Circuit(2, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0)])
-        dist = measure_in_basis(run_statevector(circuit), "ZZ")
-        table = sample_shots(dist.probabilities, 10**6, seed=5)
-        tvd = 0.5 * np.abs(table.counts[0] / table.shots - dist.probabilities).sum()
+        probs = measure_in_basis(run_statevector(circuit), "ZZ")
+        table = sample_shots(probs, 10**6, seed=5)
+        tvd = 0.5 * np.abs(table.counts[0] / table.shots - probs).sum()
         assert tvd <= 0.005
 
     def test_shot_count_validation(self):
-        dist = measure_in_basis(StateVector.computational("0"), "Z")
+        probs = measure_in_basis(StateVector.computational("0"), "Z")
         with pytest.raises(ValueError, match="shots"):
-            sample_shots(dist.probabilities, 0, seed=0)
+            sample_shots(probs, 0, seed=0)
 
     def test_postselect(self):
         table = shot_table("XZ", {"01": 30, "11": 20, "00": 50}, 100)
@@ -466,7 +487,7 @@ class TestSampling:
         np.testing.assert_array_equal(default.counts, table.counts)
 
     def test_generator_seed_used_as_is(self):
-        probs = measure_in_basis(StateVector.computational("0"), "X").probabilities
+        probs = measure_in_basis(StateVector.computational("0"), "X")
         rng = np.random.default_rng(3)
         first = sample_shots(probs, 1000, seed=rng)
         assert first == sample_shots(probs, 1000, seed=3)
@@ -498,7 +519,7 @@ class TestShotTable:
         for _ in range(20):
             draws = _random_draws(rng, width)
             table = ShotTable("Z" * width, draws, int(draws.sum()))
-            expected = {bits: int(c) for bits, c in zip(_outcomes(width), draws)
+            expected = {bits: int(c) for bits, c in zip(outcome_labels(width), draws)
                         if c > 0}
             assert dict(counts(table)) == expected
             assert list(counts(table)) == list(expected)
@@ -643,7 +664,7 @@ class TestSpawnGenerators:
                                           pool_size=pool_size)
         parent = make()
         parent.spawn(advanced)
-        got = spawn_generators(parent, count)
+        (got,) = spawn_generators([parent], [count])
         want = _spawned_reference(make, advanced, count)
         assert len(got) == count
         for mine, theirs in zip(got, want):
@@ -661,14 +682,15 @@ class TestSpawnGenerators:
         batch = spawn_generators(seeds, counts)
         assert [len(gens) for gens in batch] == counts
         for one, n, gens in zip(seeds, counts, batch):
-            assert rng_states(gens) == rng_states(spawn_generators(one, n))
+            assert rng_states(gens) == rng_states(spawn_generators([one], [n])[0])
         assert rng_states(batch[0]) == rng_states(_spawned_reference(make, advanced, count))
         assert (parent.n_children_spawned, other.n_children_spawned) == (advanced, 2)
 
-    def test_one_count_for_every_seed_and_no_seeds(self):
-        batch = spawn_generators((4, np.random.SeedSequence(4)), 5)
-        assert rng_states(batch[0]) == rng_states(batch[1]) == rng_states(spawn_generators(4, 5))
-        assert spawn_generators([], 3) == []
+    def test_int_and_seed_sequence_seeds_and_no_seeds(self):
+        batch = spawn_generators((4, np.random.SeedSequence(4)), (5, 5))
+        want = [np.random.default_rng(c) for c in np.random.SeedSequence(4).spawn(5)]
+        assert rng_states(batch[0]) == rng_states(batch[1]) == rng_states(want)
+        assert spawn_generators([], []) == []
 
 
 class TestBasisRotationCache:
@@ -735,9 +757,9 @@ class TestStackedMeasurement:
         for qubits in readouts(num_qubits):
             settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(qubits))]
             for state in states:
-                dist = measure_in_basis(state, settings, qubits)
-                assert dist.probabilities.shape == (len(settings), 2 ** len(qubits))
-                for setting, row in zip(settings, dist.probabilities):
+                probs = measure_in_basis(state, settings, qubits)
+                assert probs.shape == (len(settings), 2 ** len(qubits))
+                for setting, row in zip(settings, probs):
                     assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
 
     @pytest.mark.parametrize("width", [3, 4])
@@ -749,11 +771,11 @@ class TestStackedMeasurement:
             NoiseModel(0.02, 0.04, 0.01))
         qubits = tuple(range(1, width + 1)) + (0,)
         settings = ["".join(s) + "Z" for s in itertools.product("XYZ", repeat=width)]
-        dist = measure_in_basis(state, settings, qubits)
-        assert len(dist.probabilities) == 3**width
-        for setting, row in zip(settings, dist.probabilities):
+        probs = measure_in_basis(state, settings, qubits)
+        assert len(probs) == 3**width
+        for setting, row in zip(settings, probs):
             assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
-            single = measure_in_basis(state, setting, qubits).probabilities
+            single = measure_in_basis(state, setting, qubits)
             assert single.ndim == 1 and single.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("num_qubits", range(1, 6))
@@ -764,16 +786,15 @@ class TestStackedMeasurement:
         for qubits in readouts(num_qubits):
             settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(qubits))]
             for setting in (settings, settings[-1]):
-                dists = measure_in_basis(states, setting, qubits)
-                assert isinstance(dists, list) and len(dists) == len(states)
-                for state, dist in zip(states, dists):
+                stacked = measure_in_basis(states, setting, qubits)
+                assert isinstance(stacked, np.ndarray) and len(stacked) == len(states)
+                for state, probs in zip(states, stacked):
                     alone = measure_in_basis(state, setting, qubits)
-                    assert dist.outcomes == alone.outcomes
-                    assert dist.probabilities.shape == alone.probabilities.shape
-                    assert dist.probabilities.tobytes() == alone.probabilities.tobytes()
-        # A tuple works the same, and one state in a list still gives a list.
-        assert len(measure_in_basis(tuple(states), "Z" * num_qubits)) == 3
-        assert len(measure_in_basis(states[:1], "Z" * num_qubits)) == 1
+                    assert probs.shape == alone.shape
+                    assert probs.tobytes() == alone.tobytes()
+        # A tuple works the same, and one state in a list keeps its state axis.
+        assert measure_in_basis(tuple(states), "Z" * num_qubits).shape == (3, 2**num_qubits)
+        assert measure_in_basis(states[:1], "Z" * num_qubits).shape == (1, 2**num_qubits)
 
     def test_list_of_states_must_share_kind_and_size(self, rng):
         pure, mixed = random_pure(rng, 2), random_density(rng, 2)
@@ -816,20 +837,20 @@ class TestDensityWorkArrays:
     def test_partial_last_block_matches_single_calls(self, state, count):
         before = state.matrix.tobytes()
         settings = self.SETTINGS[-count:]
-        dist = measure_in_basis(state, settings, self.QUBITS)
-        assert dist.probabilities.shape == (count, 8)
-        for setting, row in zip(settings, dist.probabilities):
+        probs = measure_in_basis(state, settings, self.QUBITS)
+        assert probs.shape == (count, 8)
+        for setting, row in zip(settings, probs):
             assert row.tobytes() == measure_one(state, setting, self.QUBITS).tobytes()
-            single = measure_in_basis(state, setting, self.QUBITS).probabilities
+            single = measure_in_basis(state, setting, self.QUBITS)
             assert single.tobytes() == row.tobytes()
         assert state.matrix.tobytes() == before
 
     def test_short_call_after_long_call_has_no_stale_rows(self, state):
         measure_in_basis(state, self.SETTINGS[:20], self.QUBITS)
         settings = self.SETTINGS[-2:]
-        dist = measure_in_basis(state, settings, self.QUBITS)
-        assert dist.probabilities.shape == (2, 8)
-        for setting, row in zip(settings, dist.probabilities):
+        probs = measure_in_basis(state, settings, self.QUBITS)
+        assert probs.shape == (2, 8)
+        for setting, row in zip(settings, probs):
             assert row.tobytes() == measure_one(state, setting, self.QUBITS).tobytes()
 
 
@@ -886,10 +907,10 @@ class TestReadoutFlips:
                 for setting in map("".join, itertools.product("XYZ", repeat=width)):
                     qubits = list(range(3 - width, 3))
                     expected = _flip_distribution(
-                        measure_in_basis(clean, setting, qubits).probabilities,
+                        measure_in_basis(clean, setting, qubits),
                         width, p)
                     np.testing.assert_allclose(
-                        measure_in_basis(folded, setting, qubits).probabilities,
+                        measure_in_basis(folded, setting, qubits),
                         expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("num_qubits", range(2, 6))

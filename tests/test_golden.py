@@ -17,6 +17,7 @@ differs, or whose `result` moved by more than 1e-12, so last-digit
 differences between hosts stay out of the diff.
 """
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,6 @@ from pathlib import Path
 import pytest
 
 import hetverify.tomography
-from hetverify.circuits import _outcomes
 from hetverify.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -98,7 +98,8 @@ def run_cli(argv, outdir, patch) -> dict:
         table = sample_shots(*args, **kwargs)
         # One record per row, as when each setting was drawn by its own call.
         for setting, row in zip(table.settings, table.counts.tolist()):
-            drawn = [(bits, c) for bits, c in zip(_outcomes(len(setting)), row) if c]
+            labels = map("".join, itertools.product("01", repeat=len(setting)))
+            drawn = [(bits, c) for bits, c in zip(labels, row) if c]
             digest.update(json.dumps([setting, drawn, sum(row)]).encode())
         return table
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hetverify.metrics import (
     total_variation_distance,
     trace_distance,
 )
-from hetverify.states import DensityMatrix, ProbabilityDistribution, StateVector
+from hetverify.states import PROB_ATOL, DensityMatrix, StateVector
 
 from conftest import random_density, random_pure, random_unphysical
 
@@ -101,24 +102,52 @@ class TestTraceDistance:
 
 class TestTotalVariationDistance:
     def test_identical(self):
-        p = ProbabilityDistribution(("0", "1"), [0.3, 0.7])
+        p = np.array([0.3, 0.7])
         assert total_variation_distance(p, p) == 0.0
 
     def test_disjoint(self):
-        p = ProbabilityDistribution(("0", "1"), [1.0, 0.0])
-        q = ProbabilityDistribution(("0", "1"), [0.0, 1.0])
-        assert total_variation_distance(p, q) == 1.0
+        assert total_variation_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_direct_sum(self):
-        p = ProbabilityDistribution(("0", "1"), [0.75, 0.25])
-        q = ProbabilityDistribution(("0", "1"), [0.5, 0.5])
-        assert total_variation_distance(p, q) == pytest.approx(0.25)
+        assert total_variation_distance([0.75, 0.25], [0.5, 0.5]) == pytest.approx(0.25)
 
     def test_mismatched_outcomes(self):
-        p = ProbabilityDistribution(("0", "1"), [0.5, 0.5])
-        q = ProbabilityDistribution(("00", "01"), [0.5, 0.5])
-        with pytest.raises(ValueError, match="outcome"):
-            total_variation_distance(p, q)
+        with pytest.raises(ValueError, match=re.escape("shapes (2,) and (4,)")):
+            total_variation_distance([0.5, 0.5], [0.25] * 4)
+        with pytest.raises(ValueError, match="one length"):
+            total_variation_distance([], [])
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 2, 2)],
+                             ids=["1x2", "2x2", "2x2x2"])
+    def test_stacked_input_rejected(self, shape):
+        stack = np.full(shape, 1 / shape[-1])
+        with pytest.raises(ValueError, match="probability vectors of one length"):
+            total_variation_distance(stack, stack)
+        with pytest.raises(ValueError, match="probability vectors of one length"):
+            total_variation_distance(stack.reshape(-1)[:2], stack)
+
+    def test_small_negatives_clipped(self):
+        p = [-PROB_ATOL / 2, 1.0]
+        assert total_variation_distance(p, [0.0, 1.0]) == 0.0
+        assert total_variation_distance([1.0, 0.0], p) == 1.0
+
+    @pytest.mark.parametrize("bad,problem", [
+        ([-0.1, 1.1], "negative or NaN probability: -0.1"),
+        ([0.5, 0.4], "probabilities sum to 0.9"),
+        ([0.5, 0.5 + 2 * PROB_ATOL], "probabilities sum to"),
+        ([np.nan, 1.0], "negative or NaN probability: nan"),
+    ], ids=["negative", "short", "long", "nan"])
+    def test_bad_vector_is_named(self, bad, problem):
+        good = [0.25, 0.75]
+        with pytest.raises(ValueError, match="^" + re.escape(f"p: {problem}")):
+            total_variation_distance(bad, good)
+        with pytest.raises(ValueError, match="^" + re.escape(f"q: {problem}")):
+            total_variation_distance(good, bad)
+
+    def test_single_vector_error_has_no_row_label(self):
+        with pytest.raises(ValueError, match="^p: negative or NaN probability") as err:
+            total_variation_distance([-0.1, 1.1], [0.5, 0.5])
+        assert "row" not in str(err.value)
 
 
 class TestMetricAxiomsFuzz:

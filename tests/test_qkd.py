@@ -6,6 +6,7 @@ import pytest
 from conftest import cell
 from hetverify.circuits import cu3, run_statevector, u3, x
 from hetverify.cli import EXIT_OK, main
+from hetverify.metrics import fidelity
 from hetverify.qkd import (
     BALANCED_QKD_ZETA,
     BELL_LABELS,
@@ -14,12 +15,12 @@ from hetverify.qkd import (
     _bell_encode_gates,
     bell_qkd_circuit,
     mode_label,
-    qkd_bell_run,
-    qkd_single_run,
     qkd_table,
     single_qkd_circuit,
     threshold_verdict,
 )
+from hetverify.states import StateVector
+from hetverify.tomography import reconstruct_multi_qubit, tomography_sweep
 
 PI = math.pi
 SQRT_HALF = 1 / np.sqrt(2)
@@ -27,16 +28,33 @@ COS_PI_6 = math.cos(PI / 6)          # matched fidelity at zeta=pi/3
 MISMATCH_PI_3 = 0.258819             # |cos(pi/6) - sin(pi/6)| / sqrt(2)
 
 
+def decoded_fidelity(circuit, bits, shots=None, seed=0):
+    """One table cell: the fidelity of the circuit's tomographed system
+    register against |bits>, from a one-circuit sweep with the cell's seed."""
+    expectations = tomography_sweep(circuit, shots=shots, seed=seed)
+    return fidelity(reconstruct_multi_qubit(expectations, len(bits)),
+                    StateVector.computational(bits))
+
+
+def single_cell(initial, encode, decode, mode, **sweep):
+    return decoded_fidelity(single_qkd_circuit(initial, encode, decode, mode),
+                            str(initial), **sweep)
+
+
+def bell_cell(encode, decode, mode, **sweep):
+    return decoded_fidelity(bell_qkd_circuit(encode, decode, mode), "00", **sweep)
+
+
 class TestMatchedPairs:
     @pytest.mark.parametrize("basis", ["z", "x", "y"])
     def test_simple_identity(self, basis):
-        assert qkd_single_run("0", basis, basis, "simple") == \
+        assert single_cell("0", basis, basis, "simple") == \
             pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("basis", ["z", "x", "y"])
     @pytest.mark.parametrize("initial", ["0", "1"])
     def test_balanced_detection_value(self, basis, initial):
-        value = qkd_single_run(initial, basis, basis, BALANCED_QKD_ZETA)
+        value = single_cell(initial, basis, basis, BALANCED_QKD_ZETA)
         assert value == pytest.approx(COS_PI_6, abs=1e-10)
 
     def test_matched_circuit_is_identity_up_to_phase(self):
@@ -47,7 +65,7 @@ class TestMatchedPairs:
 
     @pytest.mark.parametrize("initial", ["0", "1", 0, 1])
     def test_scored_against_the_prepared_state(self, initial):
-        assert qkd_single_run(initial, "z", "z", "simple") == \
+        assert single_cell(initial, "z", "z", "simple") == \
             pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("initial", ["2", 2, "", "01", (0.6, 0.8), None,
@@ -55,7 +73,7 @@ class TestMatchedPairs:
     def test_other_initial_rejected(self, initial):
         # Only |0> and |1> are scored against their own preparation.
         with pytest.raises(ValueError, match="initial must be '0' or '1'"):
-            qkd_single_run(initial, "z", "z", "simple")
+            single_qkd_circuit(initial, "z", "z", "simple")
         with pytest.raises(ValueError, match="initial must be '0' or '1'"):
             qkd_table(initial=initial, shots=None)
 
@@ -63,36 +81,36 @@ class TestMatchedPairs:
 class TestMismatchedPairs:
     @pytest.mark.parametrize("pair", [("z", "x"), ("z", "y"), ("x", "z")])
     def test_strong_mismatch_balanced(self, pair):
-        value = qkd_single_run("0", *pair, BALANCED_QKD_ZETA)
+        value = single_cell("0", *pair, BALANCED_QKD_ZETA)
         assert value == pytest.approx(MISMATCH_PI_3, abs=1e-6)
 
     @pytest.mark.parametrize("pair", [("z", "x"), ("z", "y"), ("x", "z"),
                                       ("x", "y"), ("y", "z"), ("y", "x")])
     def test_simple_mismatch(self, pair):
-        value = qkd_single_run("0", *pair, "simple")
+        value = single_cell("0", *pair, "simple")
         assert value == pytest.approx(SQRT_HALF, abs=1e-10)
 
     @pytest.mark.parametrize("pair", [("x", "y"), ("y", "z"), ("y", "x")])
     def test_weak_mismatch_stays_high_balanced(self, pair):
-        value = qkd_single_run("0", *pair, BALANCED_QKD_ZETA)
+        value = single_cell("0", *pair, BALANCED_QKD_ZETA)
         assert value == pytest.approx(SQRT_HALF, abs=1e-6)
 
 
 class TestBellPairs:
     def test_matched_simple(self):
-        assert qkd_bell_run("b00", "b00", "simple") == \
+        assert bell_cell("b00", "b00", "simple") == \
             pytest.approx(1.0, abs=1e-10)
 
     def test_balanced_values(self):
         expected = {"b00": 0.75, "b01": 0.4330127, "b10": 0.4330127,
                     "b11": 0.25}
         for decode, value in expected.items():
-            assert qkd_bell_run("b00", decode, BALANCED_QKD_ZETA) == \
+            assert bell_cell("b00", decode, BALANCED_QKD_ZETA) == \
                 pytest.approx(value, abs=1e-6), decode
 
     def test_mismatched_simple_vanishes(self):
         for decode in ("b01", "b10", "b11"):
-            assert qkd_bell_run("b00", decode, "simple") == \
+            assert bell_cell("b00", decode, "simple") == \
                 pytest.approx(0.0, abs=1e-9)
 
     def test_decoder_inverts_encoder(self):
@@ -191,11 +209,11 @@ class TestQkdTable:
         children = iter(np.random.SeedSequence(7).spawn(27))
         for e, d in SINGLE_PAIR_ORDER:
             for mode, label in zip((BALANCED_QKD_ZETA, PI / 2, "simple"), table["modes"]):
-                value = qkd_single_run("1", e, d, mode, shots=512, seed=next(children))
+                value = single_cell("1", e, d, mode, shots=512, seed=next(children))
                 assert table["rows"][f"{e}-{d}"][label] == value
         bell = qkd_table(kind="bell", modes=("simple",), shots=512, seed=7)
         for (e, d), child in zip(BELL_PAIR_ORDER, np.random.SeedSequence(7).spawn(4)):
-            value = qkd_bell_run(e, d, "simple", shots=512, seed=child)
+            value = bell_cell(e, d, "simple", shots=512, seed=child)
             assert bell["rows"][f"{e}-{d}"]["simple"] == value
 
     def test_csv_export_row_order(self, tmp_path):

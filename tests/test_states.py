@@ -1,14 +1,12 @@
 import dataclasses
-import re
 
 import numpy as np
 import pytest
 
+from hetverify.metrics import total_variation_distance
 from hetverify.states import (
-    PROB_ATOL,
     TRACE_ATOL,
     DensityMatrix,
-    ProbabilityDistribution,
     StateVector,
     condition_on_ancilla,
     partial_trace,
@@ -159,8 +157,9 @@ class TestConstructionValidation:
         lambda bad: StateVector(2, [0.5, 0.5, 0.5, bad * 1j]),
         lambda bad: DensityMatrix(1, [[bad, 0], [0, 0]]),
         lambda bad: DensityMatrix(1, [[0.5, bad], [bad, 0.5]]),
-        lambda bad: ProbabilityDistribution(("0", "1"), [bad, 1.0]),
-        lambda bad: ProbabilityDistribution(("0", "1"), [[0.5, 0.5], [1.0, bad]]),
+        lambda bad: total_variation_distance([bad, 1.0], [0.5, 0.5]),
+        # The second row of a stack of two distributions, compared row to row.
+        lambda bad: total_variation_distance(*np.array([[0.5, 0.5], [1.0, bad]])),
     ], ids=["statevector", "statevector-imag", "density-diagonal",
             "density-coherence", "distribution", "distribution-stack"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -182,35 +181,6 @@ class TestConstructionValidation:
                     StateVector(num_qubits, amps)
                 continue
             assert StateVector(num_qubits, amps).density().physical
-
-
-class TestProbabilityDistributionStack:
-    def test_rows_validated_and_clipped(self):
-        dist = ProbabilityDistribution(("0", "1"), [[1.0, 0.0], [0.5, 0.5],
-                                                    [-PROB_ATOL / 2, 1.0]])
-        assert dist.probabilities.shape == (3, 2)
-        assert dist.probabilities[2].tolist() == [0.0, 1.0]
-
-    @pytest.mark.parametrize("bad_row,problem", [
-        ([-0.1, 1.1], "row 2: negative or NaN probability: -0.1"),
-        ([0.5, 0.4], "row 2: probabilities sum to 0.9"),
-        ([0.5, 0.5 + 2 * PROB_ATOL], "row 2: probabilities sum to"),
-        ([np.nan, 1.0], "row 2: negative or NaN probability: nan"),
-    ], ids=["negative", "short", "long", "nan"])
-    def test_one_bad_row_is_named(self, bad_row, problem):
-        rows = [[1.0, 0.0], [0.25, 0.75], bad_row, [0.0, 1.0]]
-        with pytest.raises(ValueError, match=re.escape(problem)):
-            ProbabilityDistribution(("0", "1"), rows)
-
-    def test_single_row_error_has_no_row_label(self):
-        with pytest.raises(ValueError, match="^negative or NaN probability"):
-            ProbabilityDistribution(("0", "1"), [-0.1, 1.1])
-
-    def test_shape_must_match_outcomes(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            ProbabilityDistribution(("0", "1"), [[0.25, 0.25, 0.5]])
-        with pytest.raises(ValueError, match="length mismatch"):
-            ProbabilityDistribution(("0", "1"), np.full((2, 2, 2), 0.5))
 
 
 def check_physical_oracle(mat):

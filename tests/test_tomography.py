@@ -373,7 +373,7 @@ class TestTomographySweep:
         shots, repeats = 1024, 200
         exact = tomography_sweep(circuit, noise=noise)
         rho = run_density_matrix(circuit, noise)
-        kept = measure_in_basis(rho, "Z", [circuit.ancilla]).probabilities[1]
+        kept = measure_in_basis(rho, "Z", [circuit.ancilla])[1]
         # Separate seeds, so the two shot counts draw independent streams.
         runs = {s: [tomography_sweep(circuit, shots=s, seed=seed, noise=noise)
                     for seed in range(i * repeats, (i + 1) * repeats)]
@@ -416,7 +416,7 @@ class TestTomographySweep:
         kept = 1.0
         if circuit.ancilla is not None:
             rho = run_density_matrix(circuit, noise)
-            kept = measure_in_basis(rho, "Z", [circuit.ancilla]).probabilities[1]
+            kept = measure_in_basis(rho, "Z", [circuit.ancilla])[1]
         for string, value in exact.items():
             # Every kept shot of each of the 3^#I compatible settings
             # is one +-1 draw with mean `value`.
@@ -593,10 +593,10 @@ def _sweep_by_loop(circuit, shots, seed, noise):
     ancilla = [] if circuit.ancilla is None else [circuit.ancilla]
     settings_ = ["".join(s) + "Z" * len(ancilla)
                  for s in itertools.product("XYZ", repeat=len(measured))]
-    dist = measure_in_basis(state, settings_, measured + ancilla)
+    probs = measure_in_basis(state, settings_, measured + ancilla)
     children = np.random.SeedSequence(seed).spawn(len(settings_))
     tables = []
-    for setting, child, p in zip(settings_, children, dist.probabilities):
+    for setting, child, p in zip(settings_, children, probs):
         table = ShotTable(setting, np.random.default_rng(child).multinomial(
             shots, p / p.sum()), shots)
         tables.append(table.postselect(len(measured), 1) if ancilla else table)
