@@ -34,8 +34,8 @@ def main():
     print(f"\n  matched-vs-mismatched gap: {gap_bal:.4f} at zeta=pi/3 "
           f"vs {gap_simple:.4f} plain ({gap_bal / gap_simple:.1f}x wider)")
 
-    print("\nBell-basis table, exact backend")
-    bell = qkd_table(initial="00", kind="bell", shots=None)
+    print("\nBell-basis table, initial |00>, exact backend")
+    bell = qkd_table("00", shots=None)
     print_table(bell)
 
     print("\nThreshold verdicts at zeta=pi/3 (accept only matched bases)")

@@ -10,7 +10,6 @@ from .states import (
     condition_on_ancilla,
     partial_trace,
     project_to_physical,
-    tensor_product,
 )
 from .metrics import (
     fidelity,
@@ -38,7 +37,6 @@ from .tomography import (
     pauli_strings,
     reconstruct_multi_qubit,
     reconstruct_single_qubit,
-    reduced_fidelities,
     tomography_sweep,
 )
 from .protocols import (

@@ -380,19 +380,20 @@ def measure_in_basis(state, setting, qubits=None) -> np.ndarray:
 class ShotTable:
     """Shot counts for a stack of k basis settings of one width w.
 
-    Row i of the k x 2^w `counts` matrix counts the outcomes of
-    settings[i], letters from X, Y and Z, in index order, qubit 0 the
-    most significant bit; all rows sum to `shots`, below 2^63, so no int64
-    sum of counts wraps.  A string setting with a count vector is a one-row
-    stack.  An int64 array is stored without a copy and made read-only."""
+    `settings` is a list or tuple of k strings of letters from X, Y and
+    Z.  Row i of the k x 2^w `counts` matrix counts the outcomes of
+    settings[i] in index order, qubit 0 the most significant bit; all
+    rows sum to `shots`, below 2^63, so no int64 sum of counts wraps.  An
+    int64 array is stored without a copy and made read-only."""
 
     settings: tuple
     counts: np.ndarray
     shots: int
 
     def __post_init__(self):
-        one = isinstance(self.settings, str)
-        settings = (self.settings,) if one else tuple(self.settings)
+        # A string would pass as a stack of one-letter settings.
+        settings = tuple(_expect(self.settings, (list, tuple),
+                                 "settings must be a list or tuple of strings"))
         if not settings:
             raise ValueError("a shot table needs at least one setting")
         width = len(settings[0])
@@ -401,7 +402,7 @@ class ShotTable:
                 raise ValueError(f"setting {setting!r} is not {width} letters "
                                  "from X, Y, Z")
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (len(settings), 2**width)[one:]:
+        if counts.shape != (len(settings), 2**width):
             raise ValueError(f"setting {settings[0]!r} needs {2**width} counts per "
                              f"row, {len(settings)} rows, got shape {counts.shape}")
         # As uint64 a negative count is at least 2^63, so if no count exceeds
@@ -413,7 +414,7 @@ class ShotTable:
                              "shot total, below 2^63")
         counts.setflags(write=False)
         object.__setattr__(self, "settings", settings)
-        object.__setattr__(self, "counts", counts.reshape(1, -1) if one else counts)
+        object.__setattr__(self, "counts", counts)
 
     def __eq__(self, other):
         if not isinstance(other, ShotTable):
@@ -548,21 +549,19 @@ def spawn_generators(seeds, counts) -> list:
     return [generators[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
 
 
-def sample_shots(probabilities, shots: int, seed, settings=None) -> ShotTable:
+def sample_shots(probabilities, shots: int, seed, settings) -> ShotTable:
     """Seeded multinomial draws of `shots` shots from each row of a k x 2^w
     stack of outcome probabilities, such as `measure_in_basis` returns
-    for k settings, as the rows of one table's count matrix.  Each row must
-    be non-negative with a finite, positive sum, and is scaled to sum to
-    1.  `seed` lists one seed per row, each anything `default_rng` takes;
-    a Generator's state advances.  A vector takes one seed and setting.
-    `settings` default to Z on every bit.  Readout flips are already in
+    for k settings, as one table whose row i counts settings[i].  Each row
+    must be non-negative with a finite, positive sum, and is scaled to sum
+    to 1.  `seed` lists one seed per row, each anything `default_rng`
+    takes; a Generator's state advances.  Readout flips are already in
     the probabilities, folded in by `run_density_matrix`."""
-    probs = np.asarray(probabilities, dtype=float)
-    stack, seeds, names = ((probs[None], [seed], [settings]) if probs.ndim == 1
-                           else (probs, seed, settings))
+    stack = np.asarray(probabilities, dtype=float)
     if stack.ndim != 2 or not stack.size or stack.shape[1] & (stack.shape[1] - 1):
-        raise ValueError(f"need 2^k outcome probabilities, got shape {probs.shape}")
-    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(stack):
+        raise ValueError("need a k x 2^w stack of outcome probabilities, "
+                         f"got shape {stack.shape}")
+    if not isinstance(seed, (list, tuple)) or len(seed) != len(stack):
         raise ValueError(f"need a list of {len(stack)} seeds, one per row, got {seed!r}")
     limit = (2**63 - 1) // len(stack)  # the table's total fits int64
     if not 1 <= _expect(shots, (int, np.integer), "shots must be an integer") <= limit:
@@ -574,7 +573,5 @@ def sample_shots(probabilities, shots: int, seed, settings=None) -> ShotTable:
         raise ValueError("outcome probabilities must be non-negative with a "
                          "finite, positive sum")
     draws = [np.random.default_rng(rng).multinomial(shots, p)
-             for rng, p in zip(seeds, stack / total)]
-    if settings is None:
-        names = ("Z" * (stack.shape[1].bit_length() - 1),) * len(stack)
-    return ShotTable(names, np.array(draws), shots * len(stack))
+             for rng, p in zip(seed, stack / total)]
+    return ShotTable(settings, np.array(draws), shots * len(stack))

@@ -262,8 +262,7 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
         if payload["verdict"] == "reject":
             exit_code = EXIT_REJECT
     elif config.command in ("qkd-single", "qkd-bell"):
-        table = qkd_table(initial=params.get("initial", "00"), shots=shots, seed=seed,
-                          noise=noise, kind=config.command.removeprefix("qkd-"))
+        table = qkd_table(params.get("initial", "00"), shots=shots, seed=seed, noise=noise)
         payload = {
             "table": table,
             "verdicts": threshold_verdict(table, BALANCED_QKD_ZETA,

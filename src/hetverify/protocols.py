@@ -10,6 +10,7 @@ report's `result` dict, keys in the order the report writes them.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -31,8 +32,7 @@ from .states import (
     partial_trace,
     project_to_physical,
 )
-from .tomography import (MAX_MEASURED_QUBITS, reconstruct_multi_qubit, reduced_fidelities,
-                         tomography_sweep)
+from .tomography import MAX_MEASURED_QUBITS, reconstruct_multi_qubit, tomography_sweep
 
 BALANCED_ZETA = 0.0
 UNBALANCED_ZETA = math.pi / 2
@@ -147,12 +147,16 @@ def boson_sampling_circuit(n_photons: int, m_modes: int,
         raise ValueError("need 1 <= n_photons <= m_modes")
     if m_modes > MAX_MEASURED_QUBITS:
         raise ValueError(f"at most {MAX_MEASURED_QUBITS} modes supported")
-    circuit = Circuit(m_modes + 1, ancilla=m_modes)
+    try:
+        triples = [tuple(map(float, angles)) for angles in interferometer_angles]
+    except (TypeError, ValueError, OverflowError):
+        triples = []
+    if len(triples) != m_modes or any(len(angles) != 3 for angles in triples):
+        raise ValueError(f"need {m_modes} interferometer angle triples (theta, phi, lam), "
+                         f"one per mode, got {interferometer_angles!r}")
     gates = [x(q) for q in range(n_photons)]
-    for q in range(m_modes):
-        theta, phi, lam = interferometer_angles[q]
-        gates.append(u3(q, theta, phi, lam))
-    return heterodyne_stage(circuit.appended(*gates), zeta)
+    gates += [u3(q, *angles) for q, angles in enumerate(triples)]
+    return heterodyne_stage(Circuit(m_modes + 1, gates, ancilla=m_modes), zeta)
 
 
 def ideal_output(circuit: Circuit) -> DensityMatrix:
@@ -164,10 +168,15 @@ def ideal_output(circuit: Circuit) -> DensityMatrix:
 
 
 def _copy_counts(copies) -> tuple:
-    """The (n, m) copy counts of the two measurement groups, each at least 1."""
-    n, m = copies
+    """The (n, m) copy counts of the two measurement groups, each an
+    integer of at least 1; a bool is not a count."""
+    try:
+        n, m = (0 if isinstance(c, bool) else operator.index(c) for c in copies)
+    except (TypeError, ValueError):  # not a pair of integers
+        n = m = 0
     if min(n, m) < 1:
-        raise ValueError(f"copy counts must be at least 1, got {tuple(copies)}")
+        raise ValueError(f"copy counts must be at least 1, each an integer, "
+                         f"got copies={copies!r}")
     return n, m
 
 
@@ -224,8 +233,8 @@ def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
         globals_.append(fidelity(rho, target))
         # Each marginal is traced once and scored against both target lists.
         marginals = [partial_trace(rho, [q]) for q in range(rho.num_qubits)]
-        ideals.append(reduced_fidelities(marginals, ideal_targets))
-        inputs.append(reduced_fidelities(marginals, input_targets))
+        ideals.append([fidelity(m, t) for m, t in zip(marginals, ideal_targets, strict=True)])
+        inputs.append([fidelity(m, t) for m, t in zip(marginals, input_targets, strict=True)])
     red_ideal = np.mean(ideals, axis=0)
     red_input = np.mean(inputs, axis=0)
     group = _group(label, zeta, globals_)

@@ -116,30 +116,25 @@ def _decoded_fidelities(circuits, bits: str, shots, seeds, noise) -> list:
     return [fidelity(reconstruct_multi_qubit(ex, len(bits)), target) for ex in sweeps]
 
 
-_KIND_DEFAULT = object()  # "0" for a single-qubit table, "00" for a Bell table
+_TABLE_KINDS = {"0": "single", "1": "single", "00": "bell"}
 
 
-def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
-              shots: int = None, seed: int = 0, noise: NoiseModel = None,
-              kind: str = "single") -> dict:
+def qkd_table(initial="0", modes=(BALANCED_QKD_ZETA, math.pi / 2, "simple"),
+              shots: int = None, seed: int = 0, noise: NoiseModel = None) -> dict:
     """Evaluate every encode/decode pair in every requested mode, as the dict
     {"kind", "initial", "modes", "rows"}: `rows` maps each "e-d" pair, in
     pair order, to {mode label: fidelity}.  The labels must not repeat.
 
-    A single-qubit table starts from `initial`, '0' by default.  Bell
-    circuits always start in |00>, so a Bell table records "00" and takes
-    no other `initial`.  Each cell gets its own child seed, so the table
-    is reproducible and cells are independent; a SeedSequence `seed` is
-    not advanced.  One sweep draws every cell's tables, in pair then mode order.
+    The initial state picks the table: '0' or '1' (or the int 0 or 1) the
+    single-qubit table from that state, '00' the Bell table.  Each cell
+    gets its own child seed, so the table is reproducible and cells are
+    independent; a SeedSequence `seed` is not advanced.  One sweep draws
+    every cell's tables, in pair then mode order.
     """
-    if kind not in ("single", "bell"):
-        raise ValueError(f"kind must be 'single' or 'bell', got {kind!r}")
-    if kind == "bell":
-        if initial is not _KIND_DEFAULT and str(initial) != "00":
-            raise ValueError(f"a Bell table starts in '00', got initial={initial!r}")
-        initial = "00"
-    elif initial is _KIND_DEFAULT:
-        initial = "0"
+    kind = _TABLE_KINDS.get(str(initial))
+    if kind is None:
+        raise ValueError(f"initial must be '0', '1' or '00', got {initial!r}")
+    initial = str(initial)
     labels = [mode_label(m) for m in modes]
     if not labels:
         raise ValueError("a table needs at least one mode")
@@ -149,10 +144,10 @@ def qkd_table(initial=_KIND_DEFAULT, modes=(BALANCED_QKD_ZETA, math.pi / 2, "sim
     build = partial(single_qkd_circuit, initial) if kind == "single" else bell_qkd_circuit
     pairs = SINGLE_PAIR_ORDER if kind == "single" else BELL_PAIR_ORDER
     circuits = [build(e, d, mode) for e, d in pairs for mode in modes]
-    cells = iter(_decoded_fidelities(circuits, str(initial), shots,
+    cells = iter(_decoded_fidelities(circuits, initial, shots,
                                      seed_sequence(seed).spawn(len(circuits)), noise))
     rows = {f"{e}-{d}": {label: next(cells) for label in labels} for e, d in pairs}
-    return {"kind": kind, "initial": str(initial), "modes": labels, "rows": rows}
+    return {"kind": kind, "initial": initial, "modes": labels, "rows": rows}
 
 
 def threshold_verdict(table: dict, mode, threshold: float = None) -> dict:

@@ -95,23 +95,6 @@ class DensityMatrix:
         }
 
 
-def tensor_product(a, b):
-    """Kronecker composition of two states of the same kind.
-
-    The result's qubit order is a's qubits followed by b's.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.num_qubits + b.num_qubits,
-                           np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.num_qubits + b.num_qubits,
-                             np.kron(a.matrix, b.matrix))
-    raise TypeError(
-        f"operands must both be StateVector or both DensityMatrix, "
-        f"got {type(a).__name__} and {type(b).__name__}"
-    )
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in `keep`; result ordered by ascending index."""
     keep = sorted(set(keep))

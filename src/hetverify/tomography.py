@@ -53,7 +53,6 @@ from .circuits import (
     sample_shots,
     spawn_generators,
 )
-from .metrics import fidelity
 from .states import DensityMatrix, condition_on_ancilla
 
 MAX_MEASURED_QUBITS = 4
@@ -209,12 +208,3 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
                                  f"ancilla outcome 1 kept 0 of {shots} shots")
         sweeps.append(expectations_from_tables(table, len(one.system_qubits)))
     return sweeps if many else sweeps[0]
-
-
-def reduced_fidelities(marginals, targets) -> list:
-    """Fidelity of each single-qubit marginal against its pure target, a
-    state vector or a density matrix."""
-    if len(targets) != len(marginals):
-        raise ValueError(f"need one target per qubit ({len(marginals)}), "
-                         f"got {len(targets)}")
-    return [fidelity(m, t) for m, t in zip(marginals, targets)]

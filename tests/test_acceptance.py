@@ -6,6 +6,7 @@ an independent 8192-shot run of the same experiments on another
 simulator and are matched loosely (+-0.02); exact-backend values are
 matched to analytic results.
 """
+import functools
 import math
 import time
 
@@ -41,11 +42,10 @@ from hetverify.reference_data import (
     HARDWARE_SINGLE_QKD,
     hardware_reference,
 )
-from hetverify.states import tensor_product
+from hetverify.states import StateVector
 from hetverify.metrics import trace_distance
 from hetverify.tomography import (
     reconstruct_multi_qubit,
-    reduced_fidelities,
     tomography_sweep,
 )
 
@@ -128,14 +128,14 @@ class TestAcceptance:
 
     def test_criterion_2_bell_qkd_table(self):
         start = time.perf_counter()
-        exact = qkd_table(initial="00", kind="bell", shots=None)
+        exact = qkd_table("00", shots=None)
         expected = [0.75, 0.4330127, 0.4330127, 0.25]
         ok = all(math.isclose(cell(exact, p, "pi/3"), v, abs_tol=1e-4)
                  for p, v in zip(BELL_PAIR_ORDER, expected))
         simple = [1.0, 0.0, 0.0, 0.0]
         ok &= all(math.isclose(cell(exact, p, "simple"), v, abs_tol=1e-6)
                   for p, v in zip(BELL_PAIR_ORDER, simple))
-        sampled = qkd_table(initial="00", kind="bell", shots=8192, seed=0)
+        sampled = qkd_table("00", shots=8192, seed=0)
         ok &= _table_matches(sampled, REFERENCE_BELL, BELL_PAIR_ORDER,
                              ("pi/3", "simple"), atol=0.02)
         ok &= (time.perf_counter() - start) < 10.0
@@ -221,10 +221,10 @@ class TestAcceptance:
         for _ in range(500):
             rho = random_density(rng, 4)
             targets = [random_pure(rng) for _ in range(4)]
-            witness = fidelity_witness(reduced_fidelities(marginals(rho), targets))
-            product = targets[0]
-            for t in targets[1:]:
-                product = tensor_product(product, t)
+            witness = fidelity_witness([fidelity(m, t) for m, t in
+                                        zip(marginals(rho), targets, strict=True)])
+            product = StateVector(4, functools.reduce(
+                np.kron, [t.amplitudes for t in targets]))
             if witness > fidelity(rho, product.density()) + 1e-8:
                 violations += 1
         _report(8, "witness lower-bounds global fidelity on 500 random "

@@ -383,32 +383,32 @@ class TestMeasureInBasis:
 
 class TestSampling:
     def test_deterministic_outcome(self):
-        probs = measure_in_basis(StateVector.computational("0"), "Z")
-        table = sample_shots(probs, 100, seed=1)
+        probs = measure_in_basis(StateVector.computational("0"), ["Z"])
+        table = sample_shots(probs, 100, [1], ["Z"])
         assert table.settings == ("Z",) and table.counts.tolist() == [[100, 0]]
 
     def test_same_seed_same_table(self):
-        probs = measure_in_basis(StateVector.computational("0"), "X")
-        a = sample_shots(probs, 5000, seed=42)
-        b = sample_shots(probs, 5000, seed=42)
+        probs = measure_in_basis(StateVector.computational("0"), ["X"])
+        a = sample_shots(probs, 5000, [42], ["X"])
+        b = sample_shots(probs, 5000, [42], ["X"])
         assert a == b
 
     def test_large_sample_frequency(self):
-        probs = measure_in_basis(StateVector.computational("0"), "X")
-        table = sample_shots(probs, 10**6, seed=7)
+        probs = measure_in_basis(StateVector.computational("0"), ["X"])
+        table = sample_shots(probs, 10**6, [7], ["X"])
         assert abs(table.counts[0, 0] / 10**6 - 0.5) < 0.002
 
     def test_sampling_converges_in_tvd(self):
         circuit = Circuit(2, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0)])
-        probs = measure_in_basis(run_statevector(circuit), "ZZ")
-        table = sample_shots(probs, 10**6, seed=5)
-        tvd = 0.5 * np.abs(table.counts[0] / table.shots - probs).sum()
+        probs = measure_in_basis(run_statevector(circuit), ["ZZ"])
+        table = sample_shots(probs, 10**6, [5], ["ZZ"])
+        tvd = 0.5 * np.abs(table.counts[0] / table.shots - probs[0]).sum()
         assert tvd <= 0.005
 
     def test_shot_count_validation(self):
-        probs = measure_in_basis(StateVector.computational("0"), "Z")
+        probs = measure_in_basis(StateVector.computational("0"), ["Z"])
         with pytest.raises(ValueError, match="shots"):
-            sample_shots(probs, 0, seed=0)
+            sample_shots(probs, 0, [0], ["Z"])
 
     def test_postselect(self):
         table = shot_table("XZ", {"01": 30, "11": 20, "00": 50}, 100)
@@ -423,54 +423,67 @@ class TestSampling:
                                              r"in \[0, 2\) and a value 0 or 1"):
             table.postselect(bit, value)
 
-    # A 2-D stack is valid input: its rows are the 2^k probabilities.
-    @pytest.mark.parametrize("probs", [[1, 0, 0], [0.5] * 6, [], [[[0.5, 0.5]]],
+    # Only a 2-D stack is valid input: its rows are the 2^k probabilities.
+    @pytest.mark.parametrize("probs", [[[1, 0, 0]], [[0.5] * 6], [], [[[0.5, 0.5]]],
                                        [[1, 0, 0]] * 2, np.zeros((0, 2)), 1.0],
                              ids=["3", "6", "empty", "3d", "rows-of-3", "no-rows",
                                   "scalar"])
     def test_outcome_count_must_be_a_power_of_two(self, probs):
-        with pytest.raises(ValueError, match="need 2\\^k outcome probabilities"):
-            sample_shots(probs, 10, seed=0)
+        with pytest.raises(ValueError, match="need a k x 2\\^w stack of outcome probabilities"):
+            sample_shots(probs, 10, [0], ["Z"])
 
     @pytest.mark.parametrize("probs", [[0, 0], [0.5, np.nan], [1, np.inf],
                                        [-1, 0.5]], ids=["zero", "nan", "inf", "negative"])
     def test_probability_sum_must_be_finite_and_positive(self, probs):
         # pytest turns warnings into errors, so a divide warning would fail first.
         with pytest.raises(ValueError, match="finite, positive sum"):
-            sample_shots(probs, 10, seed=0)
+            sample_shots([probs], 10, [0], ["Z"])
 
     def test_overflowing_sum_rejected(self):
         # Finite entries whose sum overflows: no overflow warning first.
         with pytest.raises(ValueError, match="finite, positive sum"):
-            sample_shots([1e308, 1e308], 10, seed=0)
+            sample_shots([[1e308, 1e308]], 10, [0], ["Z"])
 
     def test_negative_entry_with_positive_sum_rejected(self):
         with pytest.raises(ValueError, match="must be non-negative"):
-            sample_shots([0.5, -0.5, 1, 0], 10, seed=0)
+            sample_shots([[0.5, -0.5, 1, 0]], 10, [0], ["ZZ"])
 
     @pytest.mark.parametrize("shots", [10.5, True, "10", None], ids=str)
     def test_shots_must_be_an_integer(self, shots):
         with pytest.raises(ValueError, match="shots must be an integer"):
-            sample_shots([0.5, 0.5], shots, seed=0)
+            sample_shots([[0.5, 0.5]], shots, [0], ["Z"])
 
     def test_shots_must_fit_int64(self):
         message = re.escape(f"shots must be in [1, {2**63 - 1}]")
         with pytest.raises(ValueError, match=message):
-            sample_shots([0.5, 0.5], 2**63, seed=0)
+            sample_shots([[0.5, 0.5]], 2**63, [0], ["Z"])
         # Across a stack the table's total must fit too.
         message = re.escape(f"shots must be in [1, {(2**63 - 1) // 2}]")
         with pytest.raises(ValueError, match=message):
-            sample_shots([[0.5, 0.5]] * 2, 2**62, seed=[0, 1])
+            sample_shots([[0.5, 0.5]] * 2, 2**62, [0, 1], ["Z", "Z"])
 
     def test_bad_row_of_a_stack_rejected(self):
         with pytest.raises(ValueError, match="finite, positive sum"):
-            sample_shots([[0.5, 0.5], [0.0, 0.0]], 10, seed=[0, 1])
+            sample_shots([[0.5, 0.5], [0.0, 0.0]], 10, [0, 1], ["Z", "Z"])
 
     @pytest.mark.parametrize("seed", [0, [0], (0, 1, 2), np.random.default_rng(0)],
                              ids=["int", "too-few", "too-many", "generator"])
     def test_stack_needs_one_seed_per_row(self, seed):
         with pytest.raises(ValueError, match="need a list of 2 seeds, one per row"):
-            sample_shots([[0.5, 0.5]] * 2, 10, seed=seed)
+            sample_shots([[0.5, 0.5]] * 2, 10, seed, ["Z", "Z"])
+
+    def test_removed_forms_rejected(self):
+        """A vector with one seed, a string of settings and no settings
+        were once accepted; each is now an error."""
+        with pytest.raises(ValueError, match="need a k x 2\\^w stack"):
+            sample_shots([0.5, 0.5], 10, 0, "Z")
+        # Two one-letter settings must not pass as the string "XZ".
+        with pytest.raises(ValueError, match="settings must be a list or tuple"):
+            sample_shots([[0.5, 0.5]] * 2, 10, [0, 1], "XZ")
+        with pytest.raises(ValueError, match="settings must be a list or tuple"):
+            sample_shots([[0.5, 0.5]], 10, [0], None)
+        with pytest.raises(TypeError, match="settings"):
+            sample_shots([[0.5, 0.5]], 10, [0])
 
     @pytest.mark.parametrize("width", range(4))
     def test_stack_rows_match_single_draws(self, rng, width):
@@ -481,18 +494,16 @@ class TestSampling:
         table = sample_shots(probs, 300, seeds, settings)
         assert table.settings == tuple(settings) and table.shots == 5 * 300
         for row, p, seed, setting in zip(table.counts, probs, seeds, settings):
-            assert sample_shots(p, 300, seed, setting) == ShotTable(setting, row, 300)
-        default = sample_shots(probs, 300, seeds)
-        assert default.settings == ("Z" * width,) * 5
-        np.testing.assert_array_equal(default.counts, table.counts)
+            assert sample_shots(p[None], 300, [seed], [setting]) \
+                == ShotTable([setting], row[None], 300)
 
     def test_generator_seed_used_as_is(self):
-        probs = measure_in_basis(StateVector.computational("0"), "X")
+        probs = measure_in_basis(StateVector.computational("0"), ["X"])
         rng = np.random.default_rng(3)
-        first = sample_shots(probs, 1000, seed=rng)
-        assert first == sample_shots(probs, 1000, seed=3)
+        first = sample_shots(probs, 1000, [rng], ["X"])
+        assert first == sample_shots(probs, 1000, [3], ["X"])
         # The Generator's state advanced, so a second draw from it differs.
-        assert sample_shots(probs, 1000, seed=rng) != first
+        assert sample_shots(probs, 1000, [rng], ["X"]) != first
 
 
 def _postselect_by_loop(table, bit, value):
@@ -518,7 +529,7 @@ class TestShotTable:
     def test_counts_view_matches_dict_of_draws(self, rng, width):
         for _ in range(20):
             draws = _random_draws(rng, width)
-            table = ShotTable("Z" * width, draws, int(draws.sum()))
+            table = ShotTable(["Z" * width], draws[None], int(draws.sum()))
             expected = {bits: int(c) for bits, c in zip(outcome_labels(width), draws)
                         if c > 0}
             assert dict(counts(table)) == expected
@@ -526,23 +537,23 @@ class TestShotTable:
             assert all(type(c) is int for c in counts(table).values())
 
     def test_vector_and_counts_are_read_only(self, rng):
-        draws = _random_draws(rng, 2)
-        table = ShotTable("XY", draws, int(draws.sum()))
+        draws = _random_draws(rng, 2)[None]
+        table = ShotTable(["XY"], draws, int(draws.sum()))
         with pytest.raises(ValueError):
             table.counts[0, 0] = 1
         with pytest.raises(TypeError):
             counts(table)["00"] = 1
         # The table owns the draws it was given: no copy, no writer left.
-        assert table.counts.base is draws and not draws.flags.writeable
+        assert table.counts is draws and not draws.flags.writeable
         assert shot_table("XY", counts(table), table.shots) == table
-        stack = np.stack([draws, draws])
+        stack = np.concatenate([draws, draws])
         table = ShotTable(("XY", "ZZ"), stack, 2 * int(draws.sum()))
         assert table.counts is stack and not stack.flags.writeable
 
     @pytest.mark.parametrize("width", range(1, 6))
     def test_postselect_matches_dict_loop(self, rng, width):
         setting = "".join(rng.choice(list("XYZ"), size=width))
-        table = ShotTable(setting, _random_draws(rng, width), 500)
+        table = ShotTable([setting], _random_draws(rng, width)[None], 500)
         for bit in range(width):
             for value in (0, 1):
                 kept = table.postselect(bit, value)
@@ -553,8 +564,8 @@ class TestShotTable:
     @pytest.mark.parametrize("width", range(1, 6))
     def test_postselect_slices_every_row(self, rng, width):
         """A stack post-selects as its rows do one by one."""
-        rows = [ShotTable("".join(rng.choice(list("XYZ"), size=width)),
-                          _random_draws(rng, width), 500) for _ in range(6)]
+        rows = [ShotTable(["".join(rng.choice(list("XYZ"), size=width))],
+                          _random_draws(rng, width)[None], 500) for _ in range(6)]
         stack = ShotTable([r.settings[0] for r in rows],
                           np.concatenate([r.counts for r in rows]), 3000)
         for bit in range(width):
@@ -569,7 +580,7 @@ class TestShotTable:
         with pytest.raises(ValueError, match="sum to the declared shot total"):
             shot_table("Z", {"0": 3, "1": 4}, 8)
         with pytest.raises(ValueError, match="sum to the declared shot total"):
-            ShotTable("Z", np.array([3, 4]), 6)
+            ShotTable(["Z"], np.array([[3, 4]]), 6)
 
     @pytest.mark.parametrize("rows,shots", [
         ([[2**62, 2**62]], -(2**63)),  # the int64 sum wraps to the total
@@ -587,25 +598,26 @@ class TestShotTable:
 
     def test_vector_length_must_match_setting(self):
         with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
-            ShotTable("XZ", np.array([1, 2]), 3)
-        # A string setting takes a vector, a sequence of settings a matrix.
+            ShotTable(["XZ"], np.array([[1, 2]]), 3)
+        # Settings take a matrix with a row per setting, never a vector.
         with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
-            ShotTable("XZ", np.ones((1, 4)), 4)
+            ShotTable(["XZ"], np.ones(4), 4)
         with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
             ShotTable(("XZ", "YY"), np.ones(4), 4)
         with pytest.raises(ValueError, match="'XZ' needs 4 counts"):
             ShotTable(("XZ", "YY"), np.ones((3, 4)), 12)
 
-    def test_string_setting_is_a_one_row_stack(self):
-        table = ShotTable("XZ", [1, 2, 3, 4], 10)
-        assert table == ShotTable(("XZ",), [[1, 2, 3, 4]], 10)
-        assert table.settings == ("XZ",) and table.counts.shape == (1, 4)
+    def test_string_settings_rejected(self):
+        # As a sequence, "XZ" would be two one-letter settings.
+        for settings in ("XZ", "X", None, 3):
+            with pytest.raises(ValueError, match="settings must be a list or tuple"):
+                ShotTable(settings, [[1, 1], [1, 1]], 4)
 
     @pytest.mark.parametrize("vector", [[-1, 7], [7, -1], [-(2**62), 2**62 + 6]],
                              ids=str)
     def test_negative_counts_rejected(self, vector):
         with pytest.raises(ValueError, match="counts must be non-negative"):
-            ShotTable("X", vector, 6)
+            ShotTable(["X"], [vector], 6)
         with pytest.raises(ValueError, match="counts must be non-negative"):
             ShotTable(("X", "Y", "Z"), [vector] * 3, 18)
 
@@ -613,7 +625,7 @@ class TestShotTable:
     def test_setting_letters_must_be_xyz(self, setting):
         message = f"setting {setting!r} is not {len(setting)} letters from X, Y, Z"
         with pytest.raises(ValueError, match=re.escape(message)):
-            ShotTable(setting, np.ones(2**len(setting)), 2**len(setting))
+            ShotTable([setting], np.ones((1, 2**len(setting))), 2**len(setting))
         with pytest.raises(ValueError, match=re.escape(message)):
             ShotTable(("X" * len(setting), setting),
                       np.ones((2, 2**len(setting))), 2**(len(setting) + 1))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -21,8 +22,7 @@ from hetverify.protocols import (
     protocol3_verify,
     single_mode_circuit,
 )
-from hetverify.states import StateVector, tensor_product
-from hetverify.tomography import reduced_fidelities
+from hetverify.states import StateVector
 
 from conftest import marginals, random_density, random_pure
 
@@ -132,10 +132,10 @@ class TestFidelityWitness:
         for _ in range(500):
             rho = random_density(rng, 4)
             targets = [random_pure(rng) for _ in range(4)]
-            witness = fidelity_witness(reduced_fidelities(marginals(rho), targets))
-            product = targets[0]
-            for t in targets[1:]:
-                product = tensor_product(product, t)
+            witness = fidelity_witness([fidelity(m, t) for m, t in
+                                        zip(marginals(rho), targets, strict=True)])
+            product = StateVector(4, functools.reduce(
+                np.kron, [t.amplitudes for t in targets]))
             if witness > fidelity(rho, product.density()) + 1e-8:
                 violations += 1
         assert violations == 0
@@ -146,8 +146,8 @@ class TestFidelityWitness:
         targets = [StateVector(1, v / np.linalg.norm(v)) for v in (
             np.linalg.eigh(m.matrix)[1][:, -1]
             for m in (reduced(rho, q) for q in range(4)))]
-        assert fidelity_witness(reduced_fidelities(marginals(rho), targets)) == \
-            pytest.approx(1.0, abs=1e-9)
+        assert fidelity_witness([fidelity(m, t) for m, t in zip(marginals(rho), targets)]) \
+            == pytest.approx(1.0, abs=1e-9)
 
 
 def reduced(rho, q):
@@ -213,6 +213,18 @@ class TestProtocol1:
             for copies in ((0, 5), (-1, 5)):
                 with pytest.raises(ValueError, match="copy counts must be at least 1"):
                     run(initial, BALANCED_ZETA, copies, shots=None)
+
+    @pytest.mark.parametrize("copies", [(2.0, 1), ("2", 1), (True, 1), (1, False),
+                                        (2,), (1, 2, 3), 5, None], ids=repr)
+    def test_copy_counts_must_be_integers(self, copies):
+        for run, initial in ((protocol1_run, "1"), (protocol2_run, "1100")):
+            with pytest.raises(ValueError, match="each an integer, got copies="):
+                run(initial, BALANCED_ZETA, copies, shots=None)
+
+    def test_numpy_integer_copy_counts(self):
+        copies = (np.int64(2), np.int32(1))
+        assert protocol1_run("1", BALANCED_ZETA, copies, shots=64, seed=3) \
+            == protocol1_run("1", BALANCED_ZETA, (2, 1), shots=64, seed=3)
 
 
 class TestProtocol2:
@@ -315,6 +327,15 @@ class TestProtocol3:
             protocol3_verify(n_photons=5, m_modes=4, shots=None)
         with pytest.raises(ValueError):
             protocol3_verify(threshold=1.5, shots=None)
+
+    @pytest.mark.parametrize("angles", [[(0, 0, 0)], [(0, 0, 0)] * 5, [(0, 0)] * 4,
+                                        [(0, 0, 0, 0)] * 4, [("a", 0, 0)] * 4,
+                                        [None] * 4, 7],
+                             ids=["one", "five", "pairs", "quadruples", "text", "none",
+                                  "int"])
+    def test_interferometer_needs_one_triple_per_mode(self, angles):
+        with pytest.raises(ValueError, match="need 4 interferometer angle triples"):
+            protocol3_verify(2, 4, interferometer_angles=angles, shots=None)
 
     def test_circuit_layout(self):
         circuit = boson_sampling_circuit(

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cell
 from hetverify.circuits import cu3, run_statevector, u3, x
-from hetverify.cli import EXIT_OK, main
+from hetverify.cli import EXIT_OK, main, parse_config, run_and_report
 from hetverify.metrics import fidelity
 from hetverify.qkd import (
     BALANCED_QKD_ZETA,
@@ -74,8 +74,8 @@ class TestMatchedPairs:
         # Only |0> and |1> are scored against their own preparation.
         with pytest.raises(ValueError, match="initial must be '0' or '1'"):
             single_qkd_circuit(initial, "z", "z", "simple")
-        with pytest.raises(ValueError, match="initial must be '0' or '1'"):
-            qkd_table(initial=initial, shots=None)
+        with pytest.raises(ValueError, match="initial must be '0', '1' or '00'"):
+            qkd_table(initial, shots=None)
 
 
 class TestMismatchedPairs:
@@ -147,20 +147,34 @@ class TestQkdTable:
         assert cell(table, ("y", "y"), "simple") == pytest.approx(1.0)
 
     def test_exact_bell_table(self):
-        table = qkd_table(initial="00", kind="bell", shots=None)
+        table = qkd_table("00", shots=None)
         values = [cell(table, p, "pi/3") for p in BELL_PAIR_ORDER]
         np.testing.assert_allclose(values, [0.75, 0.4330127, 0.4330127, 0.25],
                                    atol=1e-6)
 
-    @pytest.mark.parametrize("kwargs", [{}, {"initial": "00"}], ids=["default", "00"])
-    def test_bell_table_records_00(self, kwargs):
-        table = qkd_table(kind="bell", shots=None, **kwargs)
-        assert table["initial"] == "00"
+    @pytest.mark.parametrize("given", ["default", "00"])
+    def test_bell_table_records_00(self, tmp_path, given):
+        # qkd-bell has no --initial; the CLI's default picks the Bell table.
+        if given == "default":
+            config = parse_config(["qkd-bell", "--exact", "--output-dir", str(tmp_path)])
+            table = run_and_report(config).payload["result"]["table"]
+        else:
+            table = qkd_table("00", shots=None)
+        assert (table["kind"], table["initial"]) == ("bell", "00")
 
-    @pytest.mark.parametrize("initial", ["2", "0", "11", 0, None], ids=repr)
-    def test_bell_table_rejects_other_initial(self, initial):
-        with pytest.raises(ValueError, match="a Bell table starts in '00'"):
-            qkd_table(initial=initial, kind="bell", shots=None)
+    # The initial state picks the table; no other state gives a Bell table.
+    @pytest.mark.parametrize("initial, kind", [
+        pytest.param(initial, kind, id=repr(initial)) for initial, kind in [
+            ("2", None), ("0", "single"), ("11", None), (0, "single"), (None, None),
+            ("01", None), (np.array([0.6, 0.8]), None), ("1", "single"),
+            ("00", "bell")]])
+    def test_bell_table_rejects_other_initial(self, initial, kind):
+        if kind is None:
+            with pytest.raises(ValueError, match="initial must be '0', '1' or '00', got"):
+                qkd_table(initial, modes=("simple",), shots=None)
+        else:
+            table = qkd_table(initial, modes=("simple",), shots=None)
+            assert (table["kind"], table["initial"]) == (kind, str(initial))
 
     def test_single_table_defaults_to_0(self):
         assert qkd_table(shots=None) == qkd_table("0", shots=None)
@@ -194,15 +208,15 @@ class TestQkdTable:
         b = qkd_table("0", shots=2048, seed=9)
         assert a["rows"] == b["rows"]
 
-    @pytest.mark.parametrize("kind", ["single", "bell"])
-    def test_seed_sequence_is_not_advanced(self, kind):
+    @pytest.mark.parametrize("initial", ["0", "00"], ids=["single", "bell"])
+    def test_seed_sequence_is_not_advanced(self, initial):
         # The cells' seeds are the parent's next children, read without
         # spawning from it: the same table twice, as from its int seed.
         parent = np.random.SeedSequence(5)
-        first = qkd_table(shots=256, seed=parent, kind=kind)
-        assert qkd_table(shots=256, seed=parent, kind=kind) == first
+        first = qkd_table(initial, shots=256, seed=parent)
+        assert qkd_table(initial, shots=256, seed=parent) == first
         assert parent.n_children_spawned == 0
-        assert first == qkd_table(shots=256, seed=5, kind=kind)
+        assert first == qkd_table(initial, shots=256, seed=5)
 
     def test_cells_match_single_runs_with_child_seeds(self):
         table = qkd_table("1", shots=512, seed=7)
@@ -211,7 +225,7 @@ class TestQkdTable:
             for mode, label in zip((BALANCED_QKD_ZETA, PI / 2, "simple"), table["modes"]):
                 value = single_cell("1", e, d, mode, shots=512, seed=next(children))
                 assert table["rows"][f"{e}-{d}"][label] == value
-        bell = qkd_table(kind="bell", modes=("simple",), shots=512, seed=7)
+        bell = qkd_table("00", modes=("simple",), shots=512, seed=7)
         for (e, d), child in zip(BELL_PAIR_ORDER, np.random.SeedSequence(7).spawn(4)):
             value = bell_cell(e, d, "simple", shots=512, seed=child)
             assert bell["rows"][f"{e}-{d}"]["simple"] == value
@@ -251,7 +265,7 @@ class TestThresholdVerdict:
         assert accepted == {"z-z", "x-x", "y-y"}
 
     def test_bell_defaults(self):
-        table = qkd_table(initial="00", kind="bell", shots=None)
+        table = qkd_table("00", shots=None)
         balanced = threshold_verdict(table, BALANCED_QKD_ZETA)
         assert balanced["b00-b00"] == "accept"
         assert balanced["b00-b11"] == "reject"
@@ -281,7 +295,7 @@ class TestSeparationClaim:
         assert gap_balanced >= 1.9 * gap_simple
 
     def test_bell_separation_exact(self):
-        table = qkd_table(initial="00", kind="bell", shots=None)
+        table = qkd_table("00", shots=None)
         gap_balanced = cell(table, ("b00", "b00"), "pi/3") \
             - cell(table, ("b00", "b11"), "pi/3")
         assert gap_balanced == pytest.approx(0.5, abs=1e-6)

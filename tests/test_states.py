@@ -11,7 +11,6 @@ from hetverify.states import (
     condition_on_ancilla,
     partial_trace,
     project_to_physical,
-    tensor_product,
 )
 
 from conftest import random_density, random_pure, random_unphysical, with_spectrum
@@ -19,29 +18,6 @@ from conftest import random_density, random_pure, random_unphysical, with_spectr
 
 def bell_phi_plus():
     return StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2)).density()
-
-
-class TestTensorProduct:
-    def test_zero_kets(self):
-        result = tensor_product(StateVector.computational("0"),
-                                StateVector.computational("0"))
-        np.testing.assert_allclose(result.amplitudes, [1, 0, 0, 0])
-
-    def test_projectors(self):
-        result = tensor_product(StateVector.computational("1").density(),
-                                StateVector.computational("0").density())
-        np.testing.assert_allclose(result.matrix, np.diag([0, 0, 1, 0]))
-
-    def test_plus_times_one(self):
-        plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-        result = tensor_product(plus, StateVector.computational("1"))
-        np.testing.assert_allclose(
-            result.amplitudes, [0, 1 / np.sqrt(2), 0, 1 / np.sqrt(2)])
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            tensor_product(StateVector.computational("0"),
-                           StateVector.computational("0").density())
 
 
 class TestPartialTrace:
@@ -69,7 +45,7 @@ class TestPartialTrace:
     def test_roundtrip_with_tensor_product(self, rng):
         a = random_density(rng, 1)
         b = random_density(rng, 2)
-        joint = tensor_product(a, b)
+        joint = DensityMatrix(3, np.kron(a.matrix, b.matrix))
         np.testing.assert_allclose(partial_trace(joint, [0]).matrix,
                                    a.matrix, atol=1e-12)
         np.testing.assert_allclose(partial_trace(joint, [1, 2]).matrix,
@@ -251,15 +227,6 @@ class TestFormerClaimSitesArePhysical:
             for rho in (random_density(rng, num_qubits),
                         random_pure(rng, num_qubits).density()):
                 assert condition_on_ancilla(rho, qubit).physical
-
-    @pytest.mark.parametrize("num_qubits", [2, 3, 4])
-    def test_tensor_product(self, rng, num_qubits):
-        for _ in range(10):
-            left = int(rng.integers(1, num_qubits))
-            a = random_density(rng, left)
-            b = random_pure(rng, num_qubits - left).density()
-            assert tensor_product(a, b).physical
-            assert tensor_product(b, a).physical
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
     def test_project_to_physical(self, rng, num_qubits):
