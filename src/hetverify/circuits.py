@@ -382,9 +382,12 @@ class ShotTable:
 
     `settings` is a list or tuple of k strings of letters from X, Y and
     Z.  Row i of the k x 2^w `counts` matrix counts the outcomes of
-    settings[i] in index order, qubit 0 the most significant bit; all
-    rows sum to `shots`, below 2^63, so no int64 sum of counts wraps.  An
-    int64 array is stored without a copy and made read-only."""
+    settings[i] in index order, qubit 0 the most significant bit.  A
+    c x k x 2^w `counts` stacks the tables of c circuits measured in the
+    same k settings, circuit j's matrix at counts[j], as
+    `measure_in_basis` stacks a list of states.  `shots` is the total of
+    every count, below 2^63, so no int64 sum of counts wraps.  An int64
+    array is stored without a copy and made read-only."""
 
     settings: tuple
     counts: np.ndarray
@@ -396,13 +399,21 @@ class ShotTable:
                                  "settings must be a list or tuple of strings"))
         if not settings:
             raise ValueError("a shot table needs at least one setting")
+        # Whole-tuple checks, as join takes only strings; a failure alone
+        # looks for the setting to name.
+        try:
+            letters = "".join(settings)
+        except TypeError:
+            bad = next(s for s in settings if not isinstance(s, str))
+            raise ValueError(f"setting {bad!r} is not a string of letters "
+                             "from X, Y, Z") from None
         width = len(settings[0])
-        for setting in settings:
-            if len(setting) != width or setting.strip("XYZ"):
-                raise ValueError(f"setting {setting!r} is not {width} letters "
-                                 "from X, Y, Z")
+        if set(map(len, settings)) != {width} or letters.strip("XYZ"):
+            bad = next(s for s in settings if len(s) != width or s.strip("XYZ"))
+            raise ValueError(f"setting {bad!r} is not {width} letters from X, Y, Z")
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (len(settings), 2**width):
+        if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(settings), 2**width) \
+                or not counts.size:
             raise ValueError(f"setting {settings[0]!r} needs {2**width} counts per "
                              f"row, {len(settings)} rows, got shape {counts.shape}")
         # As uint64 a negative count is at least 2^63, so if no count exceeds
@@ -423,14 +434,15 @@ class ShotTable:
                 and np.array_equal(self.counts, other.counts))
 
     def postselect(self, bit: int, value: int) -> "ShotTable":
-        """Keep every row's shots whose `bit` reads `value`, 0 or 1; drop that bit."""
+        """Keep every row's shots whose `bit` reads `value`, 0 or 1; drop that
+        bit.  A stacked table post-selects every circuit's rows at once."""
         width = len(self.settings[0])
         if bit not in range(width) or value not in (0, 1):
             raise ValueError(f"cannot post-select bit {bit!r} on {value!r}: need a "
                              f"bit in [0, {width}) and a value 0 or 1")
-        kept = self.counts.reshape(len(self.counts), 2**bit, 2, -1)[:, :, value]
+        kept = self.counts.reshape(-1, 2**bit, 2, 2 ** (width - bit - 1))[:, :, value]
         return ShotTable(tuple(s[:bit] + s[bit + 1:] for s in self.settings),
-                         kept.reshape(len(kept), -1), int(kept.sum()))
+                         kept.reshape(self.counts.shape[:-1] + (-1,)), int(kept.sum()))
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:

@@ -139,14 +139,32 @@ def multi_mode_circuit(initial, zeta: float) -> Circuit:
     return heterodyne_stage(circuit.appended(*gates), zeta)
 
 
+def _integers(values) -> tuple:
+    """`values` as ints, with 0 for a bool, which is not a count; () if
+    one is not an integer or `values` is not a sequence."""
+    try:
+        return tuple(0 if isinstance(v, bool) else operator.index(v) for v in values)
+    except TypeError:
+        return ()
+
+
+def _photons_and_modes(n_photons, m_modes) -> tuple:
+    """The photon and mode counts as ints, 1 <= n_photons <= m_modes <=
+    MAX_MEASURED_QUBITS."""
+    counts = _integers((n_photons, m_modes))
+    if not counts or not 1 <= counts[0] <= counts[1]:
+        raise ValueError(f"need 1 <= n_photons <= m_modes, both integers, got "
+                         f"n_photons={n_photons!r}, m_modes={m_modes!r}")
+    if counts[1] > MAX_MEASURED_QUBITS:
+        raise ValueError(f"at most {MAX_MEASURED_QUBITS} modes supported")
+    return counts
+
+
 def boson_sampling_circuit(n_photons: int, m_modes: int,
                            interferometer_angles, zeta: float) -> Circuit:
     """Photon inputs on the first n qubits, a U3 per mode as the linear
     interferometer, then the detection stage."""
-    if not 1 <= n_photons <= m_modes:
-        raise ValueError("need 1 <= n_photons <= m_modes")
-    if m_modes > MAX_MEASURED_QUBITS:
-        raise ValueError(f"at most {MAX_MEASURED_QUBITS} modes supported")
+    n_photons, m_modes = _photons_and_modes(n_photons, m_modes)
     try:
         triples = [tuple(map(float, angles)) for angles in interferometer_angles]
     except (TypeError, ValueError, OverflowError):
@@ -169,15 +187,12 @@ def ideal_output(circuit: Circuit) -> DensityMatrix:
 
 def _copy_counts(copies) -> tuple:
     """The (n, m) copy counts of the two measurement groups, each an
-    integer of at least 1; a bool is not a count."""
-    try:
-        n, m = (0 if isinstance(c, bool) else operator.index(c) for c in copies)
-    except (TypeError, ValueError):  # not a pair of integers
-        n = m = 0
-    if min(n, m) < 1:
+    integer of at least 1."""
+    counts = _integers(copies)
+    if len(counts) != 2 or min(counts) < 1:
         raise ValueError(f"copy counts must be at least 1, each an integer, "
                          f"got copies={copies!r}")
-    return n, m
+    return counts
 
 
 def _group(label: str, zeta: float, fidelities: list) -> dict:
@@ -195,8 +210,7 @@ def _reconstruct_copies(circuit: Circuit, copies: int, shots, seed,
     child seed of `seed` per copy."""
     sweeps = tomography_sweep([circuit] * copies, shots=shots,
                               seed=seed_sequence(seed).spawn(copies), noise=noise)
-    return [reconstruct_multi_qubit(expectations, len(circuit.system_qubits))
-            for expectations in sweeps]
+    return reconstruct_multi_qubit(sweeps, len(circuit.system_qubits))
 
 
 def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
@@ -280,6 +294,7 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    n_photons, m_modes = _photons_and_modes(n_photons, m_modes)
     if interferometer_angles is None:
         interferometer_angles = [(math.pi / 2, math.pi / 2, math.pi / 2)] * m_modes
     circuit = boson_sampling_circuit(n_photons, m_modes,

@@ -113,7 +113,7 @@ def _decoded_fidelities(circuits, bits: str, shots, seeds, noise) -> list:
     """Fidelity of each circuit's tomographed system register against |bits>."""
     sweeps = tomography_sweep(circuits, shots=shots, seed=seeds, noise=noise)
     target = StateVector.computational(bits)
-    return [fidelity(reconstruct_multi_qubit(ex, len(bits)), target) for ex in sweeps]
+    return [fidelity(rho, target) for rho in reconstruct_multi_qubit(sweeps, len(bits))]
 
 
 _TABLE_KINDS = {"0": "single", "1": "single", "00": "bell"}

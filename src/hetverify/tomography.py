@@ -26,8 +26,14 @@ makes one `measure_in_basis` call per register layout, for all 3^m
 settings of all its circuits, and one `spawn_generators` pass that seeds
 a Generator per row of every circuit.  The measurement gives each
 circuit a 3^m-row probability array in the count rows' outcome order,
-and each circuit in input order makes one call of each of
-`sample_shots`, post-selection and assembly on it.
+and each circuit in input order makes one `sample_shots` call on it.
+Then each layout's c tables are stacked into one c x 3^m x 2^w table,
+post-selected once and assembled once: one product with H for every
+row of every circuit, and one bincount whose cells are offset by
+circuit.  Integer counts times +-1 are exact and bincount adds in row
+order, so each circuit's set has the bytes of its table assembled
+alone.  Reconstruction likewise takes a list of sets and places them
+all with one product.
 The ancilla is the last readout bit, so post-selection keeps every
 second column of the count matrix.  The exact sweep (shots=None) needs
 no counts.  It conditions the circuit's density matrix, readout flips
@@ -47,6 +53,7 @@ import numpy as np
 
 from .circuits import (
     NoiseModel,
+    ShotTable,
     measure_in_basis,
     run_density_matrix,
     run_statevector,
@@ -68,12 +75,13 @@ def pauli_strings(num_qubits: int) -> tuple:
 def _pauli_frame(num_qubits: int):
     """Read-only x/z tables shared by every user over `num_qubits` qubits.
 
-    Returns (cells, phase, lift, walsh, hits, index): each string's cell
-    x * 2^m + z and its phase i^#Y, in pauli_strings order; lift[x, i],
-    the flat index of entry [i ^ x, i] of a 2^m x 2^m matrix;
-    walsh[b, a] = (-1)^popcount(b & a); and for each subset a of a
-    setting's letters, hits[index[setting], a], the cell of the string
-    that keeps those letters and sets the rest to I.
+    Returns (cells, phase, lift, walsh, hits, index, by_cell): each
+    string's cell x * 2^m + z, in pauli_strings order; phase[c], the
+    phase i^#Y of the string at cell c; lift[x, i], the flat index of
+    entry [i ^ x, i] of a 2^m x 2^m matrix; walsh[b, a] =
+    (-1)^popcount(b & a); for each subset a of a setting's letters,
+    hits[index[setting], a], the cell of the string that keeps those
+    letters and sets the rest to I; and the strings in cell order.
     """
     dim = 2**num_qubits
     weights = 1 << np.arange(num_qubits - 1, -1, -1)  # qubit 0 the most significant
@@ -85,46 +93,63 @@ def _pauli_frame(num_qubits: int):
     settings = (codes > 0).all(axis=1)
     index = {"".join(s): row for row, s in
              enumerate(itertools.product("XYZ", repeat=num_qubits))}
-    arrays = (x * dim + z,
-              np.array([1, 1j, -1, -1j])[(codes == 2).sum(axis=1) % 4],
+    cells = x * dim + z
+    order = np.empty_like(cells)  # the string at each cell
+    order[cells] = np.arange(cells.size)
+    arrays = (cells,
+              np.array([1, 1j, -1, -1j])[(codes == 2).sum(axis=1) % 4][order],
               (outcomes[:, None] ^ outcomes) * dim + outcomes,
               1.0 - 2 * (bits @ bits.T & 1),
               (x[settings, None] & outcomes) * dim + (z[settings, None] & outcomes))
     for array in arrays:
         array.setflags(write=False)
-    return (*arrays, MappingProxyType(index))
+    strings = pauli_strings(num_qubits)
+    return (*arrays, MappingProxyType(index), tuple(strings[i] for i in order))
 
 
-def expectations_from_tables(table, num_qubits: int) -> dict:
+def expectations_from_tables(table, num_qubits: int):
     """Assemble the full 4^m expectation set from one ShotTable's rows.
 
     Strings with identity positions are estimated from every compatible
     setting, weighted by shot count; rows with no shots are skipped,
-    and a later row for a setting replaces an earlier one.
+    and a later row for a setting replaces an earlier one.  A table
+    stacked over c circuits gives the list of their c sets, each equal
+    to the set of its circuit's rows alone, from one product and one
+    pair of sums.
     """
-    cells, _, _, walsh, hits, index = _pauli_frame(num_qubits)
+    cells, _, _, walsh, hits, index, _ = _pauli_frame(num_qubits)
     if len(table.settings[0]) != num_qubits:
         raise ValueError(f"setting {table.settings[0]!r} is not {num_qubits} "
                          "letters from X, Y, Z")
+    stacked, counts = table.counts.ndim == 3, table.counts
     # Each setting's last row, in the order the settings first appear.
     last = {setting: row for row, setting in enumerate(table.settings)}
-    row_shots = table.counts.sum(axis=1).tolist()
-    used = [row for row in last.values() if row_shots[row]]
-    shots = np.array([row_shots[row] for row in used], dtype=float)[:, None]
+    if len(last) < len(table.settings):
+        counts = counts[..., list(last.values()), :]
+    shots = counts.sum(axis=-1, keepdims=True).astype(float)
     # Each row's estimates times its shots, from exact integer products.
     # bincount adds them row by row, so every partial sum rounds exactly
     # as in a per-string loop over the rows' parity averages.  Column 0
-    # sums each row to its shots, so the identity reads exactly 1.
-    weighted = (table.counts[used] @ walsh) / shots * shots
-    targets = hits[[index[table.settings[row]] for row in used]].ravel()
-    num = np.bincount(targets, weighted.ravel(), walsh.size)
-    den = np.bincount(targets, shots.repeat(len(walsh)), walsh.size)
+    # sums each row to its shots, so the identity reads exactly 1.  An
+    # empty row would give 0 / 0; divided by 1 it adds zeros instead.
+    scale = shots if shots.all() else np.where(shots > 0, shots, 1.0)
+    weighted = (counts @ walsh) / scale * shots
+    size, num_sets = walsh.size, len(counts) if stacked else 1
+    targets = hits[[index[setting] for setting in last]].ravel()
+    if stacked:  # circuit j's cells are offset by j tables
+        targets = (targets + size * np.arange(num_sets)[:, None]).ravel()
+    num = np.bincount(targets, weighted.ravel(), size * num_sets).reshape(num_sets, size)
+    den = np.bincount(targets, shots.repeat(len(walsh), axis=-1).ravel(),
+                      size * num_sets).reshape(num_sets, size)
     strings = pauli_strings(num_qubits)
     if not den.all():
         # The identity lacks shots only if every string does; then name the next.
-        missing = den[cells[1:]].argmin() + 1 if len(cells) > 1 else 0
-        raise ValueError(f"no shot table can estimate {strings[missing]!r}")
-    return dict(zip(strings, (num / den)[cells].tolist()))
+        first = den.all(axis=1).argmin()
+        missing = den[first, cells[1:]].argmin() + 1 if len(cells) > 1 else 0
+        circuit = f"circuit {first}: " if stacked else ""
+        raise ValueError(f"{circuit}no shot table can estimate {strings[missing]!r}")
+    sets = [dict(zip(strings, values)) for values in (num / den)[:, cells].tolist()]
+    return sets if stacked else sets[0]
 
 
 def reconstruct_single_qubit(expectations: dict) -> DensityMatrix:
@@ -132,21 +157,30 @@ def reconstruct_single_qubit(expectations: dict) -> DensityMatrix:
     return reconstruct_multi_qubit({**expectations, "I": 1.0}, 1)
 
 
-def reconstruct_multi_qubit(expectations: dict, num_qubits: int) -> DensityMatrix:
-    """Pauli-sum reconstruction; the result may be unphysical for noisy data."""
+def reconstruct_multi_qubit(expectations, num_qubits: int):
+    """Pauli-sum reconstruction; the result may be unphysical for noisy data.
+
+    A list or tuple of expectation sets gives the list of their states,
+    from one batched product, each the state its set gives alone.
+    """
+    many = isinstance(expectations, (list, tuple))
+    sets = expectations if many else [expectations]
+    _, phase, lift, walsh, _, _, by_cell = _pauli_frame(num_qubits)
+    # Read in cell order, each set is its matrix C row by row.
     try:
-        values = [expectations[s] for s in pauli_strings(num_qubits)]
+        values = [one[s] for one in sets for s in by_cell]
     except KeyError as err:
         raise ValueError("incomplete expectation set, "
                          f"missing e.g. {err.args[0]!r}") from None
-    cells, phase, lift, walsh = _pauli_frame(num_qubits)[:4]
-    coeffs = np.empty(walsh.size, dtype=complex)
-    coeffs[cells] = np.array(values) * phase
-    # lift pairs [x, i] with [i ^ x, i] both ways, so one gather places
-    # every row.  Row x's columns i and i ^ x sum the same terms, the second
-    # conjugated, so real expectations give a Hermitian matrix.
-    mat = np.dot(coeffs.reshape(walsh.shape), walsh).take(lift) / len(walsh)
-    return DensityMatrix(num_qubits, mat)
+    coeffs = np.array(values).reshape(len(sets), walsh.size) * phase
+    # One product over every set's rows, each row's bytes as for its set
+    # alone.  lift pairs [x, i] with [i ^ x, i] both ways, so one gather
+    # places every row.  Row x's columns i and i ^ x sum the same terms, the
+    # second conjugated, so real expectations give a Hermitian matrix.
+    mats = np.dot(coeffs.reshape(-1, len(walsh)), walsh).reshape(coeffs.shape)
+    mats = mats.take(lift, axis=1) / len(walsh)
+    states = [DensityMatrix(num_qubits, mat) for mat in mats]
+    return states if many else states[0]
 
 
 def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = None):
@@ -161,7 +195,10 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
     simulated state, so the exact sweep is the expectation of the sampled
     one.  A list or tuple of circuits, with one of as many seeds, gives the
     list of their expectation sets, each as the circuit swept alone with
-    its seed; the tables are drawn in input order.
+    its seed.  The tables are drawn in input order, then each register
+    layout's tables are post-selected and assembled as one stack.  If
+    post-selection leaves a setting without shots, the error names that
+    setting of the first such circuit in input order.
     """
     many = isinstance(circuit, (list, tuple))
     circuits, seeds = (circuit, seed) if many else ([circuit], [seed])
@@ -171,8 +208,9 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
         if not 1 <= len(one.system_qubits) <= MAX_MEASURED_QUBITS:
             raise ValueError(f"need at least 1 and at most {MAX_MEASURED_QUBITS} "
                              f"measured qubits, got {len(one.system_qubits)}")
-    noise, sweeps = noise or NoiseModel(), []
+    noise = noise or NoiseModel()
     if shots is None:
+        sweeps = []
         for one in circuits:
             rho = run_density_matrix(one, noise)
             if one.ancilla is not None:
@@ -180,11 +218,12 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
             m = len(one.system_qubits)
             cells, phase, lift, walsh = _pauli_frame(m)[:4]
             # G[x, i] = rho[i, i ^ x], the transpose's entry [i ^ x, i].
-            values = phase * (rho.matrix.T.take(lift) @ walsh).take(cells)
+            values = (phase * (rho.matrix.T.take(lift) @ walsh).ravel()).take(cells)
             sweeps.append(dict(zip(pauli_strings(m), values.real.tolist())))
         return sweeps if many else sweeps[0]
 
-    # Circuits of one register layout share their settings and one measurement.
+    # Circuits of one register layout share their settings, one measurement,
+    # one post-selection and one assembly.
     layouts, measured, noiseless = {}, [None] * len(circuits), noise == NoiseModel()
     for row, one in enumerate(circuits):
         layouts.setdefault((one.num_qubits, one.ancilla), []).append(row)
@@ -198,13 +237,33 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
         for row, probs in zip(rows, measure_in_basis(states, settings, readout)):
             measured[row] = probs, settings
     children = spawn_generators(seeds, [len(settings) for _, settings in measured])
-    for one, (probs, settings), rngs in zip(circuits, measured, children):
-        table = sample_shots(probs, shots, rngs, settings)
-        if one.ancilla is not None:
-            table = table.postselect(len(one.system_qubits), 1)
-            kept = table.counts.sum(axis=1)
+    # Drawn circuit by circuit, in input order.
+    drawn = [sample_shots(probs, shots, rngs, settings)
+             for (probs, settings), rngs in zip(measured, children)]
+    # Then each layout's tables as one stack, split only where a stack's
+    # total would reach 2^63; a lone table needs no stack.
+    stacks = []
+    for rows in layouts.values():
+        size = (2**63 - 1) // drawn[rows[0]].shots
+        stacks += [rows[start:start + size] for start in range(0, len(rows), size)]
+    sweeps, empty = [None] * len(circuits), []
+    for rows in stacks:
+        table = drawn[rows[0]] if len(rows) == 1 else ShotTable(
+            drawn[rows[0]].settings, np.stack([drawn[row].counts for row in rows]),
+            sum(drawn[row].shots for row in rows))
+        num_system = len(circuits[rows[0]].system_qubits)
+        if circuits[rows[0]].ancilla is not None:
+            table = table.postselect(num_system, 1)
+            kept = table.counts.sum(axis=-1).reshape(len(rows), -1)
             if not kept.all():
-                raise ValueError(f"setting {table.settings[kept.argmin()]!r}: post-selecting "
-                                 f"ancilla outcome 1 kept 0 of {shots} shots")
-        sweeps.append(expectations_from_tables(table, len(one.system_qubits)))
+                first = kept.all(axis=1).argmin()
+                empty.append((rows[first], table.settings[kept[first].argmin()]))
+                continue
+        sets = expectations_from_tables(table, num_system)
+        for row, expectations in zip(rows, [sets] if len(rows) == 1 else sets):
+            sweeps[row] = expectations
+    if empty:  # name the first circuit, in input order, left without shots
+        setting = min(empty)[1]
+        raise ValueError(f"setting {setting!r}: post-selecting "
+                         f"ancilla outcome 1 kept 0 of {shots} shots")
     return sweeps if many else sweeps[0]

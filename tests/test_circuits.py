@@ -613,6 +613,43 @@ class TestShotTable:
             with pytest.raises(ValueError, match="settings must be a list or tuple"):
                 ShotTable(settings, [[1, 1], [1, 1]], 4)
 
+    @pytest.mark.parametrize("settings", [[0], ["X", 5], [b"X"], ["X", None]], ids=str)
+    def test_setting_items_must_be_strings(self, settings):
+        bad = next(s for s in settings if not isinstance(s, str))
+        message = f"setting {bad!r} is not a string of letters from X, Y, Z"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ShotTable(settings, np.ones((len(settings), 2), dtype=int), 2 * len(settings))
+
+    @pytest.mark.parametrize("width", range(0, 4))
+    def test_stack_of_circuit_tables(self, rng, width):
+        """A c x k x 2^w stack holds c circuits' tables over one list of
+        settings, and `shots` totals all of them."""
+        settings = ("X" * width, "Z" * width)
+        draws = np.stack([np.stack([_random_draws(rng, width) for _ in settings])
+                          for _ in range(3)])
+        table = ShotTable(settings, draws, 3000)
+        assert table.counts is draws and not draws.flags.writeable
+        assert table == ShotTable(list(settings), draws.copy(), 3000)
+        assert table != ShotTable(settings, draws[0], 1000)
+        for bad in (draws[:, :1], draws[..., 1:], draws[None], draws[:0]):
+            with pytest.raises(ValueError, match=f"needs {2**width} counts per row"):
+                ShotTable(settings, bad, int(bad.sum()))
+        with pytest.raises(ValueError, match="sum to the declared shot total"):
+            ShotTable(settings, draws, 1000)
+
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_postselect_on_stack_matches_each_table(self, rng, width):
+        settings = ["".join(rng.choice(list("XYZ"), size=width)) for _ in range(4)]
+        tables = [ShotTable(settings, np.stack([_random_draws(rng, width) for _ in settings]),
+                            2000) for _ in range(3)]
+        stack = ShotTable(settings, np.stack([t.counts for t in tables]), 6000)
+        for bit in range(width):
+            for value in (0, 1):
+                kept = [t.postselect(bit, value) for t in tables]
+                assert stack.postselect(bit, value) == ShotTable(
+                    kept[0].settings, np.stack([k.counts for k in kept]),
+                    sum(k.shots for k in kept))
+
     @pytest.mark.parametrize("vector", [[-1, 7], [7, -1], [-(2**62), 2**62 + 6]],
                              ids=str)
     def test_negative_counts_rejected(self, vector):

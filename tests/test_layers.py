@@ -82,10 +82,21 @@ def test_sweep_over_two_layouts_measures_once_per_layout(monkeypatch):
         return sample(probabilities, shots, seed, settings)
 
     monkeypatch.setattr(hetverify.tomography, "sample_shots", recording)
+    shapes = []
+    assemble = hetverify.tomography.expectations_from_tables
+
+    def shaped(table, num_qubits):
+        shapes.append(table.counts.shape)
+        return assemble(table, num_qubits)
+
+    monkeypatch.setattr(hetverify.tomography, "expectations_from_tables", shaped)
     hetverify.tomography.tomography_sweep(circuits, shots=64, seed=list(range(5)),
                                           noise=NoiseModel(0.01, 0.02, 0.01))
-    # One measurement per layout; one draw, post-selection where there is
-    # an ancilla, and assembly per circuit, drawn in input order.
+    # One draw per circuit, in input order; one measurement and one
+    # assembly per layout, and one post-selection for the layout with an
+    # ancilla, each on the layout's stacked tables.
     assert calls == {"measure_in_basis": 2, "sample_shots": 5,
-                     "postselect": 3, "expectations_from_tables": 5}
+                     "postselect": 1, "expectations_from_tables": 2}
     assert drawn == [3, 9, 3, 9, 3]
+    # Circuits x settings x outcomes, the ancilla's bit dropped.
+    assert shapes == [(3, 3, 2), (2, 9, 4)]

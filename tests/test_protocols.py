@@ -328,6 +328,21 @@ class TestProtocol3:
         with pytest.raises(ValueError):
             protocol3_verify(threshold=1.5, shots=None)
 
+    @pytest.mark.parametrize("counts", [(2.0, 4), (2, 4.0), (True, 4), ("2", 4),
+                                        (2, True), (None, 4)], ids=repr)
+    def test_photon_and_mode_counts_must_be_integers(self, counts):
+        message = "need 1 <= n_photons <= m_modes, both integers, got n_photons="
+        with pytest.raises(ValueError, match=message):
+            protocol3_verify(*counts, shots=None)
+        with pytest.raises(ValueError, match=message):
+            boson_sampling_circuit(*counts, [(0, 0, 0)] * 4, UNBALANCED_ZETA)
+
+    def test_numpy_integer_photon_and_mode_counts(self):
+        assert protocol3_verify(np.int64(1), np.int32(2), shots=64, seed=3) \
+            == protocol3_verify(1, 2, shots=64, seed=3)
+        assert boson_sampling_circuit(np.int8(2), np.int64(4), [(0, 0, 0)] * 4, 0.0) \
+            == boson_sampling_circuit(2, 4, [(0, 0, 0)] * 4, 0.0)
+
     @pytest.mark.parametrize("angles", [[(0, 0, 0)], [(0, 0, 0)] * 5, [(0, 0)] * 4,
                                         [(0, 0, 0, 0)] * 4, [("a", 0, 0)] * 4,
                                         [None] * 4, 7],

@@ -204,10 +204,13 @@ def test_kronecker_tables_match_np_kron_bytewise(num_qubits):
     """Each string's np.kron matrix P has P[i ^ x, i] = i^#Y (-1)^popcount(z & i)
     exactly at the frame's cell (x, z), flat index lift[x, i] and phase,
     and 0 elsewhere; the Walsh matrix equals its np.kron chain byte for
-    byte, signed zeros included."""
-    cells, phase, lift, walsh = _pauli_frame(num_qubits)[:4]
+    byte, signed zeros included.  The cell-ordered strings invert cells."""
+    cells, phase, lift, walsh, _, _, by_cell = _pauli_frame(num_qubits)
     dim = 2**num_qubits
-    for pauli, cell, unit in zip(kron_stack(num_qubits), cells, phase):
+    strings = pauli_strings(num_qubits)
+    assert [by_cell[cell] for cell in cells] == list(strings)
+    for pauli, cell in zip(kron_stack(num_qubits), cells):
+        unit = phase[cell]
         x, z = divmod(int(cell), dim)
         signs = [(-1) ** bin(z & i).count("1") for i in range(dim)]
         assert lift[x].tolist() == [(i ^ x) * dim + i for i in range(dim)]
@@ -253,11 +256,12 @@ class TestPauliFrameCache:
     def test_cached_frame_is_read_only(self, num_qubits):
         frame = _pauli_frame(num_qubits)
         assert all(a is b for a, b in zip(_pauli_frame(num_qubits), frame))
-        cells, phase, lift, walsh, hits, index = frame
+        cells, phase, lift, walsh, hits, index, by_cell = frame
         for array in (cells, phase, lift, walsh, hits):
             assert not array.flags.writeable
         with pytest.raises(TypeError):
             index["X" * num_qubits] = 0
+        assert isinstance(by_cell, tuple)
 
     def test_frame_stays_small(self):
         # Every table at m = 4 together, against 1 MiB for the 256 dense
@@ -586,6 +590,76 @@ class TestVectorisedAssembly:
             expectations_from_tables(empty, 2)
 
 
+def _random_tables(num_qubits, seed, circuits, keep, zero_shot, duplicate):
+    """`circuits` tables over the settings of one `_random_stack`, the
+    first that stack and each other with counts of its own, some rows
+    empty, so they can be stacked into one table."""
+    tables = [_random_stack(num_qubits, seed, keep, zero_shot, duplicate)]
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(circuits - 1):
+        rows = [rng.multinomial(int(rng.integers(1, 5000)),
+                                rng.dirichlet(np.ones(2**num_qubits)))
+                if rng.random() >= zero_shot else np.zeros(2**num_qubits, dtype=np.int64)
+                for _ in tables[0].settings]
+        tables.append(ShotTable(tables[0].settings, np.array(rows), int(np.sum(rows))))
+    return tables
+
+
+class TestStackedAssembly:
+    @settings(max_examples=60, deadline=None)
+    @given(num_qubits=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           circuits=st.integers(1, 5), keep=st.sampled_from([0.4, 0.9, 1.0]),
+           zero_shot=st.sampled_from([0.0, 0.05, 0.2]),
+           duplicate=st.sampled_from([0.0, 0.2]))
+    def test_matches_per_circuit_calls(self, num_qubits, seed, circuits, keep,
+                                       zero_shot, duplicate):
+        """A stacked table's sets have the bytes of each circuit's table
+        assembled alone; an error names the first circuit that fails."""
+        tables = _random_tables(num_qubits, seed, circuits, keep, zero_shot, duplicate)
+        stack = ShotTable(tables[0].settings, np.stack([t.counts for t in tables]),
+                          sum(t.shots for t in tables))
+        alone = []
+        for j, table in enumerate(tables):
+            try:
+                alone.append(expectations_from_tables(table, num_qubits))
+            except ValueError as err:
+                with pytest.raises(ValueError) as caught:
+                    expectations_from_tables(stack, num_qubits)
+                assert str(caught.value) == f"circuit {j}: {err}"
+                return
+        assert _exact_bits(expectations_from_tables(stack, num_qubits)) == _exact_bits(alone)
+
+    def test_one_circuit_stack_is_a_list(self):
+        table = ShotTable(("X", "Y", "Z"), [[80, 20], [50, 50], [90, 10]], 300)
+        stack = ShotTable(table.settings, table.counts[None], 300)
+        assert expectations_from_tables(stack, 1) == [expectations_from_tables(table, 1)]
+
+    def test_width_is_checked_for_a_stack(self):
+        stack = ShotTable(("XX",), np.ones((2, 1, 4), dtype=int), 8)
+        with pytest.raises(ValueError, match="'XX' is not 1 letters"):
+            expectations_from_tables(stack, 1)
+
+
+class TestBatchedReconstruction:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_list_matches_per_set_calls(self, rng, num_qubits):
+        strings = pauli_strings(num_qubits)
+        sets = [dict(zip(strings, [1.0, *rng.uniform(-1, 1, len(strings) - 1)]))
+                for _ in range(9)]
+        alone = [reconstruct_multi_qubit(one, num_qubits).matrix.tobytes() for one in sets]
+        for batch in (sets, tuple(sets), sets[:1]):
+            got = reconstruct_multi_qubit(batch, num_qubits)
+            assert isinstance(got, list)
+            assert [rho.matrix.tobytes() for rho in got] == alone[:len(batch)]
+
+    def test_empty_list_and_incomplete_set(self):
+        assert reconstruct_multi_qubit([], 2) == []
+        full = dict.fromkeys(pauli_strings(2), 0.0)
+        partial = {k: v for k, v in full.items() if k != "ZY"}
+        with pytest.raises(ValueError, match="missing e.g. 'ZY'"):
+            reconstruct_multi_qubit([full, partial], 2)
+
+
 def _sweep_by_loop(circuit, shots, seed, noise):
     """The per-setting loop that the stacked sweep replaced: each
     setting's row drawn with numpy's own spawned child seed, then
@@ -632,6 +706,7 @@ class TestStackedSweep:
             return expectations_from_tables(table, m)
 
         monkeypatch.setattr(hetverify.tomography, "expectations_from_tables", capture)
+        references = []
         for seed in (0, 7):
             assembled.clear()
             got = tomography_sweep(circuit, shots=256, seed=seed, noise=noise)
@@ -641,6 +716,14 @@ class TestStackedSweep:
                                   sum(r.shots for r in rows))
             assert assembled == [reference]
             assert got == _assemble_by_loop(reference, num_system)
+            references.append(reference)
+        # Both seeds in one sweep: one stacked table, circuit by circuit.
+        assembled.clear()
+        got = tomography_sweep([circuit, circuit], shots=256, seed=[0, 7], noise=noise)
+        assert assembled == [ShotTable(reference.settings,
+                                       np.stack([r.counts for r in references]),
+                                       sum(r.shots for r in references))]
+        assert got == [_assemble_by_loop(r, num_system) for r in references]
 
     def test_empty_postselection_names_first_empty_setting(self):
         # The ancilla reads 1 half the time, so one shot leaves some
@@ -655,6 +738,39 @@ class TestStackedSweep:
             with pytest.raises(ValueError, match=message):
                 tomography_sweep(circuit, shots=1, seed=seed)
         assert max(firsts) > 0
+
+
+    def test_list_error_names_the_first_failing_circuit(self):
+        """Each layout is post-selected as one stack, and the first circuit
+        in input order that kept no shots of a setting is named, as when
+        the circuits are swept one by one."""
+        with pytest.raises(ValueError, match="^setting 'XX': .* kept 0 of 4 shots"):
+            tomography_sweep([Circuit(2, [x(1)], ancilla=1), Circuit(3, ancilla=2),
+                              Circuit(2, ancilla=1)], shots=4, seed=[1, 2, 3])
+        # Each ancilla reads 1 half the time, so two shots leave some
+        # settings of some circuits empty.
+        one = Circuit(2, [u3(1, PI / 2, 0, 0), u3(0, 0.3, 0, 0)], ancilla=1)
+        two = Circuit(3, [u3(2, PI / 2, 0, 0), u3(0, 0.3, 0, 0)], ancilla=2)
+        circuits, firsts = [one, two, one, two], set()
+        for seed in range(12):
+            seeds = [4 * seed + i for i in range(4)]
+            errors = []
+            for circuit, child in zip(circuits, seeds):
+                try:
+                    tomography_sweep(circuit, shots=2, seed=child)
+                except ValueError as err:
+                    errors.append(str(err))
+                else:
+                    errors.append(None)
+            first = next((i for i, e in enumerate(errors) if e), None)
+            if first is None:
+                assert len(tomography_sweep(circuits, shots=2, seed=seeds)) == 4
+                continue
+            firsts.add(first)
+            with pytest.raises(ValueError) as caught:
+                tomography_sweep(circuits, shots=2, seed=seeds)
+            assert str(caught.value) == errors[first]
+        assert len(firsts) > 1
 
 
 def _layout_circuit(num_system, ancilla, shift):
@@ -722,6 +838,27 @@ class TestBatchedSweep:
         for seed, circuit in enumerate(circuits):
             tomography_sweep(circuit, shots=64, seed=seed)
         assert batched == draws and len(draws) == len(circuits)
+
+    def test_stacks_stay_below_int64(self, monkeypatch):
+        """A one-qubit table with an ancilla holds 3 x shots, so at 2^61
+        shots no two tables fit one stack below 2^63 and at 2^60 two do;
+        the sweep splits the stacks, and each set is its circuit's own."""
+        circuits = [_layout_circuit(1, "last", 0.1 * i) for i in range(3)]
+        shapes = []
+        assemble = hetverify.tomography.expectations_from_tables
+
+        def shaped(table, num_qubits):
+            shapes.append(table.counts.shape)
+            return assemble(table, num_qubits)
+
+        monkeypatch.setattr(hetverify.tomography, "expectations_from_tables", shaped)
+        for shots, expected in ((2**61, [(3, 2)] * 3), (2**60, [(2, 3, 2), (3, 2)])):
+            shapes.clear()
+            got = tomography_sweep(circuits, shots=shots, seed=[4, 5, 6])
+            assert shapes == expected
+            alone = [tomography_sweep(c, shots=shots, seed=s)
+                     for c, s in zip(circuits, [4, 5, 6])]
+            assert _exact_bits(got) == _exact_bits(alone)
 
     def test_one_circuit_list_and_empty_list(self):
         circuit = bell_circuit()
