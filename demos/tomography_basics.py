@@ -27,23 +27,22 @@ def main():
     circuit = Circuit(2, [u3(0, PI / 2, 0, PI), cu3(0, 1, PI, 0, PI)])
     target = ideal_output(circuit)
 
-    exact = reconstruct_multi_qubit(tomography_sweep(circuit, shots=None), 2)
+    (exact,) = reconstruct_multi_qubit(tomography_sweep([circuit]), 2)
     print("Exact-expectation round trip, entangling circuit:")
     print(f"  trace distance to simulator output: "
           f"{trace_distance(exact, target):.2e}")
 
     print("\nShot-noise scaling (median over 5 seeds):")
+    seeds = list(range(5))
     for shots in (2**10, 2**13, 2**16):
-        dists = [
-            trace_distance(reconstruct_multi_qubit(
-                tomography_sweep(circuit, shots=shots, seed=seed), 2), target)
-            for seed in range(5)
-        ]
+        sweeps = tomography_sweep([circuit] * len(seeds), shots=shots, seeds=seeds)
+        dists = [trace_distance(rho, target)
+                 for rho in reconstruct_multi_qubit(sweeps, 2)]
         print(f"  {shots:>6} shots: {np.median(dists):.4f}")
 
     print("\nRaw linear inversion can leave the physical set at low shots;")
-    noisy = reconstruct_multi_qubit(
-        tomography_sweep(circuit, shots=64, seed=1), 2)
+    (noisy,) = reconstruct_multi_qubit(
+        tomography_sweep([circuit], shots=64, seeds=[1]), 2)
     eigvals = np.linalg.eigvalsh(noisy.matrix)
     fixed = project_to_physical(noisy)
     print(f"  raw eigenvalues: {np.round(eigvals, 3)}")

@@ -5,9 +5,9 @@ controlled version CU3 -- enough to express every circuit the protocols
 build.  Systems stay small (at most 6 qubits), so both backends work
 with dense matrices.  Each gate's matrix is built once per (gate,
 register size) and shared read-only by every later simulation, and
-each block of up to 9 basis rotations likewise: one measurement call
-gives the outcome probabilities of many settings as one array, a row per
-setting, indexed by outcome as a ShotTable's count rows are.
+each block of up to 9 basis rotations likewise.  Measurement takes a
+list of states and a list of settings, one of each as a list of one,
+and gives one array of outcome probabilities, as a ShotTable counts.
 """
 from __future__ import annotations
 
@@ -96,6 +96,13 @@ def _expect(value, types, problem: str):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{problem}, got {value!r}")
     return value
+
+
+def _listed(value, items: str) -> tuple:
+    """`value` as a tuple if it is a list or tuple, else ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"need a list of {items}, got a {type(value).__name__}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -293,28 +300,26 @@ def _rotation_stack(settings: tuple, qubits: tuple, num_qubits: int) -> np.ndarr
     return stack
 
 
-def measure_in_basis(state, setting, qubits=None) -> np.ndarray:
-    """Outcome probabilities of measuring `qubits` in the given bases, as
-    floats indexed by outcome, the first of `qubits` the most significant
-    bit: the layout of a ShotTable's count rows.
+def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
+    """Outcome probabilities of measuring `qubits` of each of c states (a
+    list of one kind and size) in each of k settings (a list of strings),
+    as a c x k x 2^w float array indexed by outcome as a ShotTable's
+    count rows, the first of `qubits` the most significant bit.
 
-    `setting` is one letter from {X, Y, Z} per measured qubit; X and Y
+    A setting has one letter from {X, Y, Z} per measured qubit; X and Y
     are realized by a pre-rotation into the computational basis followed
-    by a Z readout.  Unmeasured qubits are marginalized.  One setting
-    gives a vector, and a sequence of settings an array with a row per
-    setting, computed as stacked products over blocks of at most 9 cached
-    rotations; each row has the bytes of its setting measured alone.  A
-    list or tuple of states of one kind and size adds a leading state
-    axis, each state's rows as if measured alone.  For density matrices,
-    the conjugated rotations and both products of every block go into
-    three work arrays allocated once per call: arrays allocated per block
-    would be returned to the operating system and page-faulted back in
-    at the next block.  `qubits` must be distinct state indices.  A
-    probability below -PROB_ATOL, or a row sum that is not finite and
+    by a Z readout.  Unmeasured qubits are marginalized.  Rows come from
+    stacked products over blocks of at most 9 cached rotations, each with
+    the bytes of its state and setting measured alone.  For density
+    matrices, the conjugated rotations and both products of every block
+    go into three work arrays allocated once per call: arrays allocated
+    per block would be returned to the operating system and page-faulted
+    back in at the next block.  `qubits` must be distinct state indices.
+    A probability below -PROB_ATOL, or a row sum that is not finite and
     positive, raises ValueError; smaller negatives are set to zero, and
     each row is scaled to sum to 1.
     """
-    states = list(state) if isinstance(state, (list, tuple)) else [state]
+    states, settings = _listed(states, "states"), _listed(settings, "settings")
     for one in states:
         if not isinstance(one, (StateVector, DensityMatrix)):
             raise TypeError(f"cannot measure a {type(one).__name__}")
@@ -326,7 +331,6 @@ def measure_in_basis(state, setting, qubits=None) -> np.ndarray:
     if len(set(qubits)) != len(qubits) or not set(qubits) <= set(range(num_qubits)):
         raise ValueError(f"cannot measure qubits {list(qubits)}: each must be a "
                          f"distinct index in [0, {num_qubits})")
-    settings = (setting,) if isinstance(setting, str) else tuple(setting)
     if not settings:
         raise ValueError("no basis setting to measure")
     for one in settings:
@@ -371,9 +375,7 @@ def measure_in_basis(state, setting, qubits=None) -> np.ndarray:
         raise ValueError("the state's outcome probabilities need a finite, positive sum")
     marginal = np.clip(marginal, 0.0, None)
     marginal /= marginal.sum(axis=1, keepdims=True)
-    probs = marginal.reshape(len(states), len(settings), -1)
-    probs = probs[:, 0] if isinstance(setting, str) else probs
-    return probs if isinstance(state, (list, tuple)) else probs[0]
+    return marginal.reshape(len(states), len(settings), -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -109,7 +109,7 @@ def _prep_gates(spec, qubit: int):
     try:
         alpha, beta = map(complex, spec)
         norm = math.hypot(abs(alpha), abs(beta))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # abs past the float range
         norm = math.nan
     if isinstance(spec, str) or not 0.0 < norm < math.inf:
         raise ValueError(f"cannot prepare {spec!r}: a qubit spec is '0', '1' or a "
@@ -209,7 +209,7 @@ def _reconstruct_copies(circuit: Circuit, copies: int, shots, seed,
     """Tomograph `copies` runs of `circuit` over its system qubits, one
     child seed of `seed` per copy."""
     sweeps = tomography_sweep([circuit] * copies, shots=shots,
-                              seed=seed_sequence(seed).spawn(copies), noise=noise)
+                              seeds=seed_sequence(seed).spawn(copies), noise=noise)
     return reconstruct_multi_qubit(sweeps, len(circuit.system_qubits))
 
 
@@ -307,8 +307,7 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
     f_global = group["copy_fidelities"][0]
     rho = project_to_physical(raw)
     dist = trace_distance(rho, target)
-    tvd = total_variation_distance(measure_in_basis(rho, "Z" * m_modes),
-                                   measure_in_basis(target, "Z" * m_modes))
+    tvd = total_variation_distance(*measure_in_basis([rho, target], ["Z" * m_modes])[:, 0])
     return {"protocol": "protocol3", "groups": [group],
             "global_fidelity": f_global,
             "witness": group["witness_input"],

@@ -111,7 +111,7 @@ def bell_qkd_circuit(encode: str, decode: str, mode) -> Circuit:
 
 def _decoded_fidelities(circuits, bits: str, shots, seeds, noise) -> list:
     """Fidelity of each circuit's tomographed system register against |bits>."""
-    sweeps = tomography_sweep(circuits, shots=shots, seed=seeds, noise=noise)
+    sweeps = tomography_sweep(circuits, shots=shots, seeds=seeds, noise=noise)
     target = StateVector.computational(bits)
     return [fidelity(rho, target) for rho in reconstruct_multi_qubit(sweeps, len(bits))]
 

@@ -20,23 +20,22 @@ matches its non-identity letters, and the shot-weighted mean over those
 settings is its estimate.  Which cell each setting estimates from each
 column depends only on m and is held in the frame.
 
-The sweep always measures the circuit's system qubits and post-selects
-on the ancilla, if there is one, reading 1.  A sweep over many circuits
-makes one `measure_in_basis` call per register layout, for all 3^m
-settings of all its circuits, and one `spawn_generators` pass that seeds
-a Generator per row of every circuit.  The measurement gives each
-circuit a 3^m-row probability array in the count rows' outcome order,
-and each circuit in input order makes one `sample_shots` call on it.
+Every step takes a list and returns a list, one item per circuit, and
+one item comes as a list of one.  The sweep always measures the
+circuits' system qubits and post-selects on the ancilla, if there is one,
+reading 1.  It makes one `measure_in_basis` call per register layout, for
+all 3^m settings of all its circuits, and one `spawn_generators` pass
+that seeds a Generator per row of every circuit.  Each circuit in input
+order makes one `sample_shots` call on its 3^m-row probability array.
 Then each layout's c tables are stacked into one c x 3^m x 2^w table,
 post-selected once and assembled once: one product with H for every
 row of every circuit, and one bincount whose cells are offset by
 circuit.  Integer counts times +-1 are exact and bincount adds in row
 order, so each circuit's set has the bytes of its table assembled
-alone.  Reconstruction likewise takes a list of sets and places them
-all with one product.
+alone.  Reconstruction likewise places every set with one product.
 The ancilla is the last readout bit, so post-selection keeps every
 second column of the count matrix.  The exact sweep (shots=None) needs
-no counts.  It conditions the circuit's density matrix, readout flips
+no counts.  It conditions each circuit's density matrix, readout flips
 included, on the ancilla, which leaves exactly the system qubits in
 ascending order, and reads all 4^m expectations
 Tr(P rho) = i^#Y (G H)[x, z], with G[x, i] = rho[i, i ^ x], from one
@@ -54,6 +53,7 @@ import numpy as np
 from .circuits import (
     NoiseModel,
     ShotTable,
+    _listed,
     measure_in_basis,
     run_density_matrix,
     run_statevector,
@@ -107,25 +107,26 @@ def _pauli_frame(num_qubits: int):
     return (*arrays, MappingProxyType(index), tuple(strings[i] for i in order))
 
 
-def expectations_from_tables(table, num_qubits: int):
-    """Assemble the full 4^m expectation set from one ShotTable's rows.
+def expectations_from_tables(table, num_qubits: int) -> list:
+    """Assemble each circuit's full 4^m expectation set from a ShotTable:
+    the list of c sets of a c x k x 2^w table, or of the one set of a
+    k x 2^w table, which counts as one circuit.
 
     Strings with identity positions are estimated from every compatible
     setting, weighted by shot count; rows with no shots are skipped,
-    and a later row for a setting replaces an earlier one.  A table
-    stacked over c circuits gives the list of their c sets, each equal
-    to the set of its circuit's rows alone, from one product and one
-    pair of sums.
+    and a later row for a setting replaces an earlier one.  Each set
+    equals the set of its circuit's rows alone, from one product and
+    one pair of sums over every circuit.
     """
     cells, _, _, walsh, hits, index, _ = _pauli_frame(num_qubits)
     if len(table.settings[0]) != num_qubits:
         raise ValueError(f"setting {table.settings[0]!r} is not {num_qubits} "
                          "letters from X, Y, Z")
-    stacked, counts = table.counts.ndim == 3, table.counts
+    counts = table.counts.reshape((-1,) + table.counts.shape[-2:])
     # Each setting's last row, in the order the settings first appear.
     last = {setting: row for row, setting in enumerate(table.settings)}
     if len(last) < len(table.settings):
-        counts = counts[..., list(last.values()), :]
+        counts = counts[:, list(last.values())]
     shots = counts.sum(axis=-1, keepdims=True).astype(float)
     # Each row's estimates times its shots, from exact integer products.
     # bincount adds them row by row, so every partial sum rounds exactly
@@ -134,10 +135,10 @@ def expectations_from_tables(table, num_qubits: int):
     # empty row would give 0 / 0; divided by 1 it adds zeros instead.
     scale = shots if shots.all() else np.where(shots > 0, shots, 1.0)
     weighted = (counts @ walsh) / scale * shots
-    size, num_sets = walsh.size, len(counts) if stacked else 1
-    targets = hits[[index[setting] for setting in last]].ravel()
-    if stacked:  # circuit j's cells are offset by j tables
-        targets = (targets + size * np.arange(num_sets)[:, None]).ravel()
+    size, num_sets = walsh.size, len(counts)
+    # Circuit j's cells are offset by j tables.
+    targets = (hits[[index[setting] for setting in last]].ravel()
+               + np.arange(0, size * num_sets, size)[:, None]).ravel()
     num = np.bincount(targets, weighted.ravel(), size * num_sets).reshape(num_sets, size)
     den = np.bincount(targets, shots.repeat(len(walsh), axis=-1).ravel(),
                       size * num_sets).reshape(num_sets, size)
@@ -146,25 +147,20 @@ def expectations_from_tables(table, num_qubits: int):
         # The identity lacks shots only if every string does; then name the next.
         first = den.all(axis=1).argmin()
         missing = den[first, cells[1:]].argmin() + 1 if len(cells) > 1 else 0
-        circuit = f"circuit {first}: " if stacked else ""
-        raise ValueError(f"{circuit}no shot table can estimate {strings[missing]!r}")
-    sets = [dict(zip(strings, values)) for values in (num / den)[:, cells].tolist()]
-    return sets if stacked else sets[0]
+        raise ValueError(f"circuit {first}: no shot table can estimate {strings[missing]!r}")
+    return [dict(zip(strings, values)) for values in (num / den)[:, cells].tolist()]
 
 
 def reconstruct_single_qubit(expectations: dict) -> DensityMatrix:
-    """Bloch-vector reconstruction from <X>, <Y>, <Z>."""
-    return reconstruct_multi_qubit({**expectations, "I": 1.0}, 1)
+    """Bloch-vector reconstruction of one state from <X>, <Y>, <Z>."""
+    return reconstruct_multi_qubit([{**expectations, "I": 1.0}], 1)[0]
 
 
-def reconstruct_multi_qubit(expectations, num_qubits: int):
-    """Pauli-sum reconstruction; the result may be unphysical for noisy data.
-
-    A list or tuple of expectation sets gives the list of their states,
-    from one batched product, each the state its set gives alone.
-    """
-    many = isinstance(expectations, (list, tuple))
-    sets = expectations if many else [expectations]
+def reconstruct_multi_qubit(sets, num_qubits: int) -> list:
+    """The Pauli-sum state of each expectation set in a list, from one
+    batched product, each as its set gives it alone; a state may be
+    unphysical for noisy data."""
+    sets = _listed(sets, "expectation sets")
     _, phase, lift, walsh, _, _, by_cell = _pauli_frame(num_qubits)
     # Read in cell order, each set is its matrix C row by row.
     try:
@@ -179,31 +175,31 @@ def reconstruct_multi_qubit(expectations, num_qubits: int):
     # second conjugated, so real expectations give a Hermitian matrix.
     mats = np.dot(coeffs.reshape(-1, len(walsh)), walsh).reshape(coeffs.shape)
     mats = mats.take(lift, axis=1) / len(walsh)
-    states = [DensityMatrix(num_qubits, mat) for mat in mats]
-    return states if many else states[0]
+    return [DensityMatrix(num_qubits, mat) for mat in mats]
 
 
-def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = None):
-    """Run all 3^k basis settings over the circuit's system qubits and
-    assemble the full expectation set.
+def tomography_sweep(circuits, shots: int = None, seeds=None,
+                     noise: NoiseModel = None) -> list:
+    """Run all 3^k basis settings over each circuit's system qubits and
+    return the list of their full expectation sets, each as the circuit
+    swept alone.
 
-    shots=None uses exact probabilities; otherwise one stacked shot table
-    draws each setting's row with the Generator of a child seed of `seed`,
-    as `spawn_generators` gives them, so a SeedSequence `seed` is not
-    advanced.  When the circuit has an ancilla it is read out in Z and the
-    data is conditioned on it reading 1.  Readout flips come with the
+    shots=None uses exact probabilities and reads no seeds.  Otherwise
+    `seeds` lists one seed per circuit, and each circuit's stacked shot
+    table draws its settings' rows with the Generators of child seeds of
+    its seed, as `spawn_generators` gives them, so a SeedSequence seed is
+    not advanced.  When a circuit has an ancilla it is read out in Z and
+    the data is conditioned on it reading 1.  Readout flips come with the
     simulated state, so the exact sweep is the expectation of the sampled
-    one.  A list or tuple of circuits, with one of as many seeds, gives the
-    list of their expectation sets, each as the circuit swept alone with
-    its seed.  The tables are drawn in input order, then each register
+    one.  The tables are drawn in input order, then each register
     layout's tables are post-selected and assembled as one stack.  If
     post-selection leaves a setting without shots, the error names that
     setting of the first such circuit in input order.
     """
-    many = isinstance(circuit, (list, tuple))
-    circuits, seeds = (circuit, seed) if many else ([circuit], [seed])
-    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(circuits):
-        raise ValueError(f"need one seed per circuit ({len(circuits)}), got {seed!r}")
+    circuits = _listed(circuits, "circuits")
+    if shots is not None and (not isinstance(seeds, (list, tuple))
+                              or len(seeds) != len(circuits)):
+        raise ValueError(f"need one seed per circuit ({len(circuits)}), got {seeds!r}")
     for one in circuits:
         if not 1 <= len(one.system_qubits) <= MAX_MEASURED_QUBITS:
             raise ValueError(f"need at least 1 and at most {MAX_MEASURED_QUBITS} "
@@ -220,7 +216,7 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
             # G[x, i] = rho[i, i ^ x], the transpose's entry [i ^ x, i].
             values = (phase * (rho.matrix.T.take(lift) @ walsh).ravel()).take(cells)
             sweeps.append(dict(zip(pauli_strings(m), values.real.tolist())))
-        return sweeps if many else sweeps[0]
+        return sweeps
 
     # Circuits of one register layout share their settings, one measurement,
     # one post-selection and one assembly.
@@ -259,11 +255,10 @@ def tomography_sweep(circuit, shots: int = None, seed=0, noise: NoiseModel = Non
                 first = kept.all(axis=1).argmin()
                 empty.append((rows[first], table.settings[kept[first].argmin()]))
                 continue
-        sets = expectations_from_tables(table, num_system)
-        for row, expectations in zip(rows, [sets] if len(rows) == 1 else sets):
+        for row, expectations in zip(rows, expectations_from_tables(table, num_system)):
             sweeps[row] = expectations
     if empty:  # name the first circuit, in input order, left without shots
         setting = min(empty)[1]
         raise ValueError(f"setting {setting!r}: post-selecting "
                          f"ancilla outcome 1 kept 0 of {shots} shots")
-    return sweeps if many else sweeps[0]
+    return sweeps

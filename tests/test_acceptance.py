@@ -200,17 +200,15 @@ class TestAcceptance:
                                    UNBALANCED_ZETA),
         ]
         ok = True
-        for circuit in circuits:
-            ex = tomography_sweep(circuit, shots=None)
-            rho = reconstruct_multi_qubit(ex, len(circuit.system_qubits))
+        for circuit, ex in zip(circuits, tomography_sweep(circuits)):
+            (rho,) = reconstruct_multi_qubit([ex], len(circuit.system_qubits))
             ok &= trace_distance(rho, ideal_output(circuit)) < 1e-10
         five = circuits[-1]
         expected = ideal_output(five)
-        distances = []
-        for seed in range(20):
-            ex = tomography_sweep(five, shots=8192, seed=seed)
-            distances.append(trace_distance(
-                reconstruct_multi_qubit(ex, 4), expected))
+        # Each seed's set is the one its circuit swept alone gives.
+        sweeps = tomography_sweep([five] * 20, shots=8192, seeds=list(range(20)))
+        distances = [trace_distance(rho, expected)
+                     for rho in reconstruct_multi_qubit(sweeps, 4)]
         ok &= float(np.median(distances)) < 0.05
         _report(7, "exact reconstruction < 1e-10; 8192-shot median trace "
                    "distance < 0.05", ok)
@@ -255,7 +253,7 @@ class TestAcceptance:
             2, 4, [(PI / 2, PI / 2, PI / 2)] * 4,
             UNBALANCED_ZETA)
         start = time.perf_counter()
-        tomography_sweep(circuit, shots=8192, seed=0)
+        tomography_sweep([circuit], shots=8192, seeds=[0])
         sweep_time = time.perf_counter() - start
         suite_time = time.perf_counter() - _SUITE_START
         ok = sweep_time < 2.0 and suite_time < 120.0

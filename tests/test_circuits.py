@@ -58,6 +58,11 @@ def uncached_unitary(gate, num_qubits: int) -> np.ndarray:
     return _embed({gate.qubits[-1]: gate.matrix_2x2()}, num_qubits)
 
 
+def measured(state, setting: str, qubits=None) -> np.ndarray:
+    """One state's outcome probabilities in one setting, from one-item lists."""
+    return measure_in_basis([state], [setting], qubits)[0, 0]
+
+
 def outer_product_depolarize(rho_mat, qubits, prob, num_qubits):
     """Depolarizing built by tracing each qubit out and putting I/2 back
     with np.multiply.outer and np.moveaxis."""
@@ -309,22 +314,23 @@ class TestRunDensityMatrix:
 
 class TestMeasureInBasis:
     def test_z_on_zero(self):
-        probs = measure_in_basis(StateVector.computational("0"), "Z")
+        # One state in one setting is still a states x settings x outcomes array.
+        probs = measure_in_basis([StateVector.computational("0")], ["Z"])
         assert isinstance(probs, np.ndarray) and probs.dtype == float
-        assert probs.tolist() == [1.0, 0.0]
+        assert probs.tolist() == [[[1.0, 0.0]]]
 
     def test_x_on_zero_is_uniform(self):
-        probs = measure_in_basis(StateVector.computational("0"), "X")
+        probs = measured(StateVector.computational("0"), "X")
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_y_eigenstate_deterministic(self):
         plus_i = StateVector(1, np.array([1, 1j]) / np.sqrt(2))
-        probs = measure_in_basis(plus_i, "Y")
+        probs = measured(plus_i, "Y")
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_plus_in_x_deterministic(self):
         plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-        probs = measure_in_basis(plus, "X")
+        probs = measured(plus, "X")
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_rotation_consistency(self):
@@ -333,20 +339,19 @@ class TestMeasureInBasis:
         state = run_statevector(circuit)
         rotated = apply_gate(state, u3(0, PI / 2, 0, PI))  # Hadamard
         np.testing.assert_allclose(
-            measure_in_basis(state, "X"),
-            measure_in_basis(rotated, "Z"), atol=1e-12)
+            measured(state, "X"), measured(rotated, "Z"), atol=1e-12)
 
     def test_marginalization_and_order(self):
         state = StateVector.computational("10")
-        probs = measure_in_basis(state, "Z", [1])
-        assert probs.shape == (2,) and probs[0] == pytest.approx(1.0)
+        probs = measure_in_basis([state], ["Z"], [1])
+        assert probs.shape == (1, 1, 2) and probs[0, 0, 0] == pytest.approx(1.0)
         # The first qubit measured is the most significant bit: qubit 1
         # reads 0 and qubit 0 reads 1, outcome "01" at index 1.
-        assert measure_in_basis(state, "ZZ", [1, 0]).tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert measured(state, "ZZ", [1, 0]).tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_invalid_basis_letter(self):
         with pytest.raises(ValueError, match="basis"):
-            measure_in_basis(StateVector.computational("0"), "Q")
+            measured(StateVector.computational("0"), "Q")
 
     @pytest.mark.parametrize("qubits", [[0, 0], [1, 0, 1], [7, 0], [-1, 0], [2]],
                              ids=str)
@@ -356,19 +361,18 @@ class TestMeasureInBasis:
         state = state.density() if mixed else state
         message = rf"cannot measure qubits \[{', '.join(map(str, qubits))}\]"
         with pytest.raises(ValueError, match=message):
-            measure_in_basis(state, "Z" * len(qubits), qubits)
+            measured(state, "Z" * len(qubits), qubits)
 
-    @pytest.mark.parametrize("settings", ["Z", ["Z", "X", "Y"]], ids=["one", "stack"])
+    @pytest.mark.parametrize("settings", [["Z"], ["Z", "X", "Y"]], ids=["one", "stack"])
     def test_negative_probability_rejected_before_clipping(self, rng, settings):
         state = DensityMatrix(1, np.diag([1.5, -0.5]))
         with pytest.raises(ValueError, match=r"outcome probability -0\.5, below -1e-09"):
-            measure_in_basis(state, settings)
+            measure_in_basis([state], settings)
         with pytest.raises(ValueError, match="below"):
             measure_in_basis([random_density(rng, 1), state], settings)
 
     def test_small_negatives_set_to_zero(self):
-        probs = measure_in_basis(DensityMatrix(1, np.diag([1 + PROB_ATOL / 2,
-                                                             -PROB_ATOL / 2])), "Z")
+        probs = measured(DensityMatrix(1, np.diag([1 + PROB_ATOL / 2, -PROB_ATOL / 2])), "Z")
         assert probs.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("matrix", [np.zeros((2, 2)), np.diag([1e308, 1e308])],
@@ -378,35 +382,35 @@ class TestMeasureInBasis:
         # would be raised instead of the function's own error.
         state = DensityMatrix(1, matrix)
         with pytest.raises(ValueError, match="finite, positive sum"):
-            measure_in_basis(state, "Z")
+            measured(state, "Z")
 
 
 class TestSampling:
     def test_deterministic_outcome(self):
-        probs = measure_in_basis(StateVector.computational("0"), ["Z"])
+        probs = measure_in_basis([StateVector.computational("0")], ["Z"])[0]
         table = sample_shots(probs, 100, [1], ["Z"])
         assert table.settings == ("Z",) and table.counts.tolist() == [[100, 0]]
 
     def test_same_seed_same_table(self):
-        probs = measure_in_basis(StateVector.computational("0"), ["X"])
+        probs = measure_in_basis([StateVector.computational("0")], ["X"])[0]
         a = sample_shots(probs, 5000, [42], ["X"])
         b = sample_shots(probs, 5000, [42], ["X"])
         assert a == b
 
     def test_large_sample_frequency(self):
-        probs = measure_in_basis(StateVector.computational("0"), ["X"])
+        probs = measure_in_basis([StateVector.computational("0")], ["X"])[0]
         table = sample_shots(probs, 10**6, [7], ["X"])
         assert abs(table.counts[0, 0] / 10**6 - 0.5) < 0.002
 
     def test_sampling_converges_in_tvd(self):
         circuit = Circuit(2, [u3(0, 1.0, 0.3, 0.2), cu3(0, 1, 2.0, 0.0, 0.0)])
-        probs = measure_in_basis(run_statevector(circuit), ["ZZ"])
+        probs = measure_in_basis([run_statevector(circuit)], ["ZZ"])[0]
         table = sample_shots(probs, 10**6, [5], ["ZZ"])
         tvd = 0.5 * np.abs(table.counts[0] / table.shots - probs[0]).sum()
         assert tvd <= 0.005
 
     def test_shot_count_validation(self):
-        probs = measure_in_basis(StateVector.computational("0"), ["Z"])
+        probs = measure_in_basis([StateVector.computational("0")], ["Z"])[0]
         with pytest.raises(ValueError, match="shots"):
             sample_shots(probs, 0, [0], ["Z"])
 
@@ -498,7 +502,7 @@ class TestSampling:
                 == ShotTable([setting], row[None], 300)
 
     def test_generator_seed_used_as_is(self):
-        probs = measure_in_basis(StateVector.computational("0"), ["X"])
+        probs = measure_in_basis([StateVector.computational("0")], ["X"])[0]
         rng = np.random.default_rng(3)
         first = sample_shots(probs, 1000, [rng], ["X"])
         assert first == sample_shots(probs, 1000, [3], ["X"])
@@ -761,7 +765,7 @@ class TestBasisRotationCache:
         # the 256 x 64 KiB that the per-setting cache allowed.
         assert _rotation_stack.cache_info().maxsize == 16
         for setting in itertools.product("XYZ", repeat=3):
-            measure_in_basis(StateVector.computational("000"), "".join(setting))
+            measured(StateVector.computational("000"), "".join(setting))
         assert _rotation_stack.cache_info().currsize == 16
 
 
@@ -806,7 +810,7 @@ class TestStackedMeasurement:
         for qubits in readouts(num_qubits):
             settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(qubits))]
             for state in states:
-                probs = measure_in_basis(state, settings, qubits)
+                (probs,) = measure_in_basis([state], settings, qubits)
                 assert probs.shape == (len(settings), 2 ** len(qubits))
                 for setting, row in zip(settings, probs):
                     assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
@@ -820,12 +824,12 @@ class TestStackedMeasurement:
             NoiseModel(0.02, 0.04, 0.01))
         qubits = tuple(range(1, width + 1)) + (0,)
         settings = ["".join(s) + "Z" for s in itertools.product("XYZ", repeat=width)]
-        probs = measure_in_basis(state, settings, qubits)
+        (probs,) = measure_in_basis([state], settings, qubits)
         assert len(probs) == 3**width
         for setting, row in zip(settings, probs):
             assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
-            single = measure_in_basis(state, setting, qubits)
-            assert single.ndim == 1 and single.tobytes() == row.tobytes()
+            single = measure_in_basis([state], [setting], qubits)
+            assert single.shape == (1, 1, len(row)) and single.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("num_qubits", range(1, 6))
     @pytest.mark.parametrize("mixed", [False, True], ids=["vector", "density"])
@@ -834,38 +838,49 @@ class TestStackedMeasurement:
         states = [make(rng, num_qubits) for _ in range(3)]
         for qubits in readouts(num_qubits):
             settings = ["".join(s) for s in itertools.product("XYZ", repeat=len(qubits))]
-            for setting in (settings, settings[-1]):
+            for setting in (settings, settings[-1:]):
                 stacked = measure_in_basis(states, setting, qubits)
                 assert isinstance(stacked, np.ndarray) and len(stacked) == len(states)
                 for state, probs in zip(states, stacked):
-                    alone = measure_in_basis(state, setting, qubits)
+                    (alone,) = measure_in_basis([state], setting, qubits)
                     assert probs.shape == alone.shape
                     assert probs.tobytes() == alone.tobytes()
-        # A tuple works the same, and one state in a list keeps its state axis.
-        assert measure_in_basis(tuple(states), "Z" * num_qubits).shape == (3, 2**num_qubits)
-        assert measure_in_basis(states[:1], "Z" * num_qubits).shape == (1, 2**num_qubits)
+        # Tuples work the same, and one state and one setting keep their axes.
+        one = ("Z" * num_qubits,)
+        assert measure_in_basis(tuple(states), one).shape == (3, 1, 2**num_qubits)
+        assert measure_in_basis(states[:1], list(one)).shape == (1, 1, 2**num_qubits)
 
     def test_list_of_states_must_share_kind_and_size(self, rng):
         pure, mixed = random_pure(rng, 2), random_density(rng, 2)
         with pytest.raises(ValueError, match="all of one kind and size"):
-            measure_in_basis([pure, mixed], "ZZ")
+            measure_in_basis([pure, mixed], ["ZZ"])
         with pytest.raises(ValueError, match="all of one kind and size"):
-            measure_in_basis([pure, random_pure(rng, 3)], "ZZ", [0, 1])
+            measure_in_basis([pure, random_pure(rng, 3)], ["ZZ"], [0, 1])
         with pytest.raises(ValueError, match="all of one kind and size"):
-            measure_in_basis([], "Z")
+            measure_in_basis([], ["Z"])
         with pytest.raises(TypeError, match="cannot measure a ndarray"):
-            measure_in_basis([pure, pure.amplitudes], "ZZ")
-        with pytest.raises(TypeError, match="cannot measure a ndarray"):
-            measure_in_basis(pure.amplitudes, "ZZ")
+            measure_in_basis([pure, pure.amplitudes], ["ZZ"])
+
+    @pytest.mark.parametrize("states, settings, expected", [
+        (StateVector.computational("00"), ["ZZ"], "states, got a StateVector"),
+        (StateVector.computational("00").density(), ["ZZ"], "states, got a DensityMatrix"),
+        (np.array([1.0, 0, 0, 0]), ["ZZ"], "states, got a ndarray"),
+        ([StateVector.computational("00")], "ZZ", "settings, got a str"),
+        ([StateVector.computational("00")], iter(["ZZ"]), "settings, got a list_iterator"),
+    ], ids=["vector", "density", "array", "string", "iterator"])
+    def test_one_state_or_setting_must_come_as_a_list(self, states, settings, expected):
+        # A string of letters would otherwise pass as one-letter settings.
+        with pytest.raises(ValueError, match=f"^need a list of {expected}$"):
+            measure_in_basis(states, settings)
 
     def test_every_setting_of_a_stack_is_checked(self):
         state = StateVector.computational("00")
         with pytest.raises(ValueError, match="'XYZ' does not match 2 qubits"):
-            measure_in_basis(state, ["XY", "XYZ"])
+            measure_in_basis([state], ["XY", "XYZ"])
         with pytest.raises(ValueError, match="basis"):
-            measure_in_basis(state, ["XY", "QZ"])
+            measure_in_basis([state], ["XY", "QZ"])
         with pytest.raises(ValueError, match="no basis setting"):
-            measure_in_basis(state, [])
+            measure_in_basis([state], [])
 
 
 class TestDensityWorkArrays:
@@ -886,18 +901,18 @@ class TestDensityWorkArrays:
     def test_partial_last_block_matches_single_calls(self, state, count):
         before = state.matrix.tobytes()
         settings = self.SETTINGS[-count:]
-        probs = measure_in_basis(state, settings, self.QUBITS)
+        (probs,) = measure_in_basis([state], settings, self.QUBITS)
         assert probs.shape == (count, 8)
         for setting, row in zip(settings, probs):
             assert row.tobytes() == measure_one(state, setting, self.QUBITS).tobytes()
-            single = measure_in_basis(state, setting, self.QUBITS)
+            single = measured(state, setting, self.QUBITS)
             assert single.tobytes() == row.tobytes()
         assert state.matrix.tobytes() == before
 
     def test_short_call_after_long_call_has_no_stale_rows(self, state):
-        measure_in_basis(state, self.SETTINGS[:20], self.QUBITS)
+        measure_in_basis([state], self.SETTINGS[:20], self.QUBITS)
         settings = self.SETTINGS[-2:]
-        probs = measure_in_basis(state, settings, self.QUBITS)
+        (probs,) = measure_in_basis([state], settings, self.QUBITS)
         assert probs.shape == (2, 8)
         for setting, row in zip(settings, probs):
             assert row.tobytes() == measure_one(state, setting, self.QUBITS).tobytes()
@@ -956,10 +971,10 @@ class TestReadoutFlips:
                 for setting in map("".join, itertools.product("XYZ", repeat=width)):
                     qubits = list(range(3 - width, 3))
                     expected = _flip_distribution(
-                        measure_in_basis(clean, setting, qubits),
+                        measured(clean, setting, qubits),
                         width, p)
                     np.testing.assert_allclose(
-                        measure_in_basis(folded, setting, qubits),
+                        measured(folded, setting, qubits),
                         expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("num_qubits", range(2, 6))

@@ -114,7 +114,10 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="threshold"):
             parse_config(["protocol3", "--threshold", "2"])
 
-    @pytest.mark.parametrize("initial", ["0,0", "0,0j", "nan,1", "1,inf"])
+    # The library's own rule: a finite, nonzero norm, which two finite
+    # amplitudes near the float limit overflow.
+    @pytest.mark.parametrize("initial", ["0,0", "0,0j", "nan,1", "1,inf", "1.7e308,1.7e308",
+                                         "1.7e308+1.7e308j,1"])
     def test_degenerate_initial_pair_rejected(self, initial):
         with pytest.raises(UsageError, match="--initial"):
             parse_config(["protocol1", "--initial", initial])

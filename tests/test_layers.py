@@ -55,7 +55,7 @@ def test_sampled_sweep_calls_each_traced_layer(monkeypatch, num_system):
     for name in ("measure_in_basis", "sample_shots", "expectations_from_tables"):
         counting(monkeypatch, hetverify.tomography, name, calls)
     counting(monkeypatch, ShotTable, "postselect", calls)
-    hetverify.tomography.tomography_sweep(circuit, shots=64, seed=3,
+    hetverify.tomography.tomography_sweep([circuit], shots=64, seeds=[3],
                                           noise=NoiseModel(0.01, 0.02, 0.01))
     # One stacked call of each, whatever the number of settings.
     assert calls == {"measure_in_basis": 1, "sample_shots": 1,
@@ -90,7 +90,7 @@ def test_sweep_over_two_layouts_measures_once_per_layout(monkeypatch):
         return assemble(table, num_qubits)
 
     monkeypatch.setattr(hetverify.tomography, "expectations_from_tables", shaped)
-    hetverify.tomography.tomography_sweep(circuits, shots=64, seed=list(range(5)),
+    hetverify.tomography.tomography_sweep(circuits, shots=64, seeds=list(range(5)),
                                           noise=NoiseModel(0.01, 0.02, 0.01))
     # One draw per circuit, in input order; one measurement and one
     # assembly per layout, and one post-selection for the layout with an

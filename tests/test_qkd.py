@@ -31,9 +31,9 @@ MISMATCH_PI_3 = 0.258819             # |cos(pi/6) - sin(pi/6)| / sqrt(2)
 def decoded_fidelity(circuit, bits, shots=None, seed=0):
     """One table cell: the fidelity of the circuit's tomographed system
     register against |bits>, from a one-circuit sweep with the cell's seed."""
-    expectations = tomography_sweep(circuit, shots=shots, seed=seed)
-    return fidelity(reconstruct_multi_qubit(expectations, len(bits)),
-                    StateVector.computational(bits))
+    (rho,) = reconstruct_multi_qubit(
+        tomography_sweep([circuit], shots=shots, seeds=[seed]), len(bits))
+    return fidelity(rho, StateVector.computational(bits))
 
 
 def single_cell(initial, encode, decode, mode, **sweep):

@@ -57,6 +57,17 @@ def bell_circuit():
     return Circuit(2, [u3(0, PI / 2, 0, PI), cu3(0, 1, PI, 0, PI)])
 
 
+def sweep_alone(circuit, shots=None, seed=0, noise=None) -> dict:
+    """One circuit's expectation set, from a one-item list sweep."""
+    return tomography_sweep([circuit], shots=shots, seeds=[seed], noise=noise)[0]
+
+
+def reconstruct(expectations, num_qubits):
+    """One set's state, from a one-item list reconstruction."""
+    (rho,) = reconstruct_multi_qubit([expectations], num_qubits)
+    return rho
+
+
 def expectation_from_counts(table: ShotTable, string: str) -> float:
     """Per-string oracle: parity-weighted average of a table's counts.
 
@@ -130,7 +141,7 @@ class TestSingleQubitReconstruction:
                 for p in ("X", "Y", "Z")
             }
             bloch = reconstruct_single_qubit(ex)
-            full = reconstruct_multi_qubit({"I": 1.0, **ex}, 1)
+            full = reconstruct({"I": 1.0, **ex}, 1)
             np.testing.assert_allclose(bloch.matrix, full.matrix, atol=1e-12)
             formula = 0.5 * np.array(
                 [[1 + ex["Z"], ex["X"] - 1j * ex["Y"]],
@@ -140,40 +151,34 @@ class TestSingleQubitReconstruction:
 
 class TestMultiQubitReconstruction:
     def test_zero_zero_exact(self):
-        circuit = Circuit(2)
-        ex = tomography_sweep(circuit, shots=None)
-        rho = reconstruct_multi_qubit(ex, 2)
+        (rho,) = reconstruct_multi_qubit(tomography_sweep([Circuit(2)]), 2)
         np.testing.assert_allclose(
             rho.matrix, StateVector.computational("00").density().matrix,
             atol=1e-10)
 
     def test_bell_state_roundtrip(self):
-        ex = tomography_sweep(bell_circuit(), shots=None)
-        rho = reconstruct_multi_qubit(ex, 2)
+        (rho,) = reconstruct_multi_qubit(tomography_sweep([bell_circuit()]), 2)
         expected = ideal_output(bell_circuit())
         np.testing.assert_allclose(rho.matrix, expected.matrix, atol=1e-10)
 
     def test_all_zero_expectations_give_mixed(self):
         ex = {p: 0.0 for p in pauli_strings(2)}
         ex["II"] = 1.0
-        rho = reconstruct_multi_qubit(ex, 2)
-        np.testing.assert_allclose(rho.matrix, np.eye(4) / 4)
+        np.testing.assert_allclose(reconstruct(ex, 2).matrix, np.eye(4) / 4)
 
     def test_incomplete_set_rejected(self):
         ex = {p: 0.0 for p in pauli_strings(2)[:-1]}
         with pytest.raises(ValueError, match="incomplete"):
-            reconstruct_multi_qubit(ex, 2)
+            reconstruct_multi_qubit([ex], 2)
 
     def test_linearity(self, rng):
         a = {p: rng.uniform(-0.5, 0.5) for p in pauli_strings(2)}
         b = {p: rng.uniform(-0.5, 0.5) for p in pauli_strings(2)}
         a["II"] = b["II"] = 1.0
         mix = {p: 0.3 * a[p] + 0.7 * b[p] for p in a}
+        mixed, first, second = reconstruct_multi_qubit([mix, a, b], 2)
         np.testing.assert_allclose(
-            reconstruct_multi_qubit(mix, 2).matrix,
-            0.3 * reconstruct_multi_qubit(a, 2).matrix
-            + 0.7 * reconstruct_multi_qubit(b, 2).matrix,
-            atol=1e-12)
+            mixed.matrix, 0.3 * first.matrix + 0.7 * second.matrix, atol=1e-12)
 
 
 def kron_chain(factors):
@@ -230,7 +235,7 @@ def test_exact_expectations_match_kron_einsum(monkeypatch, rng, num_qubits):
                    random_unphysical(rng, num_qubits).matrix, general):
         monkeypatch.setattr(hetverify.tomography, "run_density_matrix",
                             lambda circuit, noise: SimpleNamespace(matrix=matrix))
-        got = tomography_sweep(Circuit(num_qubits), shots=None)
+        (got,) = tomography_sweep([Circuit(num_qubits)])
         want = np.einsum("kij,ji->k", kron_stack(num_qubits), matrix).real
         assert list(got) == list(pauli_strings(num_qubits))
         np.testing.assert_allclose(list(got.values()), want, rtol=0, atol=1e-12)
@@ -245,7 +250,7 @@ def test_reconstruction_matches_per_string_loop(num_qubits, seed):
     ex = {p: float(rng.uniform(-1, 1)) for p in pauli_strings(num_qubits)}
     for identity in (1.0, ex["I" * num_qubits]):
         ex["I" * num_qubits] = identity
-        mat = reconstruct_multi_qubit(ex, num_qubits).matrix
+        mat = reconstruct(ex, num_qubits).matrix
         np.testing.assert_allclose(mat, _reconstruct_by_loop(ex, num_qubits),
                                    rtol=0, atol=1e-12)
         assert np.array_equal(mat, mat.conj().T)
@@ -306,29 +311,26 @@ def noisy_circuits(draw):
 
 class TestTomographySweep:
     def test_single_qubit_exact(self):
-        ex = tomography_sweep(Circuit(1), shots=None)
-        assert ex == {"I": 1.0, "X": pytest.approx(0.0, abs=1e-12),
-                      "Y": pytest.approx(0.0, abs=1e-12),
-                      "Z": pytest.approx(1.0)}
+        assert tomography_sweep([Circuit(1)]) == [
+            {"I": 1.0, "X": pytest.approx(0.0, abs=1e-12),
+             "Y": pytest.approx(0.0, abs=1e-12), "Z": pytest.approx(1.0)}]
 
     def test_five_qubit_exact_matches_conditioned_simulator(self):
         circuit = five_qubit_circuit()
-        ex = tomography_sweep(circuit, shots=None)
-        rho = reconstruct_multi_qubit(ex, 4)
+        (rho,) = reconstruct_multi_qubit(tomography_sweep([circuit]), 4)
         expected = ideal_output(circuit)
         assert trace_distance(rho, expected) < 1e-10
 
     def test_sampled_reconstruction_close_to_exact(self):
         circuit = five_qubit_circuit()
         expected = ideal_output(circuit)
-        ex = tomography_sweep(circuit, shots=8192, seed=0)
-        rho = reconstruct_multi_qubit(ex, 4)
+        rho = reconstruct(sweep_alone(circuit, shots=8192, seed=0), 4)
         assert trace_distance(rho, expected) < 0.08
 
     def test_sampled_determinism(self):
         circuit = bell_circuit()
-        a = tomography_sweep(circuit, shots=2048, seed=11)
-        b = tomography_sweep(circuit, shots=2048, seed=11)
+        a = tomography_sweep([circuit], shots=2048, seeds=[11])
+        b = tomography_sweep([circuit], shots=2048, seeds=[11])
         assert a == b
 
     def test_seed_sequence_is_not_advanced(self):
@@ -337,10 +339,10 @@ class TestTomographySweep:
         # one SeedSequence object sample the same tables.
         circuit = bell_circuit()
         parent = np.random.SeedSequence(11)
-        first = tomography_sweep(circuit, shots=2048, seed=parent)
-        assert tomography_sweep(circuit, shots=2048, seed=parent) == first
+        first = tomography_sweep([circuit], shots=2048, seeds=[parent])
+        assert tomography_sweep([circuit], shots=2048, seeds=[parent]) == first
         assert parent.n_children_spawned == 0
-        assert first == tomography_sweep(circuit, shots=2048, seed=11)
+        assert first == tomography_sweep([circuit], shots=2048, seeds=[11])
 
     def test_convergence_rate(self):
         # median trace distance shrinks monotonically with shot count
@@ -348,12 +350,10 @@ class TestTomographySweep:
         expected = ideal_output(circuit)
         medians = []
         for shots in (2**10, 2**13, 2**17):
-            dists = []
-            for seed in range(5):
-                ex = tomography_sweep(circuit, shots=shots, seed=seed)
-                dists.append(trace_distance(
-                    reconstruct_multi_qubit(ex, 2), expected))
-            medians.append(np.median(dists))
+            # Each seed's set is its circuit's swept alone.
+            sweeps = tomography_sweep([circuit] * 5, shots=shots, seeds=list(range(5)))
+            medians.append(np.median([trace_distance(rho, expected)
+                                      for rho in reconstruct_multi_qubit(sweeps, 2)]))
         assert medians[0] > medians[1] > medians[2]
 
     def test_spread_halves_at_four_times_the_shots(self):
@@ -375,12 +375,12 @@ class TestTomographySweep:
             PI / 3)
         noise = NoiseModel(0.02, 0.03, 0.02)
         shots, repeats = 1024, 200
-        exact = tomography_sweep(circuit, noise=noise)
+        (exact,) = tomography_sweep([circuit], noise=noise)
         rho = run_density_matrix(circuit, noise)
-        kept = measure_in_basis(rho, "Z", [circuit.ancilla])[1]
+        kept = measure_in_basis([rho], ["Z"], [circuit.ancilla])[0, 0, 1]
         # Separate seeds, so the two shot counts draw independent streams.
-        runs = {s: [tomography_sweep(circuit, shots=s, seed=seed, noise=noise)
-                    for seed in range(i * repeats, (i + 1) * repeats)]
+        runs = {s: tomography_sweep([circuit] * repeats, shots=s, noise=noise,
+                                    seeds=list(range(i * repeats, (i + 1) * repeats)))
                 for i, s in enumerate((shots, 4 * shots))}
         tolerance = 4 * math.sqrt(2 / repeats)
         for string, value in exact.items():
@@ -397,13 +397,13 @@ class TestTomographySweep:
 
     def test_too_many_measured_qubits(self):
         with pytest.raises(ValueError, match="at most 4 measured qubits"):
-            tomography_sweep(Circuit(5))
+            tomography_sweep([Circuit(5)])
 
     def test_exact_readout_flip_on_single_mode(self):
         # Both qubits read |1>; the flips bias the system's <Z> and the
         # post-selection on the flipped ancilla leaves it unchanged.
         circuit = single_mode_circuit("1", BALANCED_ZETA)
-        ex = tomography_sweep(circuit, noise=NoiseModel(readout_flip_prob=0.1))
+        (ex,) = tomography_sweep([circuit], noise=NoiseModel(readout_flip_prob=0.1))
         assert ex["Z"] == pytest.approx(-0.8, abs=1e-12)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -414,13 +414,13 @@ class TestTomographySweep:
         post-selection on the flipped ancilla included."""
         circuit, noise = case
         shots, repeats = 1000, 16
-        exact = tomography_sweep(circuit, noise=noise)
-        runs = [tomography_sweep(circuit, shots=shots, seed=seed, noise=noise)
-                for seed in range(repeats)]
+        (exact,) = tomography_sweep([circuit], noise=noise)
+        runs = tomography_sweep([circuit] * repeats, shots=shots,
+                                seeds=list(range(repeats)), noise=noise)
         kept = 1.0
         if circuit.ancilla is not None:
             rho = run_density_matrix(circuit, noise)
-            kept = measure_in_basis(rho, "Z", [circuit.ancilla])[1]
+            kept = measure_in_basis([rho], ["Z"], [circuit.ancilla])[0, 0, 1]
         for string, value in exact.items():
             # Every kept shot of each of the 3^#I compatible settings
             # is one +-1 draw with mean `value`.
@@ -432,7 +432,7 @@ class TestTomographySweep:
     def test_empty_postselection_names_setting(self):
         # The ancilla of a gate-free circuit always reads 0.
         with pytest.raises(ValueError, match="'X'.*outcome 1 kept 0 of 16"):
-            tomography_sweep(Circuit(2, ancilla=1), shots=16, seed=0)
+            tomography_sweep([Circuit(2, ancilla=1)], shots=16, seeds=[0])
 
 
 def reduced_fidelities(circuit, targets):
@@ -467,9 +467,9 @@ class TestReducedFidelities:
 class TestExpectationIO:
     def test_assembly_from_external_tables(self):
         table = ShotTable(("X", "Y", "Z"), [[80, 20]] * 3, 300)
-        ex = expectations_from_tables(table, 1)
-        assert ex == {"I": 1.0, "X": pytest.approx(0.6),
-                      "Y": pytest.approx(0.6), "Z": pytest.approx(0.6)}
+        assert expectations_from_tables(table, 1) == [
+            {"I": 1.0, "X": pytest.approx(0.6), "Y": pytest.approx(0.6),
+             "Z": pytest.approx(0.6)}]
 
 
 def _assemble_by_loop(table, num_qubits):
@@ -530,16 +530,17 @@ class TestVectorisedAssembly:
         except ValueError as err:
             with pytest.raises(ValueError) as caught:
                 expectations_from_tables(table, num_qubits)
-            assert str(caught.value) == str(err)
+            # A k x 2^w table is circuit 0.
+            assert str(caught.value) == f"circuit 0: {err}"
             return
-        got = expectations_from_tables(table, num_qubits)
+        (got,) = expectations_from_tables(table, num_qubits)
         assert list(got) == list(expected)
         # Terms are added in the loop's order, so the sums agree exactly.
         assert got == expected
 
     def test_duplicate_setting_last_table_wins(self):
         table = ShotTable(("X", "Y", "Z", "Z"), [[10, 0]] * 3 + [[0, 7]], 37)
-        assert expectations_from_tables(table, 1)["Z"] == -1.0
+        assert expectations_from_tables(table, 1)[0]["Z"] == -1.0
 
     def test_all_zero_row(self):
         # An empty row is skipped; as the last row for its setting it
@@ -551,7 +552,7 @@ class TestVectorisedAssembly:
         counts_ = [[0, 0], [10, 0], [3, 4], [6, 2]]
         table = ShotTable(("Z", "X", "Y", "Z"), counts_, 25)
         expected = _assemble_by_loop(table, 1)
-        assert expectations_from_tables(table, 1) == expected
+        assert expectations_from_tables(table, 1) == [expected]
         assert expected["Z"] == 0.5
 
     @pytest.mark.parametrize("setting", ["ZZ", "", "Q", "z"])
@@ -574,7 +575,7 @@ class TestVectorisedAssembly:
         # A width-0 row, such as a one-bit table post-selected on its bit,
         # estimates only the empty string.
         table = ShotTable(["Z"], [[3, 4]], 7).postselect(0, 1)
-        assert expectations_from_tables(table, 0) == {"": 1.0}
+        assert expectations_from_tables(table, 0) == [{"": 1.0}]
         # With no shots at all, even the identity has no estimate.
         with pytest.raises(ValueError, match="no shot table can estimate ''"):
             expectations_from_tables(ShotTable(["Z"], [[3, 0]], 3).postselect(0, 1), 0)
@@ -621,18 +622,23 @@ class TestStackedAssembly:
         alone = []
         for j, table in enumerate(tables):
             try:
-                alone.append(expectations_from_tables(table, num_qubits))
+                alone += expectations_from_tables(table, num_qubits)
             except ValueError as err:
                 with pytest.raises(ValueError) as caught:
                     expectations_from_tables(stack, num_qubits)
-                assert str(caught.value) == f"circuit {j}: {err}"
+                # Each table assembled alone is circuit 0.
+                assert str(caught.value) == f"circuit {j}: " + str(err).removeprefix(
+                    "circuit 0: ")
                 return
         assert _exact_bits(expectations_from_tables(stack, num_qubits)) == _exact_bits(alone)
 
     def test_one_circuit_stack_is_a_list(self):
+        # A k x 2^w table and its 1 x k x 2^w stack are one circuit each.
         table = ShotTable(("X", "Y", "Z"), [[80, 20], [50, 50], [90, 10]], 300)
         stack = ShotTable(table.settings, table.counts[None], 300)
-        assert expectations_from_tables(stack, 1) == [expectations_from_tables(table, 1)]
+        sets = expectations_from_tables(table, 1)
+        assert isinstance(sets, list) and len(sets) == 1
+        assert _exact_bits(expectations_from_tables(stack, 1)) == _exact_bits(sets)
 
     def test_width_is_checked_for_a_stack(self):
         stack = ShotTable(("XX",), np.ones((2, 1, 4), dtype=int), 8)
@@ -646,7 +652,7 @@ class TestBatchedReconstruction:
         strings = pauli_strings(num_qubits)
         sets = [dict(zip(strings, [1.0, *rng.uniform(-1, 1, len(strings) - 1)]))
                 for _ in range(9)]
-        alone = [reconstruct_multi_qubit(one, num_qubits).matrix.tobytes() for one in sets]
+        alone = [reconstruct(one, num_qubits).matrix.tobytes() for one in sets]
         for batch in (sets, tuple(sets), sets[:1]):
             got = reconstruct_multi_qubit(batch, num_qubits)
             assert isinstance(got, list)
@@ -671,7 +677,7 @@ def _sweep_by_loop(circuit, shots, seed, noise):
     ancilla = [] if circuit.ancilla is None else [circuit.ancilla]
     settings_ = ["".join(s) + "Z" * len(ancilla)
                  for s in itertools.product("XYZ", repeat=len(measured))]
-    probs = measure_in_basis(state, settings_, measured + ancilla)
+    (probs,) = measure_in_basis([state], settings_, measured + ancilla)
     children = np.random.SeedSequence(seed).spawn(len(settings_))
     tables = []
     for setting, child, p in zip(settings_, children, probs):
@@ -709,17 +715,17 @@ class TestStackedSweep:
         references = []
         for seed in (0, 7):
             assembled.clear()
-            got = tomography_sweep(circuit, shots=256, seed=seed, noise=noise)
+            got = tomography_sweep([circuit], shots=256, seeds=[seed], noise=noise)
             rows = _sweep_by_loop(circuit, 256, seed, noise)
             reference = ShotTable([r.settings[0] for r in rows],
                                   np.concatenate([r.counts for r in rows]),
                                   sum(r.shots for r in rows))
             assert assembled == [reference]
-            assert got == _assemble_by_loop(reference, num_system)
+            assert got == [_assemble_by_loop(reference, num_system)]
             references.append(reference)
         # Both seeds in one sweep: one stacked table, circuit by circuit.
         assembled.clear()
-        got = tomography_sweep([circuit, circuit], shots=256, seed=[0, 7], noise=noise)
+        got = tomography_sweep([circuit, circuit], shots=256, seeds=[0, 7], noise=noise)
         assert assembled == [ShotTable(reference.settings,
                                        np.stack([r.counts for r in references]),
                                        sum(r.shots for r in references))]
@@ -736,7 +742,7 @@ class TestStackedSweep:
             firsts.append(first)
             message = f"setting '{rows[first].settings[0]}': .* kept 0 of 1 shots"
             with pytest.raises(ValueError, match=message):
-                tomography_sweep(circuit, shots=1, seed=seed)
+                tomography_sweep([circuit], shots=1, seeds=[seed])
         assert max(firsts) > 0
 
 
@@ -746,7 +752,7 @@ class TestStackedSweep:
         the circuits are swept one by one."""
         with pytest.raises(ValueError, match="^setting 'XX': .* kept 0 of 4 shots"):
             tomography_sweep([Circuit(2, [x(1)], ancilla=1), Circuit(3, ancilla=2),
-                              Circuit(2, ancilla=1)], shots=4, seed=[1, 2, 3])
+                              Circuit(2, ancilla=1)], shots=4, seeds=[1, 2, 3])
         # Each ancilla reads 1 half the time, so two shots leave some
         # settings of some circuits empty.
         one = Circuit(2, [u3(1, PI / 2, 0, 0), u3(0, 0.3, 0, 0)], ancilla=1)
@@ -757,18 +763,18 @@ class TestStackedSweep:
             errors = []
             for circuit, child in zip(circuits, seeds):
                 try:
-                    tomography_sweep(circuit, shots=2, seed=child)
+                    tomography_sweep([circuit], shots=2, seeds=[child])
                 except ValueError as err:
                     errors.append(str(err))
                 else:
                     errors.append(None)
             first = next((i for i, e in enumerate(errors) if e), None)
             if first is None:
-                assert len(tomography_sweep(circuits, shots=2, seed=seeds)) == 4
+                assert len(tomography_sweep(circuits, shots=2, seeds=seeds)) == 4
                 continue
             firsts.add(first)
             with pytest.raises(ValueError) as caught:
-                tomography_sweep(circuits, shots=2, seed=seeds)
+                tomography_sweep(circuits, shots=2, seeds=seeds)
             assert str(caught.value) == errors[first]
         assert len(firsts) > 1
 
@@ -812,11 +818,11 @@ class TestBatchedSweep:
             parent.spawn(3)
             seeds = parent.spawn(len(circuits))
             seeds[4] = np.random.SeedSequence(8, spawn_key=(1, 2, 3))
-        got = tomography_sweep(circuits, shots=shots, seed=seeds, noise=noise)
-        alone = [tomography_sweep(c, shots=shots, seed=s, noise=noise)
+        got = tomography_sweep(circuits, shots=shots, seeds=seeds, noise=noise)
+        alone = [sweep_alone(c, shots=shots, seed=s, noise=noise)
                  for c, s in zip(circuits, seeds)]
         assert _exact_bits(got) == _exact_bits(alone)
-        assert tomography_sweep(tuple(circuits), shots=shots, seed=tuple(seeds),
+        assert tomography_sweep(tuple(circuits), shots=shots, seeds=tuple(seeds),
                                 noise=noise) == got
         assert all(getattr(s, "n_children_spawned", 0) == 0 for s in seeds)
 
@@ -832,11 +838,11 @@ class TestBatchedSweep:
             return table
 
         monkeypatch.setattr(hetverify.tomography, "sample_shots", recording)
-        tomography_sweep(circuits, shots=64, seed=list(range(len(circuits))))
+        tomography_sweep(circuits, shots=64, seeds=list(range(len(circuits))))
         batched = list(draws)
         draws.clear()
         for seed, circuit in enumerate(circuits):
-            tomography_sweep(circuit, shots=64, seed=seed)
+            tomography_sweep([circuit], shots=64, seeds=[seed])
         assert batched == draws and len(draws) == len(circuits)
 
     def test_stacks_stay_below_int64(self, monkeypatch):
@@ -854,29 +860,47 @@ class TestBatchedSweep:
         monkeypatch.setattr(hetverify.tomography, "expectations_from_tables", shaped)
         for shots, expected in ((2**61, [(3, 2)] * 3), (2**60, [(2, 3, 2), (3, 2)])):
             shapes.clear()
-            got = tomography_sweep(circuits, shots=shots, seed=[4, 5, 6])
+            got = tomography_sweep(circuits, shots=shots, seeds=[4, 5, 6])
             assert shapes == expected
-            alone = [tomography_sweep(c, shots=shots, seed=s)
+            alone = [sweep_alone(c, shots=shots, seed=s)
                      for c, s in zip(circuits, [4, 5, 6])]
             assert _exact_bits(got) == _exact_bits(alone)
 
     def test_one_circuit_list_and_empty_list(self):
         circuit = bell_circuit()
-        assert tomography_sweep([circuit], shots=256, seed=[3]) == [
-            tomography_sweep(circuit, shots=256, seed=3)]
-        assert tomography_sweep([], shots=256, seed=[]) == []
-        assert tomography_sweep([], shots=None, seed=[]) == []
+        assert tomography_sweep([circuit], shots=256, seeds=[3]) == tomography_sweep(
+            [circuit, five_qubit_circuit()], shots=256, seeds=[3, 4])[:1]
+        assert tomography_sweep([], shots=256, seeds=[]) == []
+        assert tomography_sweep([]) == []
 
-    @pytest.mark.parametrize("seed", [3, [1], (1, 2, 3), np.random.SeedSequence(1)],
-                             ids=["int", "short", "long", "SeedSequence"])
-    def test_needs_one_seed_per_circuit(self, seed):
+    def test_exact_sweep_needs_no_seeds(self):
+        circuits = [_layout_circuit(m, anc, 0.1 * i) for i, (m, anc) in enumerate(BATCH)]
+        got = tomography_sweep(circuits)
+        assert len(got) == len(circuits)
+        seeded = tomography_sweep(circuits, seeds=list(range(len(circuits))))
+        assert _exact_bits(got) == _exact_bits(seeded)
+
+    @pytest.mark.parametrize("seeds", [None, 3, [1], (1, 2, 3), np.random.SeedSequence(1)],
+                             ids=["none", "int", "short", "long", "SeedSequence"])
+    def test_needs_one_seed_per_circuit(self, seeds):
         with pytest.raises(ValueError, match=r"need one seed per circuit \(2\)"):
-            tomography_sweep([bell_circuit()] * 2, shots=16, seed=seed)
+            tomography_sweep([bell_circuit()] * 2, shots=16, seeds=seeds)
 
     def test_every_circuit_is_checked_before_any_work(self, monkeypatch):
         calls = []
         monkeypatch.setattr(hetverify.tomography, "run_statevector",
                             lambda c: calls.append(c))
         with pytest.raises(ValueError, match="at most 4 measured qubits, got 5"):
-            tomography_sweep([bell_circuit(), Circuit(5)], shots=16, seed=[1, 2])
+            tomography_sweep([bell_circuit(), Circuit(5)], shots=16, seeds=[1, 2])
         assert calls == []
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: tomography_sweep(bell_circuit()), "circuits, got a Circuit"),
+    (lambda: tomography_sweep(bell_circuit(), shots=16, seeds=[1]), "circuits, got a Circuit"),
+    (lambda: reconstruct_multi_qubit(dict.fromkeys(pauli_strings(1), 0.0), 1),
+     "expectation sets, got a dict"),
+], ids=["exact sweep", "sampled sweep", "reconstruction"])
+def test_one_item_must_come_as_a_list(call, expected):
+    with pytest.raises(ValueError, match=f"^need a list of {expected}$"):
+        call()
