@@ -7,7 +7,8 @@ with dense matrices.  Each gate's matrix is built once per (gate,
 register size) and shared read-only by every later simulation, and
 each block of up to 9 basis rotations likewise.  Measurement takes a
 list of states and a list of settings, one of each as a list of one,
-and gives one array of outcome probabilities, as a ShotTable counts.
+reads out every qubit and gives one array of outcome probabilities, as
+a ShotTable counts; one rule checks the settings of both.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -103,6 +104,25 @@ def _listed(value, items: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"need a list of {items}, got a {type(value).__name__}")
     return tuple(value)
+
+
+def _settings(settings, width: int = None) -> tuple:
+    """A non-empty list or tuple of strings of `width` letters (by default
+    the first's) from X, Y and Z, as a tuple; else ValueError naming one."""
+    settings = _listed(settings, "settings")  # a string would pass as letters
+    if not settings:
+        raise ValueError("need at least one setting")
+    try:  # whole-tuple checks, as join takes only strings; a failure names one
+        letters = "".join(settings)
+    except TypeError:
+        bad = next(s for s in settings if not isinstance(s, str))
+        raise ValueError(f"setting {bad!r} is not a string of letters "
+                         "from X, Y, Z") from None
+    width = len(settings[0]) if width is None else width
+    if set(map(len, settings)) != {width} or letters.strip("XYZ"):
+        bad = next(s for s in settings if len(s) != width or s.strip("XYZ"))
+        raise ValueError(f"setting {bad!r} is not {width} letters from X, Y, Z")
+    return settings
 
 
 @dataclass(frozen=True)
@@ -301,25 +321,24 @@ def _rotation_stack(settings: tuple, qubits: tuple, num_qubits: int) -> np.ndarr
 
 
 def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
-    """Outcome probabilities of measuring `qubits` of each of c states (a
-    list of one kind and size) in each of k settings (a list of strings),
-    as a c x k x 2^w float array indexed by outcome as a ShotTable's
-    count rows, the first of `qubits` the most significant bit.
+    """Outcome probabilities of reading out each of c states (a list of one
+    kind and size) in each of k settings (a list of strings), as a
+    c x k x 2^n float array indexed by outcome as a ShotTable's count
+    rows.  `qubits` orders all n qubits, each once, by default ascending:
+    setting letter j measures qubits[j], the first the most significant bit.
 
-    A setting has one letter from {X, Y, Z} per measured qubit; X and Y
-    are realized by a pre-rotation into the computational basis followed
-    by a Z readout.  Unmeasured qubits are marginalized.  Rows come from
-    stacked products over blocks of at most 9 cached rotations, each with
-    the bytes of its state and setting measured alone.  For density
-    matrices, the conjugated rotations and both products of every block
-    go into three work arrays allocated once per call: arrays allocated
-    per block would be returned to the operating system and page-faulted
-    back in at the next block.  `qubits` must be distinct state indices.
+    X and Y are realized by a pre-rotation into the computational basis
+    followed by a Z readout.  Rows come from stacked products over blocks
+    of at most 9 cached rotations, each with the bytes of its state and
+    setting measured alone.  For density matrices, the conjugated
+    rotations and both products of every block go into three work arrays
+    allocated once per call: arrays allocated per block would be returned
+    to the operating system and page-faulted back in at the next block.
     A probability below -PROB_ATOL, or a row sum that is not finite and
     positive, raises ValueError; smaller negatives are set to zero, and
     each row is scaled to sum to 1.
     """
-    states, settings = _listed(states, "states"), _listed(settings, "settings")
+    states = _listed(states, "states")
     for one in states:
         if not isinstance(one, (StateVector, DensityMatrix)):
             raise TypeError(f"cannot measure a {type(one).__name__}")
@@ -328,20 +347,14 @@ def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
         raise ValueError("need at least one state, all of one kind and size")
     (kind, num_qubits), = layouts
     qubits = tuple(range(num_qubits)) if qubits is None else tuple(qubits)
-    if len(set(qubits)) != len(qubits) or not set(qubits) <= set(range(num_qubits)):
-        raise ValueError(f"cannot measure qubits {list(qubits)}: each must be a "
-                         f"distinct index in [0, {num_qubits})")
-    if not settings:
-        raise ValueError("no basis setting to measure")
-    for one in settings:
-        if len(one) != len(qubits):
-            raise ValueError(f"setting {one!r} does not match {len(qubits)} qubits")
-    bad = set().union(*settings) - set("XYZ")
-    if bad:
-        raise ValueError(f"invalid basis character(s) {sorted(bad)}")
+    if any(isinstance(q, bool) or not isinstance(q, (int, np.integer)) for q in qubits) \
+            or sorted(qubits) != list(range(num_qubits)):
+        raise ValueError(f"cannot measure qubits {list(qubits)}: need every index "
+                         f"in [0, {num_qubits}) once, as an integer")
+    settings = _settings(settings, num_qubits)
 
     dim = 2**num_qubits
-    probs_full = np.empty((len(states), len(settings), dim))
+    probs = np.empty((len(states), len(settings), dim))
     if kind is DensityMatrix:
         conj, left, both = (np.empty((min(_BLOCK, len(settings)), dim, dim), complex)
                             for _ in range(3))
@@ -351,100 +364,87 @@ def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
         if kind is StateVector:
             # A matrix-vector product per state and setting, as for one state alone.
             amps = np.array([one.amplitudes for one in states])[:, None, :, None]
-            probs_full[:, start:start + k] = np.abs(rot @ amps)[..., 0] ** 2
+            probs[:, start:start + k] = np.abs(rot @ amps)[..., 0] ** 2
             continue
         np.conjugate(rot, out=conj[:k])
         for row, one in enumerate(states):
             np.matmul(rot, one.matrix, out=left[:k])
             np.matmul(left[:k], conj[:k].transpose(0, 2, 1), out=both[:k])
-            probs_full[row, start:start + k] = np.diagonal(both[:k], axis1=1, axis2=2).real
+            probs[row, start:start + k] = np.diagonal(both[:k], axis1=1, axis2=2).real
 
-    tensor = probs_full.reshape((-1,) + (2,) * num_qubits)
-    unmeasured = tuple(1 + q for q in range(num_qubits) if q not in qubits)
-    marginal = tensor.sum(axis=unmeasured) if unmeasured else tensor
     # Report outcomes in the caller's qubit order.
-    kept = [q for q in range(num_qubits) if q in qubits]
-    marginal = marginal.transpose([0] + [1 + kept.index(q) for q in qubits])
-    marginal = marginal.reshape(len(tensor), -1)
+    probs = probs.reshape((-1,) + (2,) * num_qubits)
+    probs = probs.transpose([0, *(1 + q for q in qubits)]).reshape(len(probs), -1)
     # A density matrix may be unphysical; NaN fails each check.
     with np.errstate(over="ignore"):
-        low, sums = marginal.min(), marginal.sum(axis=1)
+        low, sums = probs.min(), probs.sum(axis=1)
     if not low >= -PROB_ATOL:
         raise ValueError(f"the state gives outcome probability {low}, below -{PROB_ATOL}")
     if not (sums.min() > 0 and sums.max() < np.inf):
         raise ValueError("the state's outcome probabilities need a finite, positive sum")
-    marginal = np.clip(marginal, 0.0, None)
-    marginal /= marginal.sum(axis=1, keepdims=True)
-    return marginal.reshape(len(states), len(settings), -1)
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs.reshape(len(states), len(settings), -1)
 
 
 @dataclass(frozen=True, eq=False)
 class ShotTable:
-    """Shot counts for a stack of k basis settings of one width w.
+    """Shot counts for k distinct basis settings of one width w.
 
-    `settings` is a list or tuple of k strings of letters from X, Y and
-    Z.  Row i of the k x 2^w `counts` matrix counts the outcomes of
-    settings[i] in index order, qubit 0 the most significant bit.  A
-    c x k x 2^w `counts` stacks the tables of c circuits measured in the
-    same k settings, circuit j's matrix at counts[j], as
-    `measure_in_basis` stacks a list of states.  `shots` is the total of
-    every count, below 2^63, so no int64 sum of counts wraps.  An int64
-    array is stored without a copy and made read-only."""
+    `settings` lists the k strings over X, Y and Z.  Row i of the k x 2^w
+    integer `counts` matrix counts the outcomes of settings[i] in index
+    order, qubit 0 the most significant bit.  A c x k x 2^w `counts`
+    stacks the tables of c circuits measured in the same k settings,
+    circuit j's matrix at counts[j], as `measure_in_basis` stacks a list
+    of states.  `shots` is derived, the exact total of every count; it
+    must be below 2^63, so no int64 sum of counts wraps.  An int64 array
+    is stored without a copy and made read-only."""
 
     settings: tuple
     counts: np.ndarray
-    shots: int
+    shots: int = field(init=False)
 
     def __post_init__(self):
-        # A string would pass as a stack of one-letter settings.
-        settings = tuple(_expect(self.settings, (list, tuple),
-                                 "settings must be a list or tuple of strings"))
-        if not settings:
-            raise ValueError("a shot table needs at least one setting")
-        # Whole-tuple checks, as join takes only strings; a failure alone
-        # looks for the setting to name.
-        try:
-            letters = "".join(settings)
-        except TypeError:
-            bad = next(s for s in settings if not isinstance(s, str))
-            raise ValueError(f"setting {bad!r} is not a string of letters "
-                             "from X, Y, Z") from None
-        width = len(settings[0])
-        if set(map(len, settings)) != {width} or letters.strip("XYZ"):
-            bad = next(s for s in settings if len(s) != width or s.strip("XYZ"))
-            raise ValueError(f"setting {bad!r} is not {width} letters from X, Y, Z")
-        counts = np.asarray(self.counts, dtype=np.int64)
+        settings = _settings(self.settings)
+        if len(set(settings)) < len(settings):
+            bad = next(s for i, s in enumerate(settings) if s in settings[:i])
+            raise ValueError(f"setting {bad!r} has more than one row")
+        counts, width = np.asarray(self.counts), len(settings[0])
         if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(settings), 2**width) \
                 or not counts.size:
             raise ValueError(f"setting {settings[0]!r} needs {2**width} counts per "
                              f"row, {len(settings)} rows, got shape {counts.shape}")
-        # As uint64 a negative count is at least 2^63, so if no count exceeds
-        # its share of 2^63 - 1, none is negative and the int64 sum is exact.
+        problem = "counts must be non-negative integers with a total below 2^63"
+        if counts.dtype.kind not in "iu":  # a float, bool or string array
+            raise ValueError(f"{problem}, got {counts.dtype} counts")
+        # A uint64 count of 2^63 or more wraps to a negative int64 one.  As
+        # uint64 a negative count is at least 2^63, so if no count exceeds its
+        # share of 2^63 - 1, none is negative and the int64 sum is exact.
+        counts = counts.astype(np.int64, copy=False)
         small = counts.view(np.uint64).max() <= (2**63 - 1) // counts.size
         total = int(counts.sum()) if small else sum(counts.ravel().tolist())
-        if (not small and counts.min() < 0) or total != self.shots or total >= 2**63:
-            raise ValueError("counts must be non-negative and sum to the declared "
-                             "shot total, below 2^63")
+        if (not small and counts.min() < 0) or total >= 2**63:
+            raise ValueError(problem)
         counts.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "shots", total)
 
     def __eq__(self, other):
         if not isinstance(other, ShotTable):
             return NotImplemented
-        return ((self.settings, self.shots) == (other.settings, other.shots)
-                and np.array_equal(self.counts, other.counts))
+        return self.settings == other.settings and np.array_equal(self.counts, other.counts)
 
-    def postselect(self, bit: int, value: int) -> "ShotTable":
-        """Keep every row's shots whose `bit` reads `value`, 0 or 1; drop that
-        bit.  A stacked table post-selects every circuit's rows at once."""
+    def postselect(self, bit: int) -> "ShotTable":
+        """Keep every row's shots whose `bit` reads 1 and drop that bit.  A
+        stacked table post-selects every circuit's rows at once."""
         width = len(self.settings[0])
-        if bit not in range(width) or value not in (0, 1):
-            raise ValueError(f"cannot post-select bit {bit!r} on {value!r}: need a "
-                             f"bit in [0, {width}) and a value 0 or 1")
-        kept = self.counts.reshape(-1, 2**bit, 2, 2 ** (width - bit - 1))[:, :, value]
+        if isinstance(bit, bool) or not isinstance(bit, (int, np.integer)) \
+                or bit not in range(width):
+            raise ValueError(f"cannot post-select bit {bit!r}: need a bit in [0, {width})")
+        kept = self.counts.reshape(-1, 2**bit, 2, 2 ** (width - bit - 1))[:, :, 1]
         return ShotTable(tuple(s[:bit] + s[bit + 1:] for s in self.settings),
-                         kept.reshape(self.counts.shape[:-1] + (-1,)), int(kept.sum()))
+                         kept.reshape(self.counts.shape[:-1] + (-1,)))
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -566,11 +566,11 @@ def spawn_generators(seeds, counts) -> list:
 def sample_shots(probabilities, shots: int, seed, settings) -> ShotTable:
     """Seeded multinomial draws of `shots` shots from each row of a k x 2^w
     stack of outcome probabilities, such as `measure_in_basis` returns
-    for k settings, as one table whose row i counts settings[i].  Each row
-    must be non-negative with a finite, positive sum, and is scaled to sum
-    to 1.  `seed` lists one seed per row, each anything `default_rng`
-    takes; a Generator's state advances.  Readout flips are already in
-    the probabilities, folded in by `run_density_matrix`."""
+    for k settings, as one table of k * `shots` shots whose row i counts
+    settings[i].  Each row must be non-negative with a finite, positive
+    sum, and is scaled to sum to 1.  `seed` lists one seed per row, each
+    anything `default_rng` takes; a Generator's state advances.  Readout
+    flips are already in the probabilities, from `run_density_matrix`."""
     stack = np.asarray(probabilities, dtype=float)
     if stack.ndim != 2 or not stack.size or stack.shape[1] & (stack.shape[1] - 1):
         raise ValueError("need a k x 2^w stack of outcome probabilities, "
@@ -588,4 +588,4 @@ def sample_shots(probabilities, shots: int, seed, settings) -> ShotTable:
                          "finite, positive sum")
     draws = [np.random.default_rng(rng).multinomial(shots, p)
              for rng, p in zip(seed, stack / total)]
-    return ShotTable(settings, np.array(draws), shots * len(stack))
+    return ShotTable(settings, np.array(draws))

@@ -21,12 +21,13 @@ settings is its estimate.  Which cell each setting estimates from each
 column depends only on m and is held in the frame.
 
 Every step takes a list and returns a list, one item per circuit, and
-one item comes as a list of one.  The sweep always measures the
-circuits' system qubits and post-selects on the ancilla, if there is one,
-reading 1.  It makes one `measure_in_basis` call per register layout, for
-all 3^m settings of all its circuits, and one `spawn_generators` pass
-that seeds a Generator per row of every circuit.  Each circuit in input
-order makes one `sample_shots` call on its 3^m-row probability array.
+one item comes as a list of one.  The sweep reads out every qubit, the
+system qubits in ascending order and then the ancilla, if there is
+one, and keeps the shots where the ancilla reads 1.  It makes one
+`measure_in_basis` call per register layout, for all 3^m settings of
+all its circuits, and one `spawn_generators` pass that seeds a
+Generator per row of every circuit.  Each circuit in input order makes
+one `sample_shots` call on its 3^m-row probability array.
 Then each layout's c tables are stacked into one c x 3^m x 2^w table,
 post-selected once and assembled once: one product with H for every
 row of every circuit, and one bincount whose cells are offset by
@@ -53,6 +54,7 @@ import numpy as np
 from .circuits import (
     NoiseModel,
     ShotTable,
+    _expect,
     _listed,
     measure_in_basis,
     run_density_matrix,
@@ -107,26 +109,19 @@ def _pauli_frame(num_qubits: int):
     return (*arrays, MappingProxyType(index), tuple(strings[i] for i in order))
 
 
-def expectations_from_tables(table, num_qubits: int) -> list:
-    """Assemble each circuit's full 4^m expectation set from a ShotTable:
-    the list of c sets of a c x k x 2^w table, or of the one set of a
-    k x 2^w table, which counts as one circuit.
+def expectations_from_tables(table) -> list:
+    """Assemble each circuit's full 4^m expectation set from a ShotTable of
+    m-letter settings: the list of c sets of a c x k x 2^m table, or of
+    the one set of a k x 2^m table, which counts as one circuit.
 
     Strings with identity positions are estimated from every compatible
-    setting, weighted by shot count; rows with no shots are skipped,
-    and a later row for a setting replaces an earlier one.  Each set
-    equals the set of its circuit's rows alone, from one product and
-    one pair of sums over every circuit.
+    setting, weighted by shot count; rows with no shots are skipped.
+    Each set equals the set of its circuit's rows alone, from one
+    product and one pair of sums over every circuit.
     """
+    num_qubits = len(table.settings[0])
     cells, _, _, walsh, hits, index, _ = _pauli_frame(num_qubits)
-    if len(table.settings[0]) != num_qubits:
-        raise ValueError(f"setting {table.settings[0]!r} is not {num_qubits} "
-                         "letters from X, Y, Z")
     counts = table.counts.reshape((-1,) + table.counts.shape[-2:])
-    # Each setting's last row, in the order the settings first appear.
-    last = {setting: row for row, setting in enumerate(table.settings)}
-    if len(last) < len(table.settings):
-        counts = counts[:, list(last.values())]
     shots = counts.sum(axis=-1, keepdims=True).astype(float)
     # Each row's estimates times its shots, from exact integer products.
     # bincount adds them row by row, so every partial sum rounds exactly
@@ -137,7 +132,7 @@ def expectations_from_tables(table, num_qubits: int) -> list:
     weighted = (counts @ walsh) / scale * shots
     size, num_sets = walsh.size, len(counts)
     # Circuit j's cells are offset by j tables.
-    targets = (hits[[index[setting] for setting in last]].ravel()
+    targets = (hits[[index[setting] for setting in table.settings]].ravel()
                + np.arange(0, size * num_sets, size)[:, None]).ravel()
     num = np.bincount(targets, weighted.ravel(), size * num_sets).reshape(num_sets, size)
     den = np.bincount(targets, shots.repeat(len(walsh), axis=-1).ravel(),
@@ -161,6 +156,7 @@ def reconstruct_multi_qubit(sets, num_qubits: int) -> list:
     batched product, each as its set gives it alone; a state may be
     unphysical for noisy data."""
     sets = _listed(sets, "expectation sets")
+    _expect(num_qubits, (int, np.integer), "num_qubits must be an integer")
     _, phase, lift, walsh, _, _, by_cell = _pauli_frame(num_qubits)
     # Read in cell order, each set is its matrix C row by row.
     try:
@@ -168,7 +164,12 @@ def reconstruct_multi_qubit(sets, num_qubits: int) -> list:
     except KeyError as err:
         raise ValueError("incomplete expectation set, "
                          f"missing e.g. {err.args[0]!r}") from None
-    coeffs = np.array(values).reshape(len(sets), walsh.size) * phase
+    coeffs = np.array(values)
+    if coeffs.dtype.kind not in "biufc":  # name the first value that is no number
+        at = next(i for i, v in enumerate(values) if np.asarray(v).dtype.kind not in "biufc")
+        raise ValueError(f"expectation set {at // walsh.size}: {by_cell[at % walsh.size]!r} "
+                         f"must be a number, got {values[at]!r}")
+    coeffs = coeffs.reshape(len(sets), walsh.size) * phase
     # One product over every set's rows, each row's bytes as for its set
     # alone.  lift pairs [x, i] with [i ^ x, i] both ways, so one gather
     # places every row.  Row x's columns i and i ^ x sum the same terms, the
@@ -188,13 +189,13 @@ def tomography_sweep(circuits, shots: int = None, seeds=None,
     `seeds` lists one seed per circuit, and each circuit's stacked shot
     table draws its settings' rows with the Generators of child seeds of
     its seed, as `spawn_generators` gives them, so a SeedSequence seed is
-    not advanced.  When a circuit has an ancilla it is read out in Z and
-    the data is conditioned on it reading 1.  Readout flips come with the
-    simulated state, so the exact sweep is the expectation of the sampled
-    one.  The tables are drawn in input order, then each register
-    layout's tables are post-selected and assembled as one stack.  If
-    post-selection leaves a setting without shots, the error names that
-    setting of the first such circuit in input order.
+    not advanced.  When a circuit has an ancilla it is read out in Z after
+    the system qubits, and the data is conditioned on it reading 1.
+    Readout flips come with the simulated state, so the exact sweep is
+    the expectation of the sampled one.  The tables are drawn in input
+    order, then each register layout's tables are post-selected and
+    assembled as one stack.  If post-selection leaves a setting without
+    shots, the error names it for the first such circuit in input order.
     """
     circuits = _listed(circuits, "circuits")
     if shots is not None and (not isinstance(seeds, (list, tuple))
@@ -245,17 +246,15 @@ def tomography_sweep(circuits, shots: int = None, seeds=None,
     sweeps, empty = [None] * len(circuits), []
     for rows in stacks:
         table = drawn[rows[0]] if len(rows) == 1 else ShotTable(
-            drawn[rows[0]].settings, np.stack([drawn[row].counts for row in rows]),
-            sum(drawn[row].shots for row in rows))
-        num_system = len(circuits[rows[0]].system_qubits)
-        if circuits[rows[0]].ancilla is not None:
-            table = table.postselect(num_system, 1)
+            drawn[rows[0]].settings, np.stack([drawn[row].counts for row in rows]))
+        if circuits[rows[0]].ancilla is not None:  # the last readout bit
+            table = table.postselect(len(table.settings[0]) - 1)
             kept = table.counts.sum(axis=-1).reshape(len(rows), -1)
             if not kept.all():
                 first = kept.all(axis=1).argmin()
                 empty.append((rows[first], table.settings[kept[first].argmin()]))
                 continue
-        for row, expectations in zip(rows, expectations_from_tables(table, num_system)):
+        for row, expectations in zip(rows, expectations_from_tables(table)):
             sweeps[row] = expectations
     if empty:  # name the first circuit, in input order, left without shots
         setting = min(empty)[1]

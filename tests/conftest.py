@@ -58,13 +58,13 @@ def marginals(rho):
     return [partial_trace(rho, [q]) for q in range(rho.num_qubits)]
 
 
-def shot_table(setting, counts, shots):
+def shot_table(setting, counts):
     """A one-row ShotTable from a {bitstring: count} dict; outcomes not
     named count 0."""
     vector = np.zeros(2**len(setting), dtype=np.int64)
     for bits, count in counts.items():
         vector[int(bits or "0", 2)] = count
-    return ShotTable((setting,), vector[None], shots)
+    return ShotTable((setting,), vector[None])
 
 
 def outcome_labels(width):

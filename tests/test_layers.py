@@ -85,9 +85,9 @@ def test_sweep_over_two_layouts_measures_once_per_layout(monkeypatch):
     shapes = []
     assemble = hetverify.tomography.expectations_from_tables
 
-    def shaped(table, num_qubits):
+    def shaped(table):
         shapes.append(table.counts.shape)
-        return assemble(table, num_qubits)
+        return assemble(table)
 
     monkeypatch.setattr(hetverify.tomography, "expectations_from_tables", shaped)
     hetverify.tomography.tomography_sweep(circuits, shots=64, seeds=list(range(5)),
