@@ -5,10 +5,10 @@ controlled version CU3 -- enough to express every circuit the protocols
 build.  Systems stay small (at most 6 qubits), so both backends work
 with dense matrices.  Each gate's matrix is built once per (gate,
 register size) and shared read-only by every later simulation, and
-each block of up to 9 basis rotations likewise.  Measurement takes a
-list of states and a list of settings, one of each as a list of one,
-reads out every qubit and gives one array of outcome probabilities, as
-a ShotTable counts; one rule checks the settings of both.
+each block of up to 9 basis rotations likewise, and each x/z Pauli
+frame.  Measurement takes a list of states and a list of settings, one
+of each as a list of one, reads out every qubit and gives one array of
+outcome probabilities, as a ShotTable counts; one rule checks both.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -305,7 +306,7 @@ def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMat
     return DensityMatrix(circuit.num_qubits, rho)
 
 
-_BLOCK = 9  # settings per stacked product; sizes each call's work arrays
+_BLOCK = 9  # settings per stacked product of state vectors
 
 
 # Bounded because callers may pass any qubit order: an entry is at most 9
@@ -320,6 +321,50 @@ def _rotation_stack(settings: tuple, qubits: tuple, num_qubits: int) -> np.ndarr
     return stack
 
 
+@lru_cache(maxsize=None)
+def pauli_strings(num_qubits: int) -> tuple:
+    """All 4^m strings over {I, X, Y, Z}, 'I...I' first, for 0 <= m <= MAX_QUBITS."""
+    if not 0 <= num_qubits <= MAX_QUBITS:  # a frame grows as 16^m
+        raise ValueError(f"a Pauli frame needs 0 to {MAX_QUBITS} qubits, got {num_qubits}")
+    return tuple(map("".join, itertools.product("IXYZ", repeat=num_qubits)))
+
+
+@lru_cache(maxsize=None)
+def _pauli_frame(num_qubits: int):
+    """Read-only x/z tables shared by every user over `num_qubits` qubits.
+
+    Returns (cells, phase, lift, walsh, hits, index, by_cell): each
+    string's cell x * 2^m + z, in pauli_strings order; phase[c], the
+    phase i^#Y of the string at cell c; lift[x, i], the flat index of
+    entry [i ^ x, i] of a 2^m x 2^m matrix; walsh[b, a] =
+    (-1)^popcount(b & a); for each subset a of a setting's letters,
+    hits[index[setting], a], the cell of the string that keeps those
+    letters and sets the rest to I; and the strings in cell order.
+    """
+    strings = pauli_strings(num_qubits)  # checks num_qubits
+    dim = 2**num_qubits
+    weights = 1 << np.arange(num_qubits - 1, -1, -1)  # qubit 0 the most significant
+    # One row of letter codes per string, I, X, Y, Z as 0-3.
+    codes = np.array(list(itertools.product(range(4), repeat=num_qubits)), dtype=int)
+    x, z = (codes % 3 > 0) @ weights, (codes > 1) @ weights
+    outcomes = np.arange(dim)
+    bits = (outcomes[:, None] & weights > 0).astype(int)
+    settings = (codes > 0).all(axis=1)
+    index = {"".join(s): row for row, s in
+             enumerate(itertools.product("XYZ", repeat=num_qubits))}
+    cells = x * dim + z
+    order = np.empty_like(cells)  # the string at each cell
+    order[cells] = np.arange(cells.size)
+    arrays = (cells,
+              np.array([1, 1j, -1, -1j])[(codes == 2).sum(axis=1) % 4][order],
+              (outcomes[:, None] ^ outcomes) * dim + outcomes,
+              1.0 - 2 * (bits @ bits.T & 1),
+              (x[settings, None] & outcomes) * dim + (z[settings, None] & outcomes))
+    for array in arrays:
+        array.setflags(write=False)
+    return (*arrays, MappingProxyType(index), tuple(strings[i] for i in order))
+
+
 def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
     """Outcome probabilities of reading out each of c states (a list of one
     kind and size) in each of k settings (a list of strings), as a
@@ -327,16 +372,17 @@ def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
     rows.  `qubits` orders all n qubits, each once, by default ascending:
     setting letter j measures qubits[j], the first the most significant bit.
 
-    X and Y are realized by a pre-rotation into the computational basis
-    followed by a Z readout.  Rows come from stacked products over blocks
-    of at most 9 cached rotations, each with the bytes of its state and
-    setting measured alone.  For density matrices, the conjugated
-    rotations and both products of every block go into three work arrays
-    allocated once per call: arrays allocated per block would be returned
-    to the operating system and page-faulted back in at the next block.
-    A probability below -PROB_ATOL, or a row sum that is not finite and
-    positive, raises ValueError; smaller negatives are set to zero, and
-    each row is scaled to sum to 1.
+    A state vector is rotated into each setting's basis by stacked
+    products over blocks of at most 9 cached rotations.  A density matrix
+    is read from the Pauli frame: one gather and one product with the
+    Walsh matrix H give its 4^n expectations, and a setting's outcome
+    probabilities are H v / 2^n, v those of the 2^n strings that keep a
+    subset of its letters.  Each row has the bytes of its state and
+    setting measured alone.  Density rows match diag(R rho R^+) to 1e-16,
+    not bytewise, so this version moved seeded counts drawn from exact 0
+    or 1/2 probabilities.  A row sum that is not finite and positive, then
+    a probability below -PROB_ATOL, raises ValueError; smaller negatives
+    are set to zero, and each row is scaled to sum to 1.
     """
     states = _listed(states, "states")
     for one in states:
@@ -356,21 +402,22 @@ def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
     dim = 2**num_qubits
     probs = np.empty((len(states), len(settings), dim))
     if kind is DensityMatrix:
-        conj, left, both = (np.empty((min(_BLOCK, len(settings)), dim, dim), complex)
-                            for _ in range(3))
-    for start in range(0, len(settings), _BLOCK):
-        rot = _rotation_stack(settings[start:start + _BLOCK], qubits, num_qubits)
-        k = len(rot)
-        if kind is StateVector:
+        _, phase, lift, walsh, hits, _, _ = _pauli_frame(num_qubits)
+        # A setting's row of hits: its letters, X, Y, Z as 0-2, in base 3 by qubit.
+        digits = np.frombuffer("".join(settings).encode(), np.uint8).reshape(len(settings), -1)
+        cells = hits[(digits - ord("X")) @ 3 ** (num_qubits - 1 - np.array(qubits))]
+        # One state at a time, as the exact sweep reads it, so many copies need
+        # no stacked copy; an overflowing matrix gives NaN, rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, one in enumerate(states):
+                expect = (phase * (one.matrix.T.take(lift) @ walsh).ravel()).real
+                probs[row] = (expect[cells][:, None] @ (walsh / dim))[:, 0]
+    else:
+        for start in range(0, len(settings), _BLOCK):
+            rot = _rotation_stack(settings[start:start + _BLOCK], qubits, num_qubits)
             # A matrix-vector product per state and setting, as for one state alone.
             amps = np.array([one.amplitudes for one in states])[:, None, :, None]
-            probs[:, start:start + k] = np.abs(rot @ amps)[..., 0] ** 2
-            continue
-        np.conjugate(rot, out=conj[:k])
-        for row, one in enumerate(states):
-            np.matmul(rot, one.matrix, out=left[:k])
-            np.matmul(left[:k], conj[:k].transpose(0, 2, 1), out=both[:k])
-            probs[row, start:start + k] = np.diagonal(both[:k], axis1=1, axis2=2).real
+            probs[:, start:start + len(rot)] = np.abs(rot @ amps)[..., 0] ** 2
 
     # Report outcomes in the caller's qubit order.
     probs = probs.reshape((-1,) + (2,) * num_qubits)
@@ -378,10 +425,10 @@ def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
     # A density matrix may be unphysical; NaN fails each check.
     with np.errstate(over="ignore"):
         low, sums = probs.min(), probs.sum(axis=1)
-    if not low >= -PROB_ATOL:
-        raise ValueError(f"the state gives outcome probability {low}, below -{PROB_ATOL}")
     if not (sums.min() > 0 and sums.max() < np.inf):
         raise ValueError("the state's outcome probabilities need a finite, positive sum")
+    if not low >= -PROB_ATOL:
+        raise ValueError(f"the state gives outcome probability {low}, below -{PROB_ATOL}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs.reshape(len(states), len(settings), -1)

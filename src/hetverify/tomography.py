@@ -3,13 +3,13 @@
 An expectation set maps Pauli strings (over I/X/Y/Z) to real expectation
 values.  Every string is P = i^#Y X^x Z^z for two m-bit masks x and z,
 qubit 0 the most significant bit, so P[i ^ x, i] = i^#Y (-1)^popcount(z & i)
-and every other entry is 0.  `_pauli_frame` holds that form once per m:
-each string's cell (x, z), its phase i^#Y, the flat index of entry
-[i ^ x, i], and the +-1 Walsh matrix H, whose entry (b, a) is
-(-1)^popcount(b & a).  Reconstruction is the standard Pauli sum
-rho = (1/2^m) * sum_P <P> P: put <P> i^#Y at cell (x, z) of a matrix C,
-and rho[i ^ x, i] = (C H)[x, i] / 2^m.  The single-qubit Bloch formula is
-its m = 1 case.
+and every other entry is 0.  `_pauli_frame`, which measurement shares,
+holds that form once per m: each string's cell (x, z), its phase i^#Y,
+the flat index of entry [i ^ x, i], and the +-1 Walsh matrix H, whose
+entry (b, a) is (-1)^popcount(b & a).  Reconstruction is the standard
+Pauli sum rho = (1/2^m) * sum_P <P> P: put <P> i^#Y at cell (x, z) of a
+matrix C, and rho[i ^ x, i] = (C H)[x, i] / 2^m.  The single-qubit Bloch
+formula is its m = 1 case.
 
 Counts are assembled into expectations with the same H.  A shot table's
 count matrix, a row per setting indexed by outcome with qubit 0 the most
@@ -46,8 +46,6 @@ sweep followed by reconstruction returns the conditioned state.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -56,7 +54,9 @@ from .circuits import (
     ShotTable,
     _expect,
     _listed,
+    _pauli_frame,
     measure_in_basis,
+    pauli_strings,
     run_density_matrix,
     run_statevector,
     sample_shots,
@@ -65,48 +65,6 @@ from .circuits import (
 from .states import DensityMatrix, condition_on_ancilla
 
 MAX_MEASURED_QUBITS = 4
-
-
-@lru_cache(maxsize=None)
-def pauli_strings(num_qubits: int) -> tuple:
-    """All 4^m strings over {I, X, Y, Z}, 'I...I' first."""
-    return tuple(map("".join, itertools.product("IXYZ", repeat=num_qubits)))
-
-
-@lru_cache(maxsize=None)
-def _pauli_frame(num_qubits: int):
-    """Read-only x/z tables shared by every user over `num_qubits` qubits.
-
-    Returns (cells, phase, lift, walsh, hits, index, by_cell): each
-    string's cell x * 2^m + z, in pauli_strings order; phase[c], the
-    phase i^#Y of the string at cell c; lift[x, i], the flat index of
-    entry [i ^ x, i] of a 2^m x 2^m matrix; walsh[b, a] =
-    (-1)^popcount(b & a); for each subset a of a setting's letters,
-    hits[index[setting], a], the cell of the string that keeps those
-    letters and sets the rest to I; and the strings in cell order.
-    """
-    dim = 2**num_qubits
-    weights = 1 << np.arange(num_qubits - 1, -1, -1)  # qubit 0 the most significant
-    # One row of letter codes per string, I, X, Y, Z as 0-3.
-    codes = np.array(list(itertools.product(range(4), repeat=num_qubits)), dtype=int)
-    x, z = (codes % 3 > 0) @ weights, (codes > 1) @ weights
-    outcomes = np.arange(dim)
-    bits = (outcomes[:, None] & weights > 0).astype(int)
-    settings = (codes > 0).all(axis=1)
-    index = {"".join(s): row for row, s in
-             enumerate(itertools.product("XYZ", repeat=num_qubits))}
-    cells = x * dim + z
-    order = np.empty_like(cells)  # the string at each cell
-    order[cells] = np.arange(cells.size)
-    arrays = (cells,
-              np.array([1, 1j, -1, -1j])[(codes == 2).sum(axis=1) % 4][order],
-              (outcomes[:, None] ^ outcomes) * dim + outcomes,
-              1.0 - 2 * (bits @ bits.T & 1),
-              (x[settings, None] & outcomes) * dim + (z[settings, None] & outcomes))
-    for array in arrays:
-        array.setflags(write=False)
-    strings = pauli_strings(num_qubits)
-    return (*arrays, MappingProxyType(index), tuple(strings[i] for i in order))
 
 
 def expectations_from_tables(table) -> list:
@@ -120,6 +78,8 @@ def expectations_from_tables(table) -> list:
     product and one pair of sums over every circuit.
     """
     num_qubits = len(table.settings[0])
+    if num_qubits > MAX_MEASURED_QUBITS:  # before its frame is built
+        raise ValueError(f"need at most {MAX_MEASURED_QUBITS} measured qubits, got {num_qubits}")
     cells, _, _, walsh, hits, index, _ = _pauli_frame(num_qubits)
     counts = table.counts.reshape((-1,) + table.counts.shape[-2:])
     shots = counts.sum(axis=-1, keepdims=True).astype(float)
@@ -156,7 +116,9 @@ def reconstruct_multi_qubit(sets, num_qubits: int) -> list:
     batched product, each as its set gives it alone; a state may be
     unphysical for noisy data."""
     sets = _listed(sets, "expectation sets")
-    _expect(num_qubits, (int, np.integer), "num_qubits must be an integer")
+    if _expect(num_qubits, (int, np.integer), "num_qubits must be an integer") \
+            > MAX_MEASURED_QUBITS:  # before its frame is built
+        raise ValueError(f"need at most {MAX_MEASURED_QUBITS} measured qubits, got {num_qubits}")
     _, phase, lift, walsh, _, _, by_cell = _pauli_frame(num_qubits)
     # Read in cell order, each set is its matrix C row by row.
     try:

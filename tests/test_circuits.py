@@ -17,6 +17,7 @@ from hetverify.circuits import (
     NoiseModel,
     ShotTable,
     _gate_unitary,
+    _pauli_frame,
     _rotation_stack,
     cu3,
     _embed,
@@ -801,19 +802,33 @@ class TestBasisRotationCache:
 
 
 def measure_one(state, setting, qubits):
-    """The per-setting measurement the stacked rows must reproduce bytewise:
-    embedded rotation, diagonal of the rotated state, outcomes in the
-    caller's qubit order, clipped and normalized."""
+    """The per-setting measurement the stacked rows must reproduce bytewise,
+    outcomes in the caller's qubit order, clipped and normalized.  A state
+    vector takes its embedded rotation; a density matrix takes its Pauli
+    expectations from the frame, the 2^n strings that keep a subset of the
+    setting's letters in qubit order, and their Walsh sum."""
     n = state.num_qubits
-    rot = _embed({q: BASIS_ROTATIONS[letter] for q, letter in zip(qubits, setting)}, n)
     if isinstance(state, StateVector):
+        rot = _embed({q: BASIS_ROTATIONS[letter] for q, letter in zip(qubits, setting)}, n)
         full = np.abs(rot @ state.amplitudes) ** 2
     else:
-        full = np.real(np.diag(rot @ state.matrix @ rot.conj().T))
+        _, phase, lift, walsh, hits, index, _ = _pauli_frame(n)
+        expect = (phase * (state.matrix.T.take(lift) @ walsh).ravel()).real
+        natural = "".join(setting[list(qubits).index(q)] for q in range(n))
+        full = (expect[hits[index[natural]]][None, :] @ (walsh / 2**n))[0]
     probs = full.reshape([2] * n).transpose(qubits).reshape(-1)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     return probs
+
+
+def textbook(state, setting, qubits):
+    """diag(R rho R^dagger) for the setting's embedded rotation R, outcomes
+    in the caller's qubit order, neither clipped nor normalized."""
+    n = state.num_qubits
+    rot = _embed({q: BASIS_ROTATIONS[letter] for q, letter in zip(qubits, setting)}, n)
+    full = np.real(np.diag(rot @ state.matrix @ rot.conj().T))
+    return full.reshape([2] * n).transpose(qubits).reshape(-1)
 
 
 def readouts(num_qubits):
@@ -847,9 +862,26 @@ class TestStackedMeasurement:
                 for setting, row in zip(settings, probs):
                     assert row.tobytes() == measure_one(state, setting, qubits).tobytes()
 
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_density_rows_match_textbook_diagonal(self, rng, num_qubits):
+        # Pure, random mixed, fully noisy and partly noisy states: the noise
+        # models with a zero rate are those whose seeded counts moved.
+        gates = [u3(q, 0.3 + q, 0.2, -0.4) for q in range(num_qubits)] + [x(0)]
+        gates += [cu3(0, q, PI / 2, 0.5, 0.0) for q in range(1, num_qubits)]
+        circuit = Circuit(num_qubits, gates)
+        states = [random_pure(rng, num_qubits).density(), random_density(rng, num_qubits)]
+        states += [run_density_matrix(circuit, noise) for noise in (
+            NoiseModel(0.01, 0.02, 0.03), NoiseModel(0.01), NoiseModel(0.3, 0.3))]
+        for qubits in readouts(num_qubits):
+            settings = some_settings(num_qubits)
+            for state, probs in zip(states, measure_in_basis(states, settings, qubits)):
+                for setting, row in zip(settings, probs):
+                    np.testing.assert_allclose(row, textbook(state, setting, qubits),
+                                               rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("width", [3, 4])
     def test_stacks_spanning_several_blocks(self, rng, width):
-        # 27 and 81 settings: 3 and 9 blocks, ancilla at index 0 read last.
+        # 27 and 81 density-matrix settings, ancilla at index 0 read last.
         state = run_density_matrix(
             Circuit(width + 1, [x(0)] + [cu3(0, q, 0.7 * q, 0.1, 0.2)
                                          for q in range(1, width + 1)], ancilla=0),
@@ -915,10 +947,10 @@ class TestStackedMeasurement:
             measure_in_basis([state], [])
 
 
-class TestDensityWorkArrays:
-    """The density-matrix branch reuses one set of block work arrays per
-    call, so a partial last block and a later, shorter call must still
-    give each setting's own bytes."""
+class TestDensityStacks:
+    """A density matrix's rows come from one product per state and one per
+    setting of a whole call, so any run of settings, and any state among
+    others, must still give each setting's own bytes."""
 
     QUBITS = (1, 3, 0, 2)
     SETTINGS = ["".join(s) for s in itertools.product("XYZ", repeat=4)]
@@ -930,7 +962,7 @@ class TestDensityWorkArrays:
         return run_density_matrix(Circuit(4, gates), NoiseModel(0.01, 0.03, 0.02))
 
     @pytest.mark.parametrize("count", [1, 10, 20])
-    def test_partial_last_block_matches_single_calls(self, state, count):
+    def test_any_run_of_settings_matches_single_calls(self, state, count):
         before = state.matrix.tobytes()
         settings = self.SETTINGS[-count:]
         (probs,) = measure_in_basis([state], settings, self.QUBITS)
@@ -941,13 +973,19 @@ class TestDensityWorkArrays:
             assert single.tobytes() == row.tobytes()
         assert state.matrix.tobytes() == before
 
-    def test_short_call_after_long_call_has_no_stale_rows(self, state):
-        measure_in_basis([state], self.SETTINGS[:20], self.QUBITS)
-        settings = self.SETTINGS[-2:]
-        (probs,) = measure_in_basis([state], settings, self.QUBITS)
-        assert probs.shape == (2, 16)
-        for setting, row in zip(settings, probs):
-            assert row.tobytes() == measure_one(state, setting, self.QUBITS).tobytes()
+    def test_stacked_states_match_each_state_alone(self, rng, state):
+        # A partly noisy state, whose exact zeros and halves are clipped
+        # and normalized, between a mixed and a pure one.
+        partly = run_density_matrix(Circuit(4, [x(0), cu3(0, 2, PI / 2, 0, 0)]),
+                                    NoiseModel(0.01))
+        states = [random_density(rng, 4), partly, random_pure(rng, 4).density(), state]
+        stacked = measure_in_basis(states, self.SETTINGS, self.QUBITS)
+        assert stacked.shape == (4, 81, 16)
+        for one, probs in zip(states, stacked):
+            assert probs.tobytes() == measure_in_basis([one], self.SETTINGS,
+                                                       self.QUBITS)[0].tobytes()
+            for setting, row in zip(self.SETTINGS[::8], probs[::8]):
+                assert row.tobytes() == measure_one(one, setting, self.QUBITS).tobytes()
 
 
 class TestGateUnitaryCache:

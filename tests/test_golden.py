@@ -43,6 +43,7 @@ RUNS = [
     ["protocol1", "--shots", "1024", "--seed", "4", *NOISE],
     ["protocol1", "--exact", "--initial", "0.6,0.8", *NOISE],
     ["protocol2", "--seed", "7", *NOISE],
+    ["protocol2", "--seed", "7", "--noise-1q", "0.01"],
     ["protocol2", "--exact", *NOISE],
     ["protocol2", "--exact", "--initial", "1010", "--zeta", "0"],
     ["protocol3", "--shots", "256", "--seed", "1"],

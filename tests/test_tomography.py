@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import hetverify.tomography
 
 from hetverify.circuits import (
+    MAX_QUBITS,
     Circuit,
     NoiseModel,
     ShotTable,
@@ -24,6 +25,7 @@ from hetverify.circuits import (
 from hetverify.metrics import trace_distance
 from hetverify.states import StateVector
 from hetverify.tomography import (
+    MAX_MEASURED_QUBITS,
     _pauli_frame,
     expectations_from_tables,
     pauli_strings,
@@ -283,6 +285,29 @@ class TestPauliFrameCache:
         arrays = [a for a in _pauli_frame(4) if isinstance(a, np.ndarray)]
         assert len(arrays) == 5
         assert sum(a.nbytes for a in arrays) < 64 * 1024
+
+    @pytest.mark.parametrize("num_qubits", [-1, MAX_QUBITS + 1])
+    def test_frame_width_is_bounded(self, num_qubits):
+        # A frame grows as 16^m: 4.3 MiB at m = 7, so none is built past
+        # the largest register.
+        before = _pauli_frame.cache_info().currsize, pauli_strings.cache_info().currsize
+        for build in (pauli_strings, _pauli_frame):
+            with pytest.raises(ValueError, match=f"needs 0 to 6 qubits, got {num_qubits}$"):
+                build(num_qubits)
+        assert (_pauli_frame.cache_info().currsize,
+                pauli_strings.cache_info().currsize) == before
+
+    @pytest.mark.parametrize("width", [MAX_MEASURED_QUBITS + 1, 7])
+    def test_wide_table_rejected_before_any_frame(self, width):
+        before = _pauli_frame.cache_info().currsize, pauli_strings.cache_info().currsize
+        table = ShotTable(["Z" * width], np.ones((1, 2**width), dtype=np.int64))
+        message = f"need at most 4 measured qubits, got {width}$"
+        with pytest.raises(ValueError, match=message):
+            expectations_from_tables(table)
+        with pytest.raises(ValueError, match=message):
+            reconstruct_multi_qubit([{}], width)
+        assert (_pauli_frame.cache_info().currsize,
+                pauli_strings.cache_info().currsize) == before
 
 
 def five_qubit_circuit():
