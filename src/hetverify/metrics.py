@@ -24,12 +24,28 @@ def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
+def _pure_vectors(matrices: np.ndarray) -> tuple:
+    """The dominant eigenvector of each matrix of a (..., d, d) Hermitian
+    stack, from one batched eigh, and whether that matrix is numerically
+    rank one with eigenvalue one."""
+    eigvals, eigvecs = np.linalg.eigh(matrices)
+    pure = (np.abs(eigvals[..., -1] - 1.0) < 1e-9) \
+        & (np.abs(eigvals[..., :-1]).max(axis=-1) < 1e-9)
+    return eigvecs[..., -1], pure
+
+
 def _pure_component(rho: DensityMatrix):
     """Dominant eigenvector if the state is numerically rank one, else None."""
-    eigvals, eigvecs = np.linalg.eigh(rho.matrix)
-    if abs(eigvals[-1] - 1.0) < 1e-9 and np.max(np.abs(eigvals[:-1])) < 1e-9:
-        return eigvecs[:, -1]
-    return None
+    vec, pure = _pure_vectors(rho.matrix)
+    return vec if pure else None
+
+
+def _pure_fidelities(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """`fidelity`'s pure-target formula sqrt(max(Re <t|a|t>, 0)) for each
+    matrix a of a (..., d, d) stack and pure vector t of a (..., d) stack,
+    as one batched product."""
+    overlap = (vectors.conj()[..., None, :] @ matrices @ vectors[..., :, None]).real
+    return np.sqrt(np.maximum(overlap[..., 0, 0], 0.0))
 
 
 def fidelity(a: DensityMatrix, b) -> float:
@@ -37,6 +53,8 @@ def fidelity(a: DensityMatrix, b) -> float:
 
     This is the non-squared convention: for a pure target b = |s><s| it
     equals sqrt(<s|a|s>), and a StateVector b gives |s> with no eigh.
+    `_pure_fidelities` applies the same formula to a stack of states at
+    once; the protocols score their single-qubit marginals with it.
     The value is NOT clamped to [0, 1]; a raw, unphysical tomographic
     reconstruction can legitimately score above one, and callers who
     want a proper state should project first.

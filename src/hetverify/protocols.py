@@ -9,6 +9,7 @@ report's `result` dict, keys in the order the report writes them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -24,12 +25,19 @@ from .circuits import (
     u3,
     x,
 )
-from .metrics import _pure_component, fidelity, total_variation_distance, trace_distance
+from .metrics import (
+    _pure_component,
+    _pure_fidelities,
+    _pure_vectors,
+    fidelity,
+    total_variation_distance,
+    trace_distance,
+)
 from .states import (
     DensityMatrix,
     StateVector,
+    _reduce,
     condition_on_ancilla,
-    partial_trace,
     project_to_physical,
 )
 from .tomography import MAX_MEASURED_QUBITS, reconstruct_multi_qubit, tomography_sweep
@@ -235,22 +243,57 @@ def _input_targets(initial) -> list:
     return [run_statevector(Circuit(1, _prep_gates(spec, 0))) for spec in initial]
 
 
+def _reduced_fidelities(marginals: np.ndarray, targets) -> np.ndarray:
+    """fidelity(m, t) of each copy's marginal m of qubit q against
+    targets[q], as a (c, n) array, for a (c, n, 2, 2) stack of one-qubit
+    marginals.  A target is a StateVector, a DensityMatrix or a 2 x 2
+    matrix.  The pure vectors of the matrices come from one batched eigh,
+    and all targets are scored by one batched product; a target that is
+    not a one-qubit pure state is then rescored by `fidelity` per pair."""
+    n = marginals.shape[1]
+    targets = [t for _, t in zip(range(n), targets, strict=True)]
+    vectors = np.zeros((n, 2), dtype=complex)
+    pure = np.zeros(n, dtype=bool)
+    dense = {}  # qubit -> 2 x 2 target matrix
+    for q, target in enumerate(targets):
+        matrix = getattr(target, "matrix", target)
+        if isinstance(target, StateVector) and target.num_qubits == 1:
+            vectors[q], pure[q] = target.amplitudes, True
+        elif np.shape(matrix) == (2, 2):
+            dense[q] = matrix
+    if dense:
+        vectors[list(dense)], pure[list(dense)] = _pure_vectors(np.stack(list(dense.values())))
+    fids = _pure_fidelities(marginals, vectors)
+    # Copy by copy, so the first error is the one the per-pair loop raised.
+    for c, q in itertools.product(range(len(fids)), np.flatnonzero(~pure)):
+        target = targets[q]
+        if not isinstance(target, (StateVector, DensityMatrix)):
+            target = DensityMatrix(1, target)
+        fids[c, q] = fidelity(DensityMatrix(1, marginals[c, q]), target)
+    return fids
+
+
 def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
                       input_targets, shots, seed, noise) -> tuple:
-    """Tomograph `copies` runs of a multi-mode circuit; returns the group
-    report, the per-copy raw reconstructions and the ideal output."""
+    """Tomograph `copies` runs of a multi-mode circuit and score the stack;
+    returns the group report, the per-copy raw reconstructions and the
+    ideal output.
+
+    One gather over the target and every copy gives all their one-qubit
+    marginals, and `_reduced_fidelities` scores the copies' marginals
+    against the target's and against `input_targets`.  No marginal becomes
+    a DensityMatrix.  The global fidelity is `fidelity` per copy against a
+    StateVector of the target's pure component, found once per group.
+    """
     target = ideal_output(circuit)
-    ideal_targets = [partial_trace(target, [q]) for q in range(target.num_qubits)]
+    n = target.num_qubits
     recons = _reconstruct_copies(circuit, copies, shots, seed, noise)
-    globals_, ideals, inputs = [], [], []
-    for rho in recons:
-        globals_.append(fidelity(rho, target))
-        # Each marginal is traced once and scored against both target lists.
-        marginals = [partial_trace(rho, [q]) for q in range(rho.num_qubits)]
-        ideals.append([fidelity(m, t) for m, t in zip(marginals, ideal_targets, strict=True)])
-        inputs.append([fidelity(m, t) for m, t in zip(marginals, input_targets, strict=True)])
-    red_ideal = np.mean(ideals, axis=0)
-    red_input = np.mean(inputs, axis=0)
+    marginals = _reduce(np.stack([target.matrix, *(rho.matrix for rho in recons)]),
+                        tuple((q,) for q in range(n)))
+    target_vec = StateVector(n, _pure_component(target))
+    globals_ = [fidelity(rho, target_vec) for rho in recons]
+    red_ideal = _reduced_fidelities(marginals[1:], marginals[0]).mean(axis=0)
+    red_input = _reduced_fidelities(marginals[1:], input_targets).mean(axis=0)
     group = _group(label, zeta, globals_)
     group.update(global_fidelity=group["mean"],
                  reduced_fidelities_ideal=[float(v) for v in red_ideal],

@@ -7,6 +7,7 @@ basis state |b0 b1 ... b_{n-1}> lives at index sum(b_q << (n-1-q)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,6 +96,38 @@ class DensityMatrix:
         }
 
 
+@lru_cache(maxsize=32)
+def _trace_index(n: int, keeps: tuple) -> np.ndarray:
+    """Read-only flat indices into a 2^n x 2^n matrix for `keeps`, a tuple
+    of ascending keep sets of k qubits each: shape (len(keeps), 2^k, 2^k,
+    2^(n-k)).  Entry [s, i, j, t] is the element whose row reads i on the
+    qubits of keeps[s] and t on the others, and whose column reads j and t,
+    so summing the last axis traces the others out."""
+    def basis(qubits):
+        # The basis index of each value of `qubits`, the first most
+        # significant, with every other qubit 0.
+        values = np.arange(2 ** len(qubits))
+        index = np.zeros_like(values)
+        for place, q in enumerate(reversed(qubits)):
+            index |= ((values >> place) & 1) << (n - 1 - q)
+        return index
+
+    rows = np.stack([basis(keep)[:, None] + basis([q for q in range(n) if q not in keep])
+                     for keep in keeps])
+    index = (rows[:, :, None, :] << n) + rows[:, None, :, :]
+    index.setflags(write=False)  # shared by every later call
+    return index
+
+
+def _reduce(matrices: np.ndarray, keeps: tuple) -> np.ndarray:
+    """The reduced matrix on each keep set of every matrix of a (..., 2^n,
+    2^n) stack: one gather and one sum, shape (..., len(keeps), 2^k, 2^k).
+    `keeps` is a tuple of ascending keep sets of k qubits each."""
+    n = matrices.shape[-1].bit_length() - 1
+    flat = matrices.reshape(*matrices.shape[:-2], -1)
+    return flat.take(_trace_index(n, keeps), axis=-1).sum(-1)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in `keep`; result ordered by ascending index."""
     keep = sorted(set(keep))
@@ -103,13 +136,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be non-empty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"qubit index out of range for {n}-qubit state: {keep}")
-    tensor = rho.matrix.reshape([2] * (2 * n))
-    traced = [q for q in range(n) if q not in keep]
-    for offset, q in enumerate(traced):
-        axis = q - offset  # earlier traces shift axes
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
-    dim = 2 ** len(keep)
-    return DensityMatrix(len(keep), tensor.reshape(dim, dim))
+    kept = tuple(q for q in range(n) if q in keep)  # as ints, for the index
+    return DensityMatrix(len(keep), _reduce(rho.matrix, (kept,))[0])
 
 
 def condition_on_ancilla(rho: DensityMatrix, qubit: int) -> DensityMatrix:

@@ -2,29 +2,39 @@
 
 The benchmark's traced mode wraps the functions named in `LAYERS` and
 fails if a workload stops calling one of them.  These tests run the same
-check in the ordinary test suite: every target resolves, and one sampled
-sweep makes the calls each layer counts on.
+check in the ordinary test suite: every target resolves, one sampled
+sweep makes the calls each layer counts on, and the first experiment of
+each bench workload calls every layer it exercises and none it bypasses.
+The bench files are read, never changed.
 """
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import hetverify.tomography
 from hetverify.circuits import Circuit, NoiseModel, ShotTable, cu3, u3, x
+from hetverify.cli import main
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name):
+    """A module of bench/, registered under a `bench_` name so that its
+    dataclasses can resolve their annotations."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("target", [t for targets in load_spans().LAYERS.values()
+SPANS, WORKLOADS = load_bench("spans"), load_bench("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("target", [t for targets in SPANS.LAYERS.values()
                                     for t in targets])
 def test_layer_target_resolves(target):
     module_name, *owners, attribute = target.split(".")
@@ -100,3 +110,17 @@ def test_sweep_over_two_layouts_measures_once_per_layout(monkeypatch):
     assert drawn == [3, 9, 3, 9, 3]
     # Circuits x settings x outcomes, the ancilla's bit dropped.
     assert shapes == [(3, 3, 2), (2, 9, 4)]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_workload_covers_its_layers(name, tmp_path):
+    # What `bench/run.py --trace 1` checks before it reports, on one experiment.
+    workload = WORKLOADS[name]
+    experiment = next(workload.experiments(400))
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        codes = [main([*argv, "--output-dir", str(tmp_path)]) for argv in experiment]
+    assert codes == [0] * len(experiment)
+    calls = {layer: count for layer, (count, _) in tracer.layer_totals().items()}
+    assert sorted(layer for layer in workload.exercised if not calls[layer]) == []
+    assert sorted(layer for layer in workload.bypassed if calls[layer]) == []

@@ -1,15 +1,21 @@
 import functools
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetverify.circuits import Circuit, NoiseModel, run_statevector
 from hetverify.metrics import fidelity
 from hetverify.protocols import (
     BALANCED_ZETA,
     UNBALANCED_ZETA,
+    _input_targets,
+    _multi_mode_group,
     _prep_gates,
+    _reduced_fidelities,
     bound_check,
     boson_sampling_circuit,
     complementary,
@@ -22,9 +28,9 @@ from hetverify.protocols import (
     protocol3_verify,
     single_mode_circuit,
 )
-from hetverify.states import StateVector
+from hetverify.states import DensityMatrix, StateVector, _reduce, _trace_index, partial_trace
 
-from conftest import marginals, random_density, random_pure
+from conftest import marginals, random_density, random_pure, random_unphysical
 
 PI = math.pi
 SQRT_HALF = 1 / np.sqrt(2)
@@ -148,6 +154,143 @@ class TestFidelityWitness:
             for m in (reduced(rho, q) for q in range(4)))]
         assert fidelity_witness([fidelity(m, t) for m, t in zip(marginals(rho), targets)]) \
             == pytest.approx(1.0, abs=1e-9)
+
+
+def raw_hermitian(rng, num_qubits):
+    """A Hermitian matrix with no other constraint: its trace is not one
+    and it is not positive semi-definite."""
+    dim = 2**num_qubits
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return DensityMatrix(num_qubits, (g + g.conj().T) / (2 * dim))
+
+
+COPIES = {"physical": random_density, "unphysical": random_unphysical,
+          "raw": raw_hermitian}
+TARGETS = {"vector": lambda rng: random_pure(rng),
+           "pure": lambda rng: random_pure(rng).density(),
+           "mixed": lambda rng: random_density(rng, 1)}
+
+
+def single_qubits(n):
+    return tuple((q,) for q in range(n))
+
+
+def per_pair(rhos, targets):
+    """The scores the stacked scorer replaces: each copy's traced marginal
+    against each target, by `fidelity`, copy by copy."""
+    return [[fidelity(partial_trace(rho, [q]), t)
+             for q, t in zip(range(rho.num_qubits), targets, strict=True)]
+            for rho in rhos]
+
+
+class TestStackedScoring:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           copy_kinds=st.lists(st.sampled_from(sorted(COPIES)), min_size=1, max_size=5),
+           target_kinds=st.lists(st.sampled_from(sorted(TARGETS)), min_size=4, max_size=4))
+    def test_matches_per_pair_fidelity(self, n, seed, copy_kinds, target_kinds):
+        rng = np.random.default_rng(seed)
+        rhos = [COPIES[kind](rng, n) for kind in copy_kinds]
+        targets = [TARGETS[kind](rng) for kind in target_kinds[:n]]
+        stack = _reduce(np.stack([rho.matrix for rho in rhos]), single_qubits(n))
+        try:
+            expected = per_pair(rhos, targets)
+        except ValueError as err:
+            # A mixed target scores by the Uhlmann formula, which rejects a
+            # marginal that is not PSD: the same pair fails first.
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                _reduced_fidelities(stack, targets)
+            return
+        np.testing.assert_allclose(_reduced_fidelities(stack, targets), expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["vector", "pure"])
+    def test_negative_overlap_scores_zero(self, kind):
+        # -|0><0| on every qubit: each marginal has <0|m|0> = -1.
+        rho = DensityMatrix(3, -StateVector.computational("000").density().matrix)
+        target = StateVector.computational("0")
+        target = target if kind == "vector" else target.density()
+        stack = _reduce(rho.matrix[None], single_qubits(3))
+        scores = _reduced_fidelities(stack, [target] * 3)
+        assert scores.tolist() == [[0.0] * 3] == per_pair([rho], [target] * 3)
+
+    def test_mixed_target_falls_back(self):
+        # One qubit of a Bell pair is I/2, which has no pure vector.
+        bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2)).density()
+        stack = _reduce(bell.matrix[None], single_qubits(2))
+        targets = [StateVector.computational("0"), partial_trace(bell, [1])]
+        np.testing.assert_allclose(_reduced_fidelities(stack, targets),
+                                   [[SQRT_HALF, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(_reduced_fidelities(stack, stack[0]),
+                                   [[1.0, 1.0]], atol=1e-12)
+
+    def test_first_failing_pair_is_reported(self):
+        # Two copies scored against mixed targets: copy 0 fails on qubit 1
+        # and copy 1 on qubit 0, each with its own eigenvalue in the message.
+        rhos = [DensityMatrix(2, np.kron(np.diag(a), np.diag(b))) for a, b in
+                (([0.7, 0.3], [1.2, -0.2]), ([1.1, -0.1], [0.6, 0.4]))]
+        targets = [DensityMatrix(1, np.eye(2) / 2)] * 2
+        stack = _reduce(np.stack([rho.matrix for rho in rhos]), single_qubits(2))
+        with pytest.raises(ValueError, match=re.escape("min eigenvalue -2.000e-01")):
+            per_pair(rhos, targets)
+        with pytest.raises(ValueError, match=re.escape("min eigenvalue -2.000e-01")):
+            _reduced_fidelities(stack, targets)
+
+    @pytest.mark.parametrize("count,word", [(2, "shorter"), (4, "longer")])
+    def test_target_count_must_match(self, count, word):
+        stack = _reduce(random_density(np.random.default_rng(0), 3).matrix[None],
+                        single_qubits(3))
+        with pytest.raises(ValueError, match=f"argument 2 is {word} than argument 1"):
+            _reduced_fidelities(stack, [StateVector.computational("0")] * count)
+
+    @pytest.mark.parametrize("target", [StateVector.computational("00"),
+                                        StateVector.computational("00").density()],
+                             ids=["vector", "density"])
+    def test_target_of_two_qubits_rejected(self, target):
+        stack = _reduce(random_density(np.random.default_rng(0), 2).matrix[None],
+                        single_qubits(2))
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2 qubits"):
+            _reduced_fidelities(stack, [StateVector.computational("0"), target])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_keep_set_matches_einsum(self, rng, n):
+        rhos = np.stack([random_density(rng, n).matrix for _ in range(3)])
+        tensor = rhos.reshape([3] + [2] * (2 * n))
+        letters = "abcdefghijkl"
+        for k in range(1, n + 1):
+            keeps = tuple(itertools.combinations(range(n), k))
+            reduced = _reduce(rhos, keeps)
+            assert reduced.shape == (3, len(keeps), 2**k, 2**k)
+            for s, keep in enumerate(keeps):
+                rows = letters[:n]
+                cols = "".join(letters[n + q] if q in keep else rows[q] for q in range(n))
+                out = "".join(rows[q] for q in keep) + "".join(cols[q] for q in keep)
+                expected = np.einsum(f"z{rows}{cols}->z{out}", tensor)
+                np.testing.assert_allclose(reduced[:, s], expected.reshape(3, 2**k, 2**k),
+                                           rtol=0, atol=1e-15)
+                assert reduced[0, s].tobytes() == partial_trace(
+                    DensityMatrix(n, rhos[0]), keep).matrix.tobytes()
+
+    def test_index_is_cached_read_only_and_bounded(self):
+        index = _trace_index(4, single_qubits(4))
+        assert index.shape == (4, 2, 2, 8) and not index.flags.writeable
+        assert _trace_index(4, single_qubits(4)) is index
+        assert _trace_index.cache_info().maxsize == 32
+
+    @pytest.mark.parametrize("copies,shots", [(3, 512), (2, None)])
+    def test_group_matches_per_pair_scores(self, copies, shots):
+        circuit = multi_mode_circuit("1010", UNBALANCED_ZETA)
+        noise = NoiseModel(0.01, 0.02, 0.02)
+        inputs = _input_targets("1010")
+        group, recons, target = _multi_mode_group(circuit, "N", UNBALANCED_ZETA, copies,
+                                                  inputs, shots, 5, noise)
+        assert group["copy_fidelities"] == pytest.approx(
+            [fidelity(rho, target) for rho in recons], abs=1e-12, rel=0)
+        ideal = [partial_trace(target, [q]) for q in range(4)]
+        for key, targets in (("reduced_fidelities_ideal", ideal),
+                             ("reduced_fidelities_input", inputs)):
+            np.testing.assert_allclose(group[key], np.mean(per_pair(recons, targets), axis=0),
+                                       rtol=0, atol=1e-12)
 
 
 def reduced(rho, q):
