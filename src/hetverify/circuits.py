@@ -365,6 +365,13 @@ def _pauli_frame(num_qubits: int):
     return (*arrays, MappingProxyType(index), tuple(strings[i] for i in order))
 
 
+def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
+    """Re Tr(P rho) of every Pauli string P, in cell order: i^#Y (G H)[x, z]
+    with G[x, i] = rho[i, i ^ x], the transpose's entry [i ^ x, i]."""
+    _, phase, lift, walsh = _pauli_frame(len(rho).bit_length() - 1)[:4]
+    return (phase * (rho.T.take(lift) @ walsh).ravel()).real
+
+
 def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
     """Outcome probabilities of reading out each of c states (a list of one
     kind and size) in each of k settings (a list of strings), as a
@@ -402,7 +409,7 @@ def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
     dim = 2**num_qubits
     probs = np.empty((len(states), len(settings), dim))
     if kind is DensityMatrix:
-        _, phase, lift, walsh, hits, _, _ = _pauli_frame(num_qubits)
+        walsh, hits = _pauli_frame(num_qubits)[3:5]
         # A setting's row of hits: its letters, X, Y, Z as 0-2, in base 3 by qubit.
         digits = np.frombuffer("".join(settings).encode(), np.uint8).reshape(len(settings), -1)
         cells = hits[(digits - ord("X")) @ 3 ** (num_qubits - 1 - np.array(qubits))]
@@ -410,7 +417,7 @@ def measure_in_basis(states, settings, qubits=None) -> np.ndarray:
         # no stacked copy; an overflowing matrix gives NaN, rejected below.
         with np.errstate(over="ignore", invalid="ignore"):
             for row, one in enumerate(states):
-                expect = (phase * (one.matrix.T.take(lift) @ walsh).ravel()).real
+                expect = _pauli_expectations(one.matrix)
                 probs[row] = (expect[cells][:, None] @ (walsh / dim))[:, 0]
     else:
         for start in range(0, len(settings), _BLOCK):
@@ -551,8 +558,9 @@ def _entropy_words(value) -> list:
 def _state_words_type() -> type:
     """An ISeedSequence that hands PCG64 the state words computed for it.
 
-    Defined on first use, because importing numpy.random takes about
-    10 ms that an exact run never needs.
+    Defined on first use, so importing the package does not import
+    numpy.random (about 10 ms).  Exact tomography never imports it; exact
+    protocol and QKD runs do, through `seed_sequence`.
     """
     from numpy.random.bit_generator import ISeedSequence
 

@@ -176,9 +176,8 @@ def parse_config(argv) -> ExperimentConfig:
         raise UsageError("--shots must be in [1, 2^53]")
     if params.get("seed", 0) < 0:
         raise UsageError("--seed must be non-negative")
-    if params.get("exact"):
+    if params.pop("exact"):
         params["shots"] = None
-    params.pop("exact", None)
     if command == "protocol1" and params["initial"] != "1":
         try:
             alpha, beta = (complex(v) for v in params["initial"].split(","))
@@ -241,18 +240,13 @@ def emit_table_csv(table, path) -> None:
     _atomic_write(path, "\r\n".join(lines) + "\r\n")
 
 
-def _noise_from(params) -> NoiseModel:
-    return NoiseModel(params["noise_1q"], params["noise_2q"],
-                      params["readout_flip"])
-
-
 def run_and_report(config: ExperimentConfig) -> ReportBundle:
     """Dispatch a validated config, write its report files, and return
     the bundle with the process exit code."""
     params = config.parameters
     outdir = params.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
-    noise = _noise_from(params)
+    noise = NoiseModel(params["noise_1q"], params["noise_2q"], params["readout_flip"])
     shots, seed = params.get("shots"), params.get("seed", 0)
     emitted = []
     exit_code = EXIT_OK
@@ -266,8 +260,8 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
         emit_plot_data(series, plot_path)
         emitted.append(plot_path)
     elif config.command == "protocol2":
-        payload = protocol2_run(list(params["initial"]), params["zeta"],
-                                params["copies"], shots=shots, seed=seed, noise=noise)
+        payload = protocol2_run(params["initial"], params["zeta"], params["copies"],
+                                shots=shots, seed=seed, noise=noise)
     elif config.command == "protocol3":
         payload = protocol3_verify(params["photons"], params["modes"],
                                    zeta=params["zeta"], threshold=params["threshold"],
@@ -316,12 +310,7 @@ def run_and_report(config: ExperimentConfig) -> ReportBundle:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = parse_config(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        bundle = run_and_report(config)
+        bundle = run_and_report(parse_config(argv))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -54,7 +54,8 @@ def fidelity(a: DensityMatrix, b) -> float:
     This is the non-squared convention: for a pure target b = |s><s| it
     equals sqrt(<s|a|s>), and a StateVector b gives |s> with no eigh.
     `_pure_fidelities` applies the same formula to a stack of states at
-    once; the protocols score their single-qubit marginals with it.
+    once; the protocols score their single-qubit marginals with it
+    against pure target vectors, as the witness has product targets.
     The value is NOT clamped to [0, 1]; a raw, unphysical tomographic
     reconstruction can legitimately score above one, and callers who
     want a proper state should project first.

@@ -9,7 +9,6 @@ report's `result` dict, keys in the order the report writes them.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -237,40 +236,11 @@ def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
             "target_state": target_vec.to_json()}
 
 
-def _input_targets(initial) -> list:
-    """The single-qubit state vector _prep_gates prepares from each spec,
-    which `fidelity` scores from its amplitudes."""
-    return [run_statevector(Circuit(1, _prep_gates(spec, 0))) for spec in initial]
-
-
-def _reduced_fidelities(marginals: np.ndarray, targets) -> np.ndarray:
-    """fidelity(m, t) of each copy's marginal m of qubit q against
-    targets[q], as a (c, n) array, for a (c, n, 2, 2) stack of one-qubit
-    marginals.  A target is a StateVector, a DensityMatrix or a 2 x 2
-    matrix.  The pure vectors of the matrices come from one batched eigh,
-    and all targets are scored by one batched product; a target that is
-    not a one-qubit pure state is then rescored by `fidelity` per pair."""
-    n = marginals.shape[1]
-    targets = [t for _, t in zip(range(n), targets, strict=True)]
-    vectors = np.zeros((n, 2), dtype=complex)
-    pure = np.zeros(n, dtype=bool)
-    dense = {}  # qubit -> 2 x 2 target matrix
-    for q, target in enumerate(targets):
-        matrix = getattr(target, "matrix", target)
-        if isinstance(target, StateVector) and target.num_qubits == 1:
-            vectors[q], pure[q] = target.amplitudes, True
-        elif np.shape(matrix) == (2, 2):
-            dense[q] = matrix
-    if dense:
-        vectors[list(dense)], pure[list(dense)] = _pure_vectors(np.stack(list(dense.values())))
-    fids = _pure_fidelities(marginals, vectors)
-    # Copy by copy, so the first error is the one the per-pair loop raised.
-    for c, q in itertools.product(range(len(fids)), np.flatnonzero(~pure)):
-        target = targets[q]
-        if not isinstance(target, (StateVector, DensityMatrix)):
-            target = DensityMatrix(1, target)
-        fids[c, q] = fidelity(DensityMatrix(1, marginals[c, q]), target)
-    return fids
+def _input_targets(initial) -> np.ndarray:
+    """The (n, 2) amplitudes of the one-qubit states _prep_gates prepares
+    from the n specs of `initial`."""
+    return np.array([run_statevector(Circuit(1, _prep_gates(spec, 0))).amplitudes
+                     for spec in initial])
 
 
 def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
@@ -279,21 +249,28 @@ def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
     returns the group report, the per-copy raw reconstructions and the
     ideal output.
 
-    One gather over the target and every copy gives all their one-qubit
-    marginals, and `_reduced_fidelities` scores the copies' marginals
-    against the target's and against `input_targets`.  No marginal becomes
-    a DensityMatrix.  The global fidelity is `fidelity` per copy against a
-    StateVector of the target's pure component, found once per group.
+    The witness is stated for product targets: the ideal output must be a
+    product of pure qubit states, else ValueError, and `input_targets` is
+    the (n, 2) array of the input's qubit vectors.  One gather gives the
+    one-qubit marginals of the target and copies, and one batched product
+    scores the copies' against each list.  The global fidelity is
+    `fidelity` per copy against the target's pure component.
     """
     target = ideal_output(circuit)
     n = target.num_qubits
+    if np.shape(input_targets) != (n, 2):
+        raise ValueError(f"need ({n}, 2) input target amplitudes, "
+                         f"got shape {np.shape(input_targets)}")
     recons = _reconstruct_copies(circuit, copies, shots, seed, noise)
     marginals = _reduce(np.stack([target.matrix, *(rho.matrix for rho in recons)]),
                         tuple((q,) for q in range(n)))
+    ideal, pure = _pure_vectors(marginals[0])
+    if not pure.all():
+        raise ValueError("the ideal output is not a product of pure qubit states")
     target_vec = StateVector(n, _pure_component(target))
     globals_ = [fidelity(rho, target_vec) for rho in recons]
-    red_ideal = _reduced_fidelities(marginals[1:], marginals[0]).mean(axis=0)
-    red_input = _reduced_fidelities(marginals[1:], input_targets).mean(axis=0)
+    red_ideal = _pure_fidelities(marginals[1:], ideal).mean(axis=0)
+    red_input = _pure_fidelities(marginals[1:], input_targets).mean(axis=0)
     group = _group(label, zeta, globals_)
     group.update(global_fidelity=group["mean"],
                  reduced_fidelities_ideal=[float(v) for v in red_ideal],
@@ -308,6 +285,7 @@ def protocol2_run(initial, zeta: float, copies=(1, 1), shots: int = None,
     """Multi-mode witness estimation: N copies at the requested zeta,
     M copies at the complementary one, full 4-qubit tomography each."""
     n, m = _copy_counts(copies)
+    initial = list(initial)  # read twice, so an iterator must not be used up
     input_targets = _input_targets(initial)
     seeds = seed_sequence(seed).spawn(2)
     groups = [_multi_mode_group(multi_mode_circuit(initial, det), label, det, count,
@@ -342,8 +320,7 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
         interferometer_angles = [(math.pi / 2, math.pi / 2, math.pi / 2)] * m_modes
     circuit = boson_sampling_circuit(n_photons, m_modes,
                                      interferometer_angles, zeta)
-    input_targets = _input_targets(
-        ["1"] * n_photons + ["0"] * (m_modes - n_photons))
+    input_targets = _input_targets("1" * n_photons + "0" * (m_modes - n_photons))
     group, recons, target = _multi_mode_group(
         circuit, "N", zeta, 1, input_targets, shots, seed, noise)
     raw = recons[0]

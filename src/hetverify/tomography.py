@@ -54,6 +54,7 @@ from .circuits import (
     ShotTable,
     _expect,
     _listed,
+    _pauli_expectations,
     _pauli_frame,
     measure_in_basis,
     pauli_strings,
@@ -175,10 +176,8 @@ def tomography_sweep(circuits, shots: int = None, seeds=None,
             if one.ancilla is not None:
                 rho = condition_on_ancilla(rho, one.ancilla)
             m = len(one.system_qubits)
-            cells, phase, lift, walsh = _pauli_frame(m)[:4]
-            # G[x, i] = rho[i, i ^ x], the transpose's entry [i ^ x, i].
-            values = (phase * (rho.matrix.T.take(lift) @ walsh).ravel()).take(cells)
-            sweeps.append(dict(zip(pauli_strings(m), values.real.tolist())))
+            values = _pauli_expectations(rho.matrix).take(_pauli_frame(m)[0])
+            sweeps.append(dict(zip(pauli_strings(m), values.tolist())))
         return sweeps
 
     # Circuits of one register layout share their settings, one measurement,

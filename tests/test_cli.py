@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -495,3 +498,24 @@ def test_fuzzed_argv_never_raises(case):
                             else json.dumps(description))
             argv = [argv[0], str(path), *argv[1:]]
         assert main([*argv, "--output-dir", tmp]) in {0, 1, 2, 3}
+
+
+def top_level_modules(code: str) -> set:
+    """The top-level names in sys.modules after a new interpreter, which
+    imports the package under test, runs `code`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(hetverify.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    probe = f"{code}\nimport sys\nprint(*sorted({{m.partition('.')[0] for m in sys.modules}}))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    """An exact and a sampled CLI run import nothing beyond the standard
+    library, numpy with numpy.random, and the package itself."""
+    runs = ("import hetverify.cli\n"
+            "for argv in (['protocol3', '--exact'], ['qkd-single', '--shots', '64']):\n"
+            f"    assert hetverify.cli.main([*argv, '--output-dir', {str(tmp_path)!r}]) == 0")
+    extra = top_level_modules(runs) - top_level_modules("import numpy; numpy.random")
+    assert extra - set(sys.stdlib_module_names) == {"hetverify"}

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetverify.circuits import Circuit, NoiseModel, run_statevector
-from hetverify.metrics import fidelity
+from hetverify.metrics import _pure_fidelities, _pure_vectors, fidelity
 from hetverify.protocols import (
     BALANCED_ZETA,
     UNBALANCED_ZETA,
     _input_targets,
     _multi_mode_group,
     _prep_gates,
-    _reduced_fidelities,
     bound_check,
     boson_sampling_circuit,
     complementary,
@@ -166,9 +165,6 @@ def raw_hermitian(rng, num_qubits):
 
 COPIES = {"physical": random_density, "unphysical": random_unphysical,
           "raw": raw_hermitian}
-TARGETS = {"vector": lambda rng: random_pure(rng),
-           "pure": lambda rng: random_pure(rng).density(),
-           "mixed": lambda rng: random_density(rng, 1)}
 
 
 def single_qubits(n):
@@ -183,26 +179,40 @@ def per_pair(rhos, targets):
             for rho in rhos]
 
 
+def amplitude():
+    """A complex amplitude of magnitude 0 or between 10^-151 and 10^150."""
+    return st.one_of(st.just(0j), st.builds(
+        lambda mantissa, exponent, phase: mantissa * 10.0**exponent * complex(
+            math.cos(phase), math.sin(phase)),
+        st.floats(0.1, 1.0), st.integers(-150, 150), st.floats(-PI, PI)))
+
+
+QUBIT_SPECS = st.one_of(st.sampled_from(["0", "1"]),
+                        st.tuples(amplitude(), amplitude()).filter(any))
+ANGLES = st.floats(-1e6, 1e6)
+
+
+def assert_product_target(circuit):
+    """Every one-qubit marginal of the circuit's ideal output is pure."""
+    target = ideal_output(circuit)
+    marginals = _reduce(target.matrix, single_qubits(target.num_qubits))
+    assert _pure_vectors(marginals)[1].all()
+
+
 class TestStackedScoring:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-           copy_kinds=st.lists(st.sampled_from(sorted(COPIES)), min_size=1, max_size=5),
-           target_kinds=st.lists(st.sampled_from(sorted(TARGETS)), min_size=4, max_size=4))
-    def test_matches_per_pair_fidelity(self, n, seed, copy_kinds, target_kinds):
+           copy_kinds=st.lists(st.sampled_from(sorted(COPIES)), min_size=1, max_size=5))
+    def test_matches_per_pair_fidelity(self, n, seed, copy_kinds):
         rng = np.random.default_rng(seed)
         rhos = [COPIES[kind](rng, n) for kind in copy_kinds]
-        targets = [TARGETS[kind](rng) for kind in target_kinds[:n]]
+        targets = [random_pure(rng) for _ in range(n)]
         stack = _reduce(np.stack([rho.matrix for rho in rhos]), single_qubits(n))
-        try:
-            expected = per_pair(rhos, targets)
-        except ValueError as err:
-            # A mixed target scores by the Uhlmann formula, which rejects a
-            # marginal that is not PSD: the same pair fails first.
-            with pytest.raises(ValueError, match=re.escape(str(err))):
-                _reduced_fidelities(stack, targets)
-            return
-        np.testing.assert_allclose(_reduced_fidelities(stack, targets), expected,
-                                   rtol=0, atol=1e-12)
+        scores = _pure_fidelities(stack, np.array([t.amplitudes for t in targets]))
+        # Against each target as a vector and as a density, whose vector
+        # `fidelity` finds by eigh.
+        for form in (targets, [t.density() for t in targets]):
+            np.testing.assert_allclose(scores, per_pair(rhos, form), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["vector", "pure"])
     def test_negative_overlap_scores_zero(self, kind):
@@ -210,47 +220,40 @@ class TestStackedScoring:
         rho = DensityMatrix(3, -StateVector.computational("000").density().matrix)
         target = StateVector.computational("0")
         target = target if kind == "vector" else target.density()
+        vector = (target.amplitudes if kind == "vector"
+                  else _pure_vectors(target.matrix)[0])
         stack = _reduce(rho.matrix[None], single_qubits(3))
-        scores = _reduced_fidelities(stack, [target] * 3)
+        scores = _pure_fidelities(stack, np.stack([vector] * 3))
         assert scores.tolist() == [[0.0] * 3] == per_pair([rho], [target] * 3)
 
-    def test_mixed_target_falls_back(self):
-        # One qubit of a Bell pair is I/2, which has no pure vector.
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2)).density()
-        stack = _reduce(bell.matrix[None], single_qubits(2))
-        targets = [StateVector.computational("0"), partial_trace(bell, [1])]
-        np.testing.assert_allclose(_reduced_fidelities(stack, targets),
-                                   [[SQRT_HALF, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(_reduced_fidelities(stack, stack[0]),
-                                   [[1.0, 1.0]], atol=1e-12)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(initial=st.lists(QUBIT_SPECS, min_size=4, max_size=4), zeta=ANGLES)
+    def test_protocol2_targets_are_products(self, initial, zeta):
+        assert_product_target(multi_mode_circuit(initial, zeta))
+        assert_product_target(multi_mode_circuit(initial, complementary(zeta)))
+        report = protocol2_run(initial, zeta, shots=None)
+        assert len(report["groups"][0]["reduced_fidelities_ideal"]) == 4
 
-    def test_first_failing_pair_is_reported(self):
-        # Two copies scored against mixed targets: copy 0 fails on qubit 1
-        # and copy 1 on qubit 0, each with its own eigenvalue in the message.
-        rhos = [DensityMatrix(2, np.kron(np.diag(a), np.diag(b))) for a, b in
-                (([0.7, 0.3], [1.2, -0.2]), ([1.1, -0.1], [0.6, 0.4]))]
-        targets = [DensityMatrix(1, np.eye(2) / 2)] * 2
-        stack = _reduce(np.stack([rho.matrix for rho in rhos]), single_qubits(2))
-        with pytest.raises(ValueError, match=re.escape("min eigenvalue -2.000e-01")):
-            per_pair(rhos, targets)
-        with pytest.raises(ValueError, match=re.escape("min eigenvalue -2.000e-01")):
-            _reduced_fidelities(stack, targets)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_protocol3_targets_are_products(self, data):
+        m_modes = data.draw(st.integers(1, 4))
+        n_photons = data.draw(st.integers(1, m_modes))
+        angles = data.draw(st.lists(st.tuples(ANGLES, ANGLES, ANGLES),
+                                    min_size=m_modes, max_size=m_modes))
+        zeta = data.draw(ANGLES)
+        assert_product_target(boson_sampling_circuit(n_photons, m_modes, angles, zeta))
+        report = protocol3_verify(n_photons, m_modes, angles, zeta, shots=None)
+        assert len(report["groups"][0]["reduced_fidelities_ideal"]) == m_modes
 
-    @pytest.mark.parametrize("count,word", [(2, "shorter"), (4, "longer")])
-    def test_target_count_must_match(self, count, word):
-        stack = _reduce(random_density(np.random.default_rng(0), 3).matrix[None],
-                        single_qubits(3))
-        with pytest.raises(ValueError, match=f"argument 2 is {word} than argument 1"):
-            _reduced_fidelities(stack, [StateVector.computational("0")] * count)
-
-    @pytest.mark.parametrize("target", [StateVector.computational("00"),
-                                        StateVector.computational("00").density()],
-                             ids=["vector", "density"])
-    def test_target_of_two_qubits_rejected(self, target):
-        stack = _reduce(random_density(np.random.default_rng(0), 2).matrix[None],
-                        single_qubits(2))
-        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2 qubits"):
-            _reduced_fidelities(stack, [StateVector.computational("0"), target])
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 2), (4,), (4, 4), (4, 2, 1)],
+                             ids=["shorter", "longer", "flat", "two-qubit", "extra-axis"])
+    def test_input_target_shape_must_match(self, shape):
+        circuit = multi_mode_circuit("1010", UNBALANCED_ZETA)
+        inputs = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(
+                f"need (4, 2) input target amplitudes, got shape {shape}")):
+            _multi_mode_group(circuit, "N", UNBALANCED_ZETA, 1, inputs, None, 0, None)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_keep_set_matches_einsum(self, rng, n):
@@ -279,16 +282,19 @@ class TestStackedScoring:
 
     @pytest.mark.parametrize("copies,shots", [(3, 512), (2, None)])
     def test_group_matches_per_pair_scores(self, copies, shots):
-        circuit = multi_mode_circuit("1010", UNBALANCED_ZETA)
+        # Complex amplitudes, so a conjugated target vector would score wrong.
+        initial = ["1", (0.6, 0.8j), "0", (1j, 0.5 + 0.5j)]
+        circuit = multi_mode_circuit(initial, UNBALANCED_ZETA)
         noise = NoiseModel(0.01, 0.02, 0.02)
-        inputs = _input_targets("1010")
+        inputs = _input_targets(initial)
+        assert inputs.shape == (4, 2)
         group, recons, target = _multi_mode_group(circuit, "N", UNBALANCED_ZETA, copies,
                                                   inputs, shots, 5, noise)
         assert group["copy_fidelities"] == pytest.approx(
             [fidelity(rho, target) for rho in recons], abs=1e-12, rel=0)
         ideal = [partial_trace(target, [q]) for q in range(4)]
         for key, targets in (("reduced_fidelities_ideal", ideal),
-                             ("reduced_fidelities_input", inputs)):
+                             ("reduced_fidelities_input", [StateVector(1, v) for v in inputs])):
             np.testing.assert_allclose(group[key], np.mean(per_pair(recons, targets), axis=0),
                                        rtol=0, atol=1e-12)
 
@@ -396,6 +402,11 @@ class TestProtocol2:
         assert protocol2_run("1100", BALANCED_ZETA, (1, 2), shots=64, seed=parent) == first
         assert parent.n_children_spawned == 0
         assert first == protocol2_run("1100", BALANCED_ZETA, (1, 2), shots=64, seed=5)
+
+    def test_iterator_initial_is_read_once(self):
+        # The specs are read for the circuits and for the input targets.
+        assert protocol2_run(iter("1100"), UNBALANCED_ZETA, shots=None) \
+            == protocol2_run("1100", UNBALANCED_ZETA, shots=None)
 
     def test_superposition_input(self):
         initial = [(0.6, 0.8), (1, 0), (0, 1), (SQRT_HALF, SQRT_HALF)]

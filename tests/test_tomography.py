@@ -22,8 +22,8 @@ from hetverify.circuits import (
     u3,
     x,
 )
-from hetverify.metrics import trace_distance
-from hetverify.states import StateVector
+from hetverify.metrics import _pure_fidelities, trace_distance
+from hetverify.states import StateVector, _reduce
 from hetverify.tomography import (
     MAX_MEASURED_QUBITS,
     _pauli_frame,
@@ -472,7 +472,8 @@ class TestTomographySweep:
 def reduced_fidelities(circuit, targets):
     """A protocol group's per-qubit fidelities for the exact output of
     `circuit`: each marginal of its reconstruction against its target."""
-    group = _multi_mode_group(circuit, "N", BALANCED_ZETA, 1, targets, None, 0, None)[0]
+    vectors = np.array([t.amplitudes for t in targets])
+    group = _multi_mode_group(circuit, "N", BALANCED_ZETA, 1, vectors, None, 0, None)[0]
     return group["reduced_fidelities_input"]
 
 
@@ -484,9 +485,15 @@ class TestReducedFidelities:
             pytest.approx([1.0, 1.0])
 
     def test_bell_marginals(self):
-        targets = [StateVector.computational("0")] * 2
-        np.testing.assert_allclose(reduced_fidelities(bell_circuit(), targets),
+        rho = reconstruct(sweep_alone(bell_circuit()), 2)
+        marginals = _reduce(rho.matrix, ((0,), (1,)))
+        np.testing.assert_allclose(_pure_fidelities(marginals, np.array([[1, 0], [1, 0]])),
                                    [SQRT_HALF, SQRT_HALF], atol=1e-10)
+
+    def test_entangled_target_rejected(self):
+        # The witness needs a product target; a Bell pair's marginals are I/2.
+        with pytest.raises(ValueError, match="not a product of pure qubit states"):
+            reduced_fidelities(bell_circuit(), [StateVector.computational("0")] * 2)
 
     def test_interferometer_output_marginals(self):
         targets = [StateVector.computational(b) for b in "1100"]
@@ -494,7 +501,7 @@ class TestReducedFidelities:
                                    [SQRT_HALF] * 4, atol=1e-10)
 
     def test_target_count_mismatch(self):
-        with pytest.raises(ValueError, match="shorter than argument 1"):
+        with pytest.raises(ValueError, match=r"need \(2, 2\) input target amplitudes"):
             reduced_fidelities(Circuit(2), [StateVector.computational("0")])
 
 
