@@ -246,13 +246,25 @@ class TestStackedScoring:
         report = protocol3_verify(n_photons, m_modes, angles, zeta, shots=None)
         assert len(report["groups"][0]["reduced_fidelities_ideal"]) == m_modes
 
-    @pytest.mark.parametrize("shape", [(3, 2), (5, 2), (4,), (4, 4), (4, 2, 1)],
-                             ids=["shorter", "longer", "flat", "two-qubit", "extra-axis"])
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 2), (4,), (4, 2, 1)],
+                             ids=["shorter", "longer", "flat", "extra-axis"])
     def test_input_target_shape_must_match(self, shape):
         circuit = multi_mode_circuit("1010", UNBALANCED_ZETA)
         inputs = np.zeros(shape, dtype=complex)
         with pytest.raises(ValueError, match=re.escape(
                 f"need (4, 2) input target amplitudes, got shape {shape}")):
+            _multi_mode_group(circuit, "N", UNBALANCED_ZETA, 1, inputs, None, 0, None)
+
+    @pytest.mark.parametrize("form", ["vector", "density"])
+    def test_target_of_two_qubits_rejected(self, form):
+        # Each qubit's input target given as a two-qubit state, as its
+        # amplitudes or as its density: neither is a row of one qubit.
+        two = StateVector.computational("00")
+        row = two.amplitudes if form == "vector" else two.density().matrix
+        inputs = np.stack([row] * 4)
+        circuit = multi_mode_circuit("1010", UNBALANCED_ZETA)
+        with pytest.raises(ValueError, match=re.escape(
+                f"need (4, 2) input target amplitudes, got shape {inputs.shape}")):
             _multi_mode_group(circuit, "N", UNBALANCED_ZETA, 1, inputs, None, 0, None)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
