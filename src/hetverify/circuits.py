@@ -574,8 +574,8 @@ def _state_words_type() -> type:
     return StateWords
 
 
-def spawn_generators(seeds, counts) -> list:
-    """For each seed and its count, the Generators
+def spawn_generators(seeds, counts):
+    """For each seed and its count in turn, the Generators
     `[default_rng(c) for c in seed_sequence(seed).spawn(count)]`, in the
     same PCG64 states, leaving a SeedSequence seed unadvanced.  A seed is
     anything SeedSequence takes (list entropy must come as a SeedSequence).
@@ -587,7 +587,8 @@ def spawn_generators(seeds, counts) -> list:
     The index column is mixed into the pools, and each child's 8
     `generate_state` words produced, for all children at once.  numpy's
     own PCG64 is seeded from those words, so unlike spawn's Generators
-    these cannot spawn.
+    these cannot spawn.  The result is an iterator, which makes each seed's
+    Generators only when it reaches that seed's list.
     """
     # Only read, never spawned from, so a SeedSequence needs no copy here.
     seeds = [one if isinstance(one, np.random.SeedSequence) else np.random.SeedSequence(one)
@@ -614,8 +615,8 @@ def spawn_generators(seeds, counts) -> list:
     # row's memory, which the C-ordered result keeps contiguous.
     state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     state_words = _state_words_type()
-    generators = [np.random.Generator(np.random.PCG64(state_words(row))) for row in state]
-    return [generators[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
+    return ([np.random.Generator(np.random.PCG64(state_words(row))) for row in state[end - n:end]]
+            for n, end in zip(counts, itertools.accumulate(counts)))
 
 
 def sample_shots(probabilities, shots: int, seed, settings) -> ShotTable:

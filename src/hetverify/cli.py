@@ -37,9 +37,9 @@ EXIT_REJECT = 2
 EXIT_RUNTIME = 3
 # Above 2^53 the float64 count sums of the assembly stop being exact.
 MAX_SHOTS = 2**53
-# A group's copies are swept at once: protocol2 peaked at 179 MB RSS with
-# 800 + 800 copies and 48 MB with 50 + 50, about 175 KB per copy of a
-# group, so 10^4 + 10^4 copies may need about 1.8 GB.
+# Both groups' copies are swept at once: protocol2 peaked at 97 MB RSS with
+# 800 + 800 copies, 71 MB with 400 + 400 and 46 MB with 50 + 50, about
+# 34 KB per copy, so 10^4 + 10^4 copies may need about 0.7 GB.
 MAX_COPIES = 10_000
 
 _ANGLE_RE = re.compile(r"^(-?)(\d*)pi(?:/(\d+))?$")

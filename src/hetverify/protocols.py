@@ -9,6 +9,7 @@ report's `result` dict, keys in the order the report writes them.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -18,6 +19,7 @@ from .circuits import (
     Circuit,
     NoiseModel,
     cu3,
+    gate_unitary,
     measure_in_basis,
     run_statevector,
     seed_sequence,
@@ -211,15 +213,6 @@ def _group(label: str, zeta: float, fidelities: list) -> dict:
             "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0}
 
 
-def _reconstruct_copies(circuit: Circuit, copies: int, shots, seed,
-                        noise) -> list:
-    """Tomograph `copies` runs of `circuit` over its system qubits, one
-    child seed of `seed` per copy."""
-    sweeps = tomography_sweep([circuit] * copies, shots=shots,
-                              seeds=seed_sequence(seed).spawn(copies), noise=noise)
-    return reconstruct_multi_qubit(sweeps, len(circuit.system_qubits))
-
-
 def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
                   seed: int = 0, noise: NoiseModel = None) -> dict:
     """Single-mode fidelity estimation over N + M identically prepared
@@ -228,8 +221,9 @@ def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
     n, m = _copy_counts(copies)
     circuit = single_mode_circuit(initial, zeta)
     target_vec = StateVector(1, _pure_component(ideal_output(circuit)))
-    fidelities = [fidelity(rho, target_vec) for rho in _reconstruct_copies(
-        circuit, n + m, shots, seed, noise)]
+    sweeps = tomography_sweep([circuit] * (n + m), shots=shots,
+                              seeds=seed_sequence(seed).spawn(n + m), noise=noise)
+    fidelities = [fidelity(rho, target_vec) for rho in reconstruct_multi_qubit(sweeps, 1)]
     return {"protocol": "protocol1",
             "groups": [_group("N", zeta, fidelities[:n]),
                        _group("M", zeta, fidelities[n:])],
@@ -237,47 +231,55 @@ def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
 
 
 def _input_targets(initial) -> np.ndarray:
-    """The (n, 2) amplitudes of the one-qubit states _prep_gates prepares
-    from the n specs of `initial`."""
-    return np.array([run_statevector(Circuit(1, _prep_gates(spec, 0))).amplitudes
+    """The (n, 2) amplitudes the n specs of `initial` prepare: the product
+    `run_statevector` takes of their `_prep_gates` on |0>, with no circuit."""
+    return np.array([functools.reduce(lambda amps, gate: gate_unitary(gate, 1) @ amps,
+                                      _prep_gates(spec, 0), np.eye(2, dtype=complex)[0])
                      for spec in initial])
 
 
-def _multi_mode_group(circuit: Circuit, label: str, zeta: float, copies: int,
-                      input_targets, shots, seed, noise) -> tuple:
-    """Tomograph `copies` runs of a multi-mode circuit and score the stack;
-    returns the group report, the per-copy raw reconstructions and the
-    ideal output.
+def _multi_mode_groups(groups, input_targets, shots, noise) -> tuple:
+    """Tomograph and score protocol groups, each a (circuit, label, zeta,
+    copies, seed) tuple; returns the group reports, the raw reconstruction
+    of every copy, group by group, and each group's ideal output.
 
-    The witness is stated for product targets: the ideal output must be a
-    product of pure qubit states, else ValueError, and `input_targets` is
-    the (n, 2) array of the input's qubit vectors.  One gather gives the
-    one-qubit marginals of the target and copies, and one batched product
-    scores the copies' against each list.  The global fidelity is
-    `fidelity` per copy against the target's pure component.
+    One sweep and one reconstruction take every copy, group by group, copy
+    i of a group with child seed i of its seed.  The witness is stated for
+    product targets: each ideal output must be a product of pure qubit
+    states, else ValueError, and `input_targets` is the (n, 2) array of the
+    input's qubit vectors.  One gather gives the one-qubit marginals of
+    every target and copy, and one batched product per group scores its
+    copies' against each list.  The global fidelity is `fidelity` per copy
+    against its group's target's pure component.
     """
-    target = ideal_output(circuit)
-    n = target.num_qubits
+    targets = [ideal_output(circuit) for circuit, *_ in groups]
+    n = targets[0].num_qubits
     if np.shape(input_targets) != (n, 2):
         raise ValueError(f"need ({n}, 2) input target amplitudes, "
                          f"got shape {np.shape(input_targets)}")
-    recons = _reconstruct_copies(circuit, copies, shots, seed, noise)
-    marginals = _reduce(np.stack([target.matrix, *(rho.matrix for rho in recons)]),
+    circuits, seeds = [], []
+    for circuit, _, _, copies, seed in groups:
+        circuits += [circuit] * copies
+        seeds += seed_sequence(seed).spawn(copies)
+    recons = reconstruct_multi_qubit(
+        tomography_sweep(circuits, shots=shots, seeds=seeds, noise=noise), n)
+    marginals = _reduce(np.stack([*(t.matrix for t in targets), *(r.matrix for r in recons)]),
                         tuple((q,) for q in range(n)))
-    ideal, pure = _pure_vectors(marginals[0])
+    ideals, pure = _pure_vectors(marginals[:len(groups)])
     if not pure.all():
         raise ValueError("the ideal output is not a product of pure qubit states")
-    target_vec = StateVector(n, _pure_component(target))
-    globals_ = [fidelity(rho, target_vec) for rho in recons]
-    red_ideal = _pure_fidelities(marginals[1:], ideal).mean(axis=0)
-    red_input = _pure_fidelities(marginals[1:], input_targets).mean(axis=0)
-    group = _group(label, zeta, globals_)
-    group.update(global_fidelity=group["mean"],
-                 reduced_fidelities_ideal=[float(v) for v in red_ideal],
-                 witness_ideal=fidelity_witness(red_ideal),
-                 reduced_fidelities_input=[float(v) for v in red_input],
-                 witness_input=fidelity_witness(red_input))
-    return group, recons, target
+    reports, start = [], 0
+    for (_, label, zeta, copies, _), target, ideal in zip(groups, targets, ideals):
+        rows, start = slice(start, start + copies), start + copies
+        target_vec = StateVector(n, _pure_component(target))
+        report = _group(label, zeta, [fidelity(rho, target_vec) for rho in recons[rows]])
+        report["global_fidelity"] = report["mean"]
+        for key, vectors in (("ideal", ideal), ("input", input_targets)):
+            red = _pure_fidelities(marginals[len(groups):][rows], vectors).mean(axis=0)
+            report.update({f"reduced_fidelities_{key}": red.tolist(),
+                           f"witness_{key}": fidelity_witness(red)})
+        reports.append(report)
+    return reports, recons, targets
 
 
 def protocol2_run(initial, zeta: float, copies=(1, 1), shots: int = None,
@@ -287,11 +289,10 @@ def protocol2_run(initial, zeta: float, copies=(1, 1), shots: int = None,
     n, m = _copy_counts(copies)
     initial = list(initial)  # read twice, so an iterator must not be used up
     input_targets = _input_targets(initial)
-    seeds = seed_sequence(seed).spawn(2)
-    groups = [_multi_mode_group(multi_mode_circuit(initial, det), label, det, count,
-                                input_targets, shots, child, noise)[0]
-              for label, det, count, child in (("N", zeta, n, seeds[0]),
-                                               ("M", complementary(zeta), m, seeds[1]))]
+    specs = zip(("N", "M"), (zeta, complementary(zeta)), (n, m), seed_sequence(seed).spawn(2))
+    groups = _multi_mode_groups([(multi_mode_circuit(initial, det), label, det, count, child)
+                                 for label, det, count, child in specs],
+                                input_targets, shots, noise)[0]
     return {"protocol": "protocol2", "groups": groups,
             "global_fidelity": groups[0]["global_fidelity"],
             "witness": groups[0]["witness_ideal"]}
@@ -321,9 +322,8 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
     circuit = boson_sampling_circuit(n_photons, m_modes,
                                      interferometer_angles, zeta)
     input_targets = _input_targets("1" * n_photons + "0" * (m_modes - n_photons))
-    group, recons, target = _multi_mode_group(
-        circuit, "N", zeta, 1, input_targets, shots, seed, noise)
-    raw = recons[0]
+    (group,), (raw,), (target,) = _multi_mode_groups(
+        [(circuit, "N", zeta, 1, seed)], input_targets, shots, noise)
     f_global = group["copy_fidelities"][0]
     rho = project_to_physical(raw)
     dist = trace_distance(rho, target)

@@ -23,11 +23,11 @@ column depends only on m and is held in the frame.
 Every step takes a list and returns a list, one item per circuit, and
 one item comes as a list of one.  The sweep reads out every qubit, the
 system qubits in ascending order and then the ancilla, if there is
-one, and keeps the shots where the ancilla reads 1.  It makes one
-`measure_in_basis` call per register layout, for all 3^m settings of
-all its circuits, and one `spawn_generators` pass that seeds a
-Generator per row of every circuit.  Each circuit in input order makes
-one `sample_shots` call on its 3^m-row probability array.
+one, and keeps the shots where the ancilla reads 1.  In input-order
+chunks of at most 64 circuits, it makes one `measure_in_basis` call per
+register layout for all 3^m settings, and per circuit, in input order,
+one `sample_shots` call on its 3^m-row probability array, with the
+Generators for that draw alone, from one `spawn_generators` pass.
 Then each layout's c tables are stacked into one c x 3^m x 2^w table,
 post-selected once and assembled once: one product with H for every
 row of every circuit, and one bincount whose cells are offset by
@@ -66,6 +66,8 @@ from .circuits import (
 from .states import DensityMatrix, condition_on_ancilla
 
 MAX_MEASURED_QUBITS = 4
+# A sampled sweep holds one chunk of this many circuits' counts at a time.
+_CHUNK = 64
 
 
 def expectations_from_tables(table) -> list:
@@ -155,10 +157,11 @@ def tomography_sweep(circuits, shots: int = None, seeds=None,
     not advanced.  When a circuit has an ancilla it is read out in Z after
     the system qubits, and the data is conditioned on it reading 1.
     Readout flips come with the simulated state, so the exact sweep is
-    the expectation of the sampled one.  The tables are drawn in input
-    order, then each register layout's tables are post-selected and
-    assembled as one stack.  If post-selection leaves a setting without
-    shots, the error names it for the first such circuit in input order.
+    the expectation of the sampled one.  Each input-order chunk of at
+    most 64 circuits draws its tables in input order, each with its own
+    Generators, then post-selects and assembles each layout's tables as
+    one stack.  If post-selection leaves a setting without shots, the
+    error names it for the first such circuit in input order.
     """
     circuits = _listed(circuits, "circuits")
     if shots is not None and (not isinstance(seeds, (list, tuple))
@@ -180,6 +183,13 @@ def tomography_sweep(circuits, shots: int = None, seeds=None,
             sweeps.append(dict(zip(pauli_strings(m), values.tolist())))
         return sweeps
 
+    children = spawn_generators(seeds, [3 ** len(one.system_qubits) for one in circuits])
+    return [expectations for start in range(0, len(circuits), _CHUNK) for expectations
+            in _sampled_chunk(circuits[start:start + _CHUNK], shots, children, noise)]
+
+
+def _sampled_chunk(circuits, shots: int, children, noise: NoiseModel) -> list:
+    """The sampled sweep of some circuits, each drawn with `next(children)`."""
     # Circuits of one register layout share their settings, one measurement,
     # one post-selection and one assembly.
     layouts, measured, noiseless = {}, [None] * len(circuits), noise == NoiseModel()
@@ -194,10 +204,10 @@ def tomography_sweep(circuits, shots: int = None, seeds=None,
                   else run_density_matrix(circuits[row], noise) for row in rows]
         for row, probs in zip(rows, measure_in_basis(states, settings, readout)):
             measured[row] = probs, settings
-    children = spawn_generators(seeds, [len(settings) for _, settings in measured])
-    # Drawn circuit by circuit, in input order.
-    drawn = [sample_shots(probs, shots, rngs, settings)
-             for (probs, settings), rngs in zip(measured, children)]
+    # Drawn circuit by circuit, in input order, each with its own Generators,
+    # which are dropped after its draw.
+    drawn = [sample_shots(probs, shots, next(children), settings)
+             for probs, settings in measured]
     # Then each layout's tables as one stack, split only where a stack's
     # total would reach 2^63; a lone table needs no stack.
     stacks = []

@@ -764,18 +764,18 @@ class TestSpawnGenerators:
                                        pool_size=pool_size)
         other.spawn(2)
         seeds, counts = [parent, other, 11, parent], [count, 3, 1, 2]
-        batch = spawn_generators(seeds, counts)
+        batch = list(spawn_generators(seeds, counts))
         assert [len(gens) for gens in batch] == counts
         for one, n, gens in zip(seeds, counts, batch):
-            assert rng_states(gens) == rng_states(spawn_generators([one], [n])[0])
+            assert rng_states(gens) == rng_states(next(spawn_generators([one], [n])))
         assert rng_states(batch[0]) == rng_states(_spawned_reference(make, advanced, count))
         assert (parent.n_children_spawned, other.n_children_spawned) == (advanced, 2)
 
     def test_int_and_seed_sequence_seeds_and_no_seeds(self):
-        batch = spawn_generators((4, np.random.SeedSequence(4)), (5, 5))
+        batch = list(spawn_generators((4, np.random.SeedSequence(4)), (5, 5)))
         want = [np.random.default_rng(c) for c in np.random.SeedSequence(4).spawn(5)]
         assert rng_states(batch[0]) == rng_states(batch[1]) == rng_states(want)
-        assert spawn_generators([], []) == []
+        assert list(spawn_generators([], [])) == []
 
 
 class TestBasisRotationCache:

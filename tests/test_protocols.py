@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetverify.circuits import Circuit, NoiseModel, run_statevector
+import hetverify.protocols
+import hetverify.tomography
+from hetverify.circuits import Circuit, NoiseModel, run_statevector, sample_shots, seed_sequence
 from hetverify.metrics import _pure_fidelities, _pure_vectors, fidelity
 from hetverify.protocols import (
     BALANCED_ZETA,
     UNBALANCED_ZETA,
     _input_targets,
-    _multi_mode_group,
+    _multi_mode_groups,
     _prep_gates,
     bound_check,
     boson_sampling_circuit,
@@ -28,6 +30,7 @@ from hetverify.protocols import (
     single_mode_circuit,
 )
 from hetverify.states import DensityMatrix, StateVector, _reduce, _trace_index, partial_trace
+from hetverify.tomography import tomography_sweep
 
 from conftest import marginals, random_density, random_pure, random_unphysical
 
@@ -83,6 +86,18 @@ class TestPrepGates:
     def test_malformed_amplitude_array_rejected(self, spec):
         with pytest.raises(ValueError, match=r"cannot prepare array\("):
             _prep_gates(spec, 0)
+
+    @pytest.mark.parametrize("initial", [
+        "0101", [(0.0, 1.0), (2.0, 0.0), (0j, 1j), (-1.0, 0j)],
+        [(0.6, 0.8j), "1", (1j, 0.5 + 0.5j), 0],
+    ], ids=["bits", "zero component", "mixed"])
+    def test_input_targets_are_the_prepared_amplitudes(self, initial):
+        # Byte for byte the amplitudes run_statevector gives the prep gates.
+        expected = np.array([run_statevector(Circuit(1, _prep_gates(spec, 0))).amplitudes
+                             for spec in initial])
+        got = _input_targets(initial)
+        assert got.shape == (4, 2) and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestHeterodyneStage:
@@ -253,7 +268,7 @@ class TestStackedScoring:
         inputs = np.zeros(shape, dtype=complex)
         with pytest.raises(ValueError, match=re.escape(
                 f"need (4, 2) input target amplitudes, got shape {shape}")):
-            _multi_mode_group(circuit, "N", UNBALANCED_ZETA, 1, inputs, None, 0, None)
+            _multi_mode_groups([(circuit, "N", UNBALANCED_ZETA, 1, 0)], inputs, None, None)
 
     @pytest.mark.parametrize("form", ["vector", "density"])
     def test_target_of_two_qubits_rejected(self, form):
@@ -265,7 +280,7 @@ class TestStackedScoring:
         circuit = multi_mode_circuit("1010", UNBALANCED_ZETA)
         with pytest.raises(ValueError, match=re.escape(
                 f"need (4, 2) input target amplitudes, got shape {inputs.shape}")):
-            _multi_mode_group(circuit, "N", UNBALANCED_ZETA, 1, inputs, None, 0, None)
+            _multi_mode_groups([(circuit, "N", UNBALANCED_ZETA, 1, 0)], inputs, None, None)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_keep_set_matches_einsum(self, rng, n):
@@ -300,8 +315,8 @@ class TestStackedScoring:
         noise = NoiseModel(0.01, 0.02, 0.02)
         inputs = _input_targets(initial)
         assert inputs.shape == (4, 2)
-        group, recons, target = _multi_mode_group(circuit, "N", UNBALANCED_ZETA, copies,
-                                                  inputs, shots, 5, noise)
+        (group,), recons, (target,) = _multi_mode_groups(
+            [(circuit, "N", UNBALANCED_ZETA, copies, 5)], inputs, shots, noise)
         assert group["copy_fidelities"] == pytest.approx(
             [fidelity(rho, target) for rho in recons], abs=1e-12, rel=0)
         ideal = [partial_trace(target, [q]) for q in range(4)]
@@ -419,6 +434,36 @@ class TestProtocol2:
         # The specs are read for the circuits and for the input targets.
         assert protocol2_run(iter("1100"), UNBALANCED_ZETA, shots=None) \
             == protocol2_run("1100", UNBALANCED_ZETA, shots=None)
+
+    @pytest.mark.parametrize("shots", [64, None], ids=["sampled", "exact"])
+    def test_one_sweep_draws_as_one_sweep_per_group(self, monkeypatch, shots):
+        """Both groups are swept and reconstructed in one call each, and
+        the sweep draws the same tables, in the same order, as a sweep per
+        group with that group's child seed would."""
+        draws, sweeps = [], []
+
+        def recording(probabilities, shots, seed, settings):
+            table = sample_shots(probabilities, shots, seed, settings)
+            draws.append((table.settings, table.counts.tobytes()))
+            return table
+
+        def sweeping(circuits, **kwargs):
+            sweeps.append(len(circuits))
+            return tomography_sweep(circuits, **kwargs)
+
+        monkeypatch.setattr(hetverify.tomography, "sample_shots", recording)
+        monkeypatch.setattr(hetverify.protocols, "tomography_sweep", sweeping)
+        noise = NoiseModel(0.01, 0.02, 0.02)
+        initial = ["1", (0.6, 0.8j), "0", "1"]
+        protocol2_run(initial, UNBALANCED_ZETA, (3, 2), shots=shots, seed=9, noise=noise)
+        assert sweeps == [5]
+        merged = list(draws)
+        draws.clear()
+        for det, count, child in zip((UNBALANCED_ZETA, BALANCED_ZETA), (3, 2),
+                                     seed_sequence(9).spawn(2)):
+            tomography_sweep([multi_mode_circuit(initial, det)] * count, shots=shots,
+                             seeds=seed_sequence(child).spawn(count), noise=noise)
+        assert merged == draws and len(draws) == (5 if shots else 0)
 
     def test_superposition_input(self):
         initial = [(0.6, 0.8), (1, 0), (0, 1), (SQRT_HALF, SQRT_HALF)]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import re
@@ -35,7 +36,7 @@ from hetverify.tomography import (
 )
 from hetverify.protocols import (
     BALANCED_ZETA,
-    _multi_mode_group,
+    _multi_mode_groups,
     heterodyne_stage,
     ideal_output,
     single_mode_circuit,
@@ -473,7 +474,8 @@ def reduced_fidelities(circuit, targets):
     """A protocol group's per-qubit fidelities for the exact output of
     `circuit`: each marginal of its reconstruction against its target."""
     vectors = np.array([t.amplitudes for t in targets])
-    group = _multi_mode_group(circuit, "N", BALANCED_ZETA, 1, vectors, None, 0, None)[0]
+    (group,), _, _ = _multi_mode_groups([(circuit, "N", BALANCED_ZETA, 1, 0)], vectors,
+                                        None, None)
     return group["reduced_fidelities_input"]
 
 
@@ -886,6 +888,75 @@ class TestBatchedSweep:
         for seed, circuit in enumerate(circuits):
             tomography_sweep([circuit], shots=64, seeds=[seed])
         assert batched == draws and len(draws) == len(circuits)
+
+    def test_chunked_sweep_matches_one_chunk(self, monkeypatch):
+        """A sweep longer than the chunk runs chunk by chunk in input order:
+        the same sets and the same draws, in the same order, as one chunk,
+        and each chunk measures each of its layouts once."""
+        circuits = [_layout_circuit(m, anc, 0.2 * i) for i, (m, anc) in enumerate(BATCH)]
+        seeds = list(range(len(circuits)))
+        draws, measured = [], []
+
+        def recording(probabilities, shots, seed, settings):
+            table = sample_shots(probabilities, shots, seed, settings)
+            draws.append((table.settings, table.counts.tobytes()))
+            return table
+
+        def measuring(states, settings, qubits=None):
+            measured.append(len(states))
+            return measure_in_basis(states, settings, qubits)
+
+        monkeypatch.setattr(hetverify.tomography, "sample_shots", recording)
+        monkeypatch.setattr(hetverify.tomography, "measure_in_basis", measuring)
+        whole = tomography_sweep(circuits, shots=64, seeds=seeds)
+        whole_draws, whole_measured = list(draws), list(measured)
+        draws.clear()
+        measured.clear()
+        monkeypatch.setattr(hetverify.tomography, "_CHUNK", 4)
+        assert _exact_bits(tomography_sweep(circuits, shots=64, seeds=seeds)) \
+            == _exact_bits(whole)
+        assert draws == whole_draws and len(draws) == len(circuits)
+        # BATCH's 7 layouts measure once each in one chunk; in chunks of 4,
+        # each chunk measures each of its own layouts once.
+        assert whole_measured == [3, 2, 1, 1, 1, 1, 1]
+        assert measured == [2, 1, 1, 1, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("order", ["layout-order", "other-layout-first"])
+    def test_chunked_error_names_the_first_failing_circuit(self, monkeypatch, order):
+        """With two layouts interleaved over chunks of 3, post-selection
+        fails in the second chunk for a circuit of each layout, and the
+        error names the one first in input order, whichever layout the
+        chunk measures first."""
+        good = [Circuit(2, [x(1), u3(0, 0.3, 0, 0)], ancilla=1),
+                Circuit(3, [x(2), u3(1, 1.1, 0, 0)], ancilla=2)]
+        fails = [Circuit(3, ancilla=2), Circuit(2, ancilla=1)]
+        if order == "other-layout-first":
+            fails.reverse()
+        circuits = good + good + fails
+        monkeypatch.setattr(hetverify.tomography, "_CHUNK", 3)
+        first = "XX" if order == "layout-order" else "X"
+        with pytest.raises(ValueError, match=f"^setting '{first}': .* kept 0 of 8 shots"):
+            tomography_sweep(circuits, shots=8, seeds=list(range(6)))
+
+    def test_one_circuits_generators_alive_at_a_time(self, monkeypatch):
+        """Each circuit's Generators are made for its draw and dropped
+        after it, so no draw sees another circuit's alive."""
+        def live():
+            return sum(isinstance(o, np.random.Generator) for o in gc.get_objects())
+
+        alive = []
+
+        def counting(probabilities, shots, seed, settings):
+            alive.append(live() - before)
+            return sample_shots(probabilities, shots, seed, settings)
+
+        monkeypatch.setattr(hetverify.tomography, "sample_shots", counting)
+        circuits = [_layout_circuit(1, None, 0.1 * i) for i in range(4)]
+        gc.collect()
+        before = live()
+        tomography_sweep(circuits, shots=16, seeds=list(range(4)))
+        assert alive == [3] * 4
+        assert live() == before
 
     def test_stacks_stay_below_int64(self, monkeypatch):
         """A one-qubit table with an ancilla holds 3 x shots, so at 2^61
