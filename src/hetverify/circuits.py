@@ -6,15 +6,21 @@ build.  Systems stay small (at most 6 qubits), so both backends work
 with dense matrices.  Each gate's matrix is built once per (gate,
 register size) and shared read-only by every later simulation, and
 each block of up to 9 basis rotations likewise, and each x/z Pauli
-frame.  Measurement takes a list of states and a list of settings, one
-of each as a list of one, reads out every qubit and gives one array of
-outcome probabilities, as a ShotTable counts; one rule checks both.
+frame.  A gate whose matrix is a 0/1 permutation moves a density
+matrix's entries with a gather in place of the dense product, and
+depolarizing writes the mixed part only onto the entries that are
+diagonal in the gate's qubits; both give the bytes of the dense
+computation.  Measurement takes a list of states and a list of
+settings, one of each as a list of one, reads out every qubit and gives
+one array of outcome probabilities, as a ShotTable counts; one rule
+checks both.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -207,6 +213,12 @@ def _embed(ops: dict, num_qubits: int) -> np.ndarray:
 def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n unitary of a gate embedded in the register, built
     once per (gate, register size) and shared read-only."""
+    return _gate_entry(gate, num_qubits)[0]
+
+
+def _gate_entry(gate: Gate, num_qubits: int) -> tuple:
+    """The gate's cached (unitary, perm): perm[i] is the column of row
+    i's 1 if every entry of the unitary is exactly 0 or 1, else None."""
     # Gate equality takes -0.0 for 0.0, whose matrix has other bytes, so
     # the key also holds each angle's exact bits.
     return _gate_unitary(gate, tuple(map(float.hex, gate.angles)), num_qubits)
@@ -214,7 +226,7 @@ def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
 
 # Bounded because circuit files may hold any angles.
 @lru_cache(maxsize=128)
-def _gate_unitary(gate: Gate, angle_bits: tuple, num_qubits: int) -> np.ndarray:
+def _gate_unitary(gate: Gate, angle_bits: tuple, num_qubits: int) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         local = gate.matrix_2x2()
     if not np.isfinite(local).all():
@@ -225,8 +237,13 @@ def _gate_unitary(gate: Gate, angle_bits: tuple, num_qubits: int) -> np.ndarray:
             {control: _P1, target: local}, num_qubits)
     else:
         full = _embed({gate.qubits[-1]: local}, num_qubits)
+    perm = None
+    # A unitary of 0s and 1s has one 1 in each row and column.
+    if ((full == 0) | (full == 1)).all():
+        perm = full.real.argmax(axis=1)
+        perm.setflags(write=False)
     full.setflags(write=False)
-    return full
+    return full, perm
 
 
 def run_statevector(circuit: Circuit) -> StateVector:
@@ -257,31 +274,74 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("depolarizing_prob_1q", "depolarizing_prob_2q", "readout_flip_prob"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
+            # A bool is no rate, and a complex or a string does not order.
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be a probability, got {p!r}")
+            object.__setattr__(self, name, float(p))
+
+
+# Bounded because depolarize takes any qubits; 128 entries hold all 91
+# one- and two-qubit sets of every register up to MAX_QUBITS qubits.
+@lru_cache(maxsize=128)
+def _diagonal_layout(qubits: tuple, num_qubits: int, itemsize: int) -> tuple:
+    """(shape, strides, picks) of a view of the entries of a C-ordered
+    2^n x 2^n matrix whose row and column agree on each of `qubits`.
+
+    The row splits at those qubits into blocks, and each qubit's axis
+    steps its row and column bit at once; the column keeps the blocks
+    between them.  picks[i] slices the view, or a reduction of it that
+    keeps its axes, at qubits[i] = 0 and at qubits[i] = 1.
+    """
+    row, col = itemsize << num_qubits, itemsize
+    bounds = [-1, *sorted(qubits), num_qubits]
+    shape, strides, col_shape, col_strides, axes = [], [], [], [], {}
+    for low, high in zip(bounds, bounds[1:]):
+        shift = num_qubits - high  # the block's lowest qubit is high - 1
+        shape.append(1 << (high - low - 1))
+        strides.append(row << shift)
+        col_shape.append(shape[-1])
+        col_strides.append(col << shift)
+        if high < num_qubits:
+            axes[high] = len(shape)
+            shape.append(2)
+            strides.append((row + col) << shift >> 1)
+    picks = tuple(tuple((slice(None),) * axes[q] + (slice(bit, bit + 1),) for bit in (0, 1))
+                  for q in qubits)
+    return tuple(shape + col_shape), tuple(strides + col_strides), picks
 
 
 def depolarize(rho_mat: np.ndarray, qubits, prob: float, num_qubits: int) -> np.ndarray:
     """Mix the named qubits toward maximally mixed with probability `prob`.
 
-    The fully depolarized part replaces each qubit q in turn by I/2: with
-    rho viewed as (2^q, 2, 2^(n-q-1)) on each side, half the sum of the
-    two diagonal slices of q fills both diagonal slices of a zero tensor.
+    The fully depolarized part traces each qubit q out in turn and puts
+    I/2 back: half the sum of the entries diagonal in q with q at 0 and
+    at 1, over what the qubits before q left.  It is nonzero only on
+    the entries diagonal in every named qubit, so `prob` times it is
+    written there on a zero matrix, which then gains (1 - prob) * rho.
+    Each entry is thus the sum of the same two products as with full
+    matrices, and an entry off those diagonals gains +0.0, which turns
+    a -0.0 of (1 - prob) * rho into 0.0.
     """
     if prob == 0.0:
         return rho_mat
-    mixed = rho_mat
-    for q in qubits:
-        side = (2**q, 2, 2 ** (num_qubits - q - 1))
-        view = mixed.reshape(side + side)
-        reduced = (view[:, 0, :, :, 0] + view[:, 1, :, :, 1]) / 2
-        mixed = np.zeros_like(view)
-        mixed[:, 0, :, :, 0] = mixed[:, 1, :, :, 1] = reduced
-    return (1.0 - prob) * rho_mat + prob * mixed.reshape(rho_mat.shape)
+    rho_mat = np.ascontiguousarray(rho_mat)  # the layout's strides are C order's
+    shape, strides, picks = _diagonal_layout(tuple(qubits), num_qubits, rho_mat.itemsize)
+    reduced = np.ndarray(shape, rho_mat.dtype, rho_mat, 0, strides)
+    for first, second in picks:
+        reduced = (reduced[first] + reduced[second]) / 2
+    mixed = np.zeros(rho_mat.shape, rho_mat.dtype)
+    np.ndarray(shape, mixed.dtype, mixed, 0, strides)[...] = prob * reduced
+    mixed += (1.0 - prob) * rho_mat
+    return mixed
 
 
 def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMatrix:
     """Exact mixed-state simulation; equals the pure run when noise is off.
+
+    A gate whose unitary U is a 0/1 permutation gathers rho's rows and
+    columns: each entry of U rho U^H is one entry of rho times 1 plus
+    exact zeros, so the gather gives the dense product's bytes.  Every
+    other gate takes the dense product.
 
     Readout flips are folded in last: depolarizing every qubit with
     probability 2p scales each non-identity Pauli factor by 1 - 2p, so
@@ -295,8 +355,11 @@ def run_density_matrix(circuit: Circuit, noise: NoiseModel = None) -> DensityMat
     rho[0, 0] = 1.0
     noise = noise or NoiseModel()
     for gate in circuit.gates:
-        unitary = gate_unitary(gate, circuit.num_qubits)
-        rho = unitary @ rho @ unitary.conj().T
+        unitary, perm = _gate_entry(gate, circuit.num_qubits)
+        if perm is None:
+            rho = unitary @ rho @ unitary.conj().T
+        else:
+            rho = rho.take(perm, axis=0).take(perm, axis=1)
         prob = (noise.depolarizing_prob_2q if gate.kind == "cu3"
                 else noise.depolarizing_prob_1q)
         rho = depolarize(rho, gate.qubits, prob, circuit.num_qubits)

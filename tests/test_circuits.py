@@ -16,6 +16,7 @@ from hetverify.circuits import (
     Gate,
     NoiseModel,
     ShotTable,
+    _gate_entry,
     _gate_unitary,
     _pauli_frame,
     _rotation_stack,
@@ -32,6 +33,8 @@ from hetverify.circuits import (
     u3_matrix,
     x,
 )
+from hetverify.protocols import boson_sampling_circuit, multi_mode_circuit, single_mode_circuit
+from hetverify.qkd import BELL_LABELS, SINGLE_BASES, bell_qkd_circuit, single_qkd_circuit
 from hetverify.states import PROB_ATOL, DensityMatrix, StateVector
 
 from conftest import (PAULI_MATRICES, counts, outcome_labels, random_density, random_pure,
@@ -75,6 +78,39 @@ def outer_product_depolarize(rho_mat, qubits, prob, num_qubits):
         tensor = np.moveaxis(np.multiply.outer(_I2, reduced),
                              (0, 1), (q, q + num_qubits))
     return (1.0 - prob) * rho_mat + prob * tensor.reshape(rho_mat.shape)
+
+
+def zero_tensor_depolarize(rho_mat, qubits, prob, num_qubits):
+    """Depolarizing that fills a zero tensor with each qubit's half sum
+    in turn and adds the two full products."""
+    if prob == 0.0:
+        return rho_mat
+    mixed = rho_mat
+    for q in qubits:
+        side = (2**q, 2, 2 ** (num_qubits - q - 1))
+        view = mixed.reshape(side + side)
+        reduced = (view[:, 0, :, :, 0] + view[:, 1, :, :, 1]) / 2
+        mixed = np.zeros_like(view)
+        mixed[:, 0, :, :, 0] = mixed[:, 1, :, :, 1] = reduced
+    return (1.0 - prob) * rho_mat + prob * mixed.reshape(rho_mat.shape)
+
+
+def oracle_density(circuit, noise) -> np.ndarray:
+    """run_density_matrix's matrix from a run that builds every gate's
+    unitary afresh, takes every dense product and depolarizes with outer
+    products."""
+    num_qubits = circuit.num_qubits
+    rho = np.zeros((2**num_qubits,) * 2, dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        unitary = uncached_unitary(gate, num_qubits)
+        rho = unitary @ rho @ unitary.conj().T
+        prob = (noise.depolarizing_prob_2q if gate.kind == "cu3"
+                else noise.depolarizing_prob_1q)
+        rho = outer_product_depolarize(rho, gate.qubits, prob, num_qubits)
+    for q in range(num_qubits):
+        rho = outer_product_depolarize(rho, [q], 2 * noise.readout_flip_prob, num_qubits)
+    return (rho + rho.conj().T) / 2
 
 
 def random_gates(rng, num_qubits: int, count: int) -> list:
@@ -297,20 +333,128 @@ class TestRunDensityMatrix:
             noise = NoiseModel(*rng.uniform(0.001, 0.2, size=3))
             amps = np.zeros(2**num_qubits, dtype=complex)
             amps[0] = 1.0
-            rho = np.outer(amps, amps)
             for gate in circuit.gates:
-                unitary = uncached_unitary(gate, num_qubits)
-                amps = unitary @ amps
-                rho = unitary @ rho @ unitary.conj().T
-                prob = (noise.depolarizing_prob_2q if gate.kind == "cu3"
-                        else noise.depolarizing_prob_1q)
-                rho = outer_product_depolarize(rho, gate.qubits, prob, num_qubits)
-            for q in range(num_qubits):
-                rho = outer_product_depolarize(rho, [q], 2 * noise.readout_flip_prob,
-                                               num_qubits)
-            rho = (rho + rho.conj().T) / 2
+                amps = uncached_unitary(gate, num_qubits) @ amps
             assert run_statevector(circuit).amplitudes.tobytes() == amps.tobytes()
-            assert run_density_matrix(circuit, noise).matrix.tobytes() == rho.tobytes()
+            assert (run_density_matrix(circuit, noise).matrix.tobytes()
+                    == oracle_density(circuit, noise).tobytes())
+
+
+class TestNoiseModel:
+    NAMES = ["depolarizing_prob_1q", "depolarizing_prob_2q", "readout_flip_prob"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("rate", [True, False, np.True_, "0.1", None, 0.1j, -0.1,
+                                      1.5, math.nan, math.inf])
+    def test_rate_must_be_a_probability(self, name, rate):
+        with pytest.raises(ValueError, match=f"^{name} must be a probability, got "):
+            NoiseModel(**{name: rate})
+
+    @pytest.mark.parametrize("rate", [0, 1, 0.25, -0.0, np.float64(0.25), np.int64(1)])
+    def test_rates_are_stored_as_floats(self, rate):
+        noise = NoiseModel(rate, rate, rate)
+        for name in self.NAMES:
+            value = getattr(noise, name)
+            assert type(value) is float
+            assert math.copysign(1.0, value) == math.copysign(1.0, rate) and value == rate
+
+
+# Noise models with every pattern of zero and nonzero rates that the
+# protocols run under, as (1q, 2q, readout).
+CENSUS_NOISE = [(0.01, 0.02, 0.02), (0.01, 0.0, 0.0), (0.0, 0.02, 0.0), (0.0, 0.0, 0.02),
+                (0.3, 0.3, 0.0), (0.0, 0.0, 0.0)]
+
+
+def package_circuits():
+    """Every circuit family the package builds, with ids."""
+    cases = []
+    for zeta in (0.0, PI / 2):
+        cases += [(f"single-{spec}-{zeta:.2f}", single_mode_circuit(spec, zeta))
+                  for spec in ("0", "1", (0.6, 0.8j))]
+        cases += [(f"multi-{bits}-{zeta:.2f}", multi_mode_circuit(bits, zeta))
+                  for bits in ("0000", "1100", "1111")]
+        cases.append((f"multi-pairs-{zeta:.2f}", multi_mode_circuit(
+            [(0.6, 0.8), "1", (1, 1j), (0, 1)], zeta)))
+        cases.append((f"boson-{zeta:.2f}", boson_sampling_circuit(
+            2, 4, [(0.3, 0.1, 0.2), (PI, 0, PI), (0, 0, 0), (1.1, -0.4, 0.9)], zeta)))
+    for mode in ("simple", PI / 2):
+        cases += [(f"qkd-single-{a}{b}-{mode}", single_qkd_circuit("1", a, b, mode))
+                  for a in SINGLE_BASES for b in SINGLE_BASES[:2]]
+        cases += [(f"qkd-bell-{a}{b}-{mode}", bell_qkd_circuit(a, b, mode))
+                  for a in BELL_LABELS for b in BELL_LABELS[:2]]
+    return cases
+
+
+class TestPackageCircuitsBytewise:
+    @pytest.mark.parametrize("rates", CENSUS_NOISE, ids=str)
+    def test_density_matches_dense_oracle(self, rates):
+        """Gathers for 0/1-permutation gates and depolarizing on the
+        diagonal entries give the bytes of dense products and outer
+        products, on every circuit the package builds."""
+        noise = NoiseModel(*rates)
+        for label, circuit in package_circuits():
+            assert (run_density_matrix(circuit, noise).matrix.tobytes()
+                    == oracle_density(circuit, noise).tobytes()), label
+
+
+class TestDepolarizeLayouts:
+    QUBIT_SETS = [[0], [2], [1, 2], [2, 0]]
+
+    @pytest.mark.parametrize("qubits", QUBIT_SETS)
+    def test_input_that_is_not_c_ordered(self, rng, qubits):
+        rho = random_density(rng, 3).matrix
+        for matrix in (rho.T.copy().T, rho[::-1, ::-1].copy()[::-1, ::-1]):
+            assert not matrix.flags.c_contiguous
+            assert (depolarize(matrix, qubits, 0.3, 3).tobytes()
+                    == outer_product_depolarize(rho, qubits, 0.3, 3).tobytes())
+
+    @pytest.mark.parametrize("qubits", QUBIT_SETS)
+    @pytest.mark.parametrize("prob", [0.3, 1.0])
+    def test_negative_zeros_and_full_depolarizing(self, rng, qubits, prob):
+        """A -0.0 that the sum with a zero matrix turns into 0.0 keeps
+        doing so, as does each (1 - p) * rho entry at p = 1."""
+        rho = random_density(rng, 3).matrix
+        signed = np.where(abs(rho.real) < 0.05, -0.0, rho.real) + 1j * np.where(
+            abs(rho.imag) < 0.05, -0.0, rho.imag)
+        for matrix in (rho, signed, signed.T):
+            assert (depolarize(matrix, qubits, prob, 3).tobytes()
+                    == zero_tensor_depolarize(matrix, qubits, prob, 3).tobytes())
+
+
+class TestPermutationGates:
+    @pytest.mark.parametrize("gate", [x(1), u3(1, 0, 0, 0), u3(1, -0.0, 0, 0),
+                                      cu3(0, 1, 0, 0, 0), cu3(2, 0, 0, 0, 0)], ids=str)
+    def test_gathered(self, rng, gate):
+        unitary, perm = _gate_entry(gate, 3)
+        assert perm is not None and not perm.flags.writeable
+        rho = random_density(rng, 3).matrix
+        assert (rho.take(perm, axis=0).take(perm, axis=1).tobytes()
+                == (unitary @ rho @ unitary.conj().T).tobytes())
+
+    @pytest.mark.parametrize("gate", [u3(1, PI, 0, PI), cu3(0, 1, PI / 2, 0, 0)], ids=str)
+    def test_dense(self, gate):
+        """U3(pi, 0, pi) is X up to entries of about 6e-17, not exact 0s."""
+        assert _gate_entry(gate, 3)[1] is None
+
+    @pytest.mark.parametrize("zeta, dense", [(0.0, 0), (PI / 2, 4)])
+    def test_noisy_multi_mode_run(self, monkeypatch, zeta, dense):
+        """At zeta = 0 every gate is a permutation: the run gives the same
+        bytes with no unitary to multiply by.  At pi/2 the four CU3s are not."""
+        circuit = multi_mode_circuit("1100", zeta)
+        noise = NoiseModel(0.01, 0.02, 0.02)
+        expected = run_density_matrix(circuit, noise).matrix.tobytes()
+        unitaries = []
+
+        def unitary_only_if_dense(gate, num_qubits):
+            unitary, perm = _gate_entry(gate, num_qubits)
+            if perm is None:
+                unitaries.append(unitary)
+                return unitary, perm
+            return None, perm
+
+        monkeypatch.setattr("hetverify.circuits._gate_entry", unitary_only_if_dense)
+        assert run_density_matrix(circuit, noise).matrix.tobytes() == expected
+        assert len(unitaries) == dense
 
 
 class TestMeasureInBasis:
