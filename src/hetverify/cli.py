@@ -158,6 +158,12 @@ def _build_parser() -> _Parser:
 
 
 def parse_config(argv) -> ExperimentConfig:
+    # argparse reads a value after --zeta that starts with one '-' and is
+    # not a plain number, such as '-pi/2', as an option; attach it instead.
+    argv = list(argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--zeta" and re.match("-[^-]", argv[i]):
+            argv[i - 1:i + 1] = [f"--zeta={argv[i]}"]
     args = _build_parser().parse_args(argv)
     params = vars(args)
     command = params.pop("command")

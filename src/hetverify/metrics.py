@@ -24,20 +24,12 @@ def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
-def _pure_vectors(matrices: np.ndarray) -> tuple:
-    """The dominant eigenvector of each matrix of a (..., d, d) Hermitian
-    stack, from one batched eigh, and whether that matrix is numerically
-    rank one with eigenvalue one."""
-    eigvals, eigvecs = np.linalg.eigh(matrices)
-    pure = (np.abs(eigvals[..., -1] - 1.0) < 1e-9) \
-        & (np.abs(eigvals[..., :-1]).max(axis=-1) < 1e-9)
-    return eigvecs[..., -1], pure
-
-
 def _pure_component(rho: DensityMatrix):
-    """Dominant eigenvector if the state is numerically rank one, else None."""
-    vec, pure = _pure_vectors(rho.matrix)
-    return vec if pure else None
+    """Dominant eigenvector if rho is numerically rank one with eigenvalue one, else None."""
+    eigvals, eigvecs = np.linalg.eigh(rho.matrix)
+    if abs(eigvals[-1] - 1.0) < 1e-9 and np.abs(eigvals[:-1]).max() < 1e-9:
+        return eigvecs[:, -1]
+    return None
 
 
 def _pure_fidelities(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -48,14 +40,13 @@ def _pure_fidelities(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(overlap[..., 0, 0], 0.0))
 
 
-def fidelity(a: DensityMatrix, b) -> float:
+def fidelity(a, b) -> float:
     """Square-root (Uhlmann) fidelity Tr sqrt(sqrt(a) b sqrt(a)).
 
     This is the non-squared convention: for a pure target b = |s><s| it
     equals sqrt(<s|a|s>), and a StateVector b gives |s> with no eigh.
-    `_pure_fidelities` applies the same formula to a stack of states at
-    once; the protocols score their single-qubit marginals with it
-    against pure target vectors, as the witness has product targets.
+    Either side may be a StateVector; two of them give |<a|b>|.
+    `_pure_fidelities` applies the same formula to a stack of states.
     The value is NOT clamped to [0, 1]; a raw, unphysical tomographic
     reconstruction can legitimately score above one, and callers who
     want a proper state should project first.
@@ -71,6 +62,8 @@ def fidelity(a: DensityMatrix, b) -> float:
         vec = (target.amplitudes if isinstance(target, StateVector)
                else _pure_component(target))
         if vec is not None:
+            if isinstance(other, StateVector):
+                return float(abs(np.vdot(vec, other.amplitudes)))
             overlap = float(np.real(vec.conj() @ other.matrix @ vec))
             return float(np.sqrt(max(overlap, 0.0)))
     sqrt_a = matrix_sqrt_psd(a.matrix)
@@ -78,12 +71,13 @@ def fidelity(a: DensityMatrix, b) -> float:
     return float(np.trace(matrix_sqrt_psd(inner)).real)
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the trace norm of rho - sigma."""
+def trace_distance(rho, sigma) -> float:
+    """Half the trace norm of rho - sigma; either may be a StateVector."""
     if rho.num_qubits != sigma.num_qubits:
         raise ValueError(
             f"dimension mismatch: {rho.num_qubits} vs {sigma.num_qubits} qubits"
         )
+    rho, sigma = (s.density() if isinstance(s, StateVector) else s for s in (rho, sigma))
     eigvals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(np.sum(np.abs(eigvals)) / 2)
 

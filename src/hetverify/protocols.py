@@ -27,9 +27,7 @@ from .circuits import (
     x,
 )
 from .metrics import (
-    _pure_component,
     _pure_fidelities,
-    _pure_vectors,
     fidelity,
     total_variation_distance,
     trace_distance,
@@ -186,12 +184,15 @@ def boson_sampling_circuit(n_photons: int, m_modes: int,
     return heterodyne_stage(Circuit(m_modes + 1, gates, ancilla=m_modes), zeta)
 
 
+def _ideal_vector(circuit: Circuit) -> StateVector:
+    """Noiseless circuit output as a StateVector, conditioned on the ancilla reading 1."""
+    state = run_statevector(circuit)
+    return state if circuit.ancilla is None else condition_on_ancilla(state, circuit.ancilla)
+
+
 def ideal_output(circuit: Circuit) -> DensityMatrix:
-    """Noiseless circuit output, conditioned on the ancilla reading 1."""
-    state = run_statevector(circuit).density()
-    if circuit.ancilla is not None:
-        state = condition_on_ancilla(state, circuit.ancilla)
-    return state
+    """Noiseless circuit output, conditioned on the ancilla reading 1, as a density."""
+    return _ideal_vector(circuit).density()
 
 
 def _copy_counts(copies) -> tuple:
@@ -220,7 +221,7 @@ def protocol1_run(initial, zeta: float, copies=(5, 5), shots: int = None,
     the ideal post-detection state."""
     n, m = _copy_counts(copies)
     circuit = single_mode_circuit(initial, zeta)
-    target_vec = StateVector(1, _pure_component(ideal_output(circuit)))
+    target_vec = _ideal_vector(circuit)
     sweeps = tomography_sweep([circuit] * (n + m), shots=shots,
                               seeds=seed_sequence(seed).spawn(n + m), noise=noise)
     fidelities = [fidelity(rho, target_vec) for rho in reconstruct_multi_qubit(sweeps, 1)]
@@ -238,21 +239,30 @@ def _input_targets(initial) -> np.ndarray:
                      for spec in initial])
 
 
+def _pure_factors(marginals: np.ndarray) -> np.ndarray:
+    """Each trace-one matrix m of a (..., d, d) stack as a vector, its column at its
+    largest diagonal entry over that entry's root; ValueError unless Tr m^2 = 1 to 1e-9."""
+    if not (np.abs((np.abs(marginals) ** 2).sum(axis=(-2, -1)) - 1.0) < 1e-9).all():
+        raise ValueError("the ideal output is not a product of pure qubit states")
+    top = marginals.diagonal(axis1=-2, axis2=-1).real.argmax(axis=-1)[..., None, None]
+    column = np.take_along_axis(marginals, top, axis=-1)[..., 0]
+    return column / np.sqrt(np.take_along_axis(column, top[..., 0], axis=-1).real)
+
+
 def _multi_mode_groups(groups, input_targets, shots, noise) -> tuple:
     """Tomograph and score protocol groups, each a (circuit, label, zeta,
     copies, seed) tuple; returns the group reports, the raw reconstruction
-    of every copy, group by group, and each group's ideal output.
+    of every copy, group by group, and each group's `_ideal_vector`.
 
     One sweep and one reconstruction take every copy, group by group, copy
     i of a group with child seed i of its seed.  The witness is stated for
-    product targets: each ideal output must be a product of pure qubit
-    states, else ValueError, and `input_targets` is the (n, 2) array of the
-    input's qubit vectors.  One gather gives the one-qubit marginals of
-    every target and copy, and one batched product per group scores its
-    copies' against each list.  The global fidelity is `fidelity` per copy
-    against its group's target's pure component.
+    product targets, so `input_targets` is the (n, 2) array of the input's
+    qubit vectors and `_pure_factors` reads each target's off its one-qubit
+    marginals.  One gather gives those of every target and copy, and one
+    batched product per group scores its copies' against each list.  The
+    global fidelity is `fidelity` per copy against the target vector.
     """
-    targets = [ideal_output(circuit) for circuit, *_ in groups]
+    targets = [_ideal_vector(circuit) for circuit, *_ in groups]
     n = targets[0].num_qubits
     if np.shape(input_targets) != (n, 2):
         raise ValueError(f"need ({n}, 2) input target amplitudes, "
@@ -263,16 +273,14 @@ def _multi_mode_groups(groups, input_targets, shots, noise) -> tuple:
         seeds += seed_sequence(seed).spawn(copies)
     recons = reconstruct_multi_qubit(
         tomography_sweep(circuits, shots=shots, seeds=seeds, noise=noise), n)
-    marginals = _reduce(np.stack([*(t.matrix for t in targets), *(r.matrix for r in recons)]),
+    marginals = _reduce(np.stack([*(np.outer(t.amplitudes, t.amplitudes.conj()) for t in targets),
+                                  *(r.matrix for r in recons)]),
                         tuple((q,) for q in range(n)))
-    ideals, pure = _pure_vectors(marginals[:len(groups)])
-    if not pure.all():
-        raise ValueError("the ideal output is not a product of pure qubit states")
+    ideals = _pure_factors(marginals[:len(groups)])
     reports, start = [], 0
     for (_, label, zeta, copies, _), target, ideal in zip(groups, targets, ideals):
         rows, start = slice(start, start + copies), start + copies
-        target_vec = StateVector(n, _pure_component(target))
-        report = _group(label, zeta, [fidelity(rho, target_vec) for rho in recons[rows]])
+        report = _group(label, zeta, [fidelity(rho, target) for rho in recons[rows]])
         report["global_fidelity"] = report["mean"]
         for key, vectors in (("ideal", ideal), ("input", input_targets)):
             red = _pure_fidelities(marginals[len(groups):][rows], vectors).mean(axis=0)
@@ -325,9 +333,9 @@ def protocol3_verify(n_photons: int = 2, m_modes: int = 4,
     (group,), (raw,), (target,) = _multi_mode_groups(
         [(circuit, "N", zeta, 1, seed)], input_targets, shots, noise)
     f_global = group["copy_fidelities"][0]
-    rho = project_to_physical(raw)
-    dist = trace_distance(rho, target)
-    tvd = total_variation_distance(*measure_in_basis([rho, target], ["Z" * m_modes])[:, 0])
+    rho, ideal = project_to_physical(raw), target.density()
+    dist = trace_distance(rho, ideal)
+    tvd = total_variation_distance(*measure_in_basis([rho, ideal], ["Z" * m_modes])[:, 0])
     return {"protocol": "protocol3", "groups": [group],
             "global_fidelity": f_global,
             "witness": group["witness_input"],

@@ -140,23 +140,25 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(keep), _reduce(rho.matrix, (kept,))[0])
 
 
-def condition_on_ancilla(rho: DensityMatrix, qubit: int) -> DensityMatrix:
+def condition_on_ancilla(state, qubit: int):
     """Project one qubit onto |1>, drop it, and renormalize the rest to a
-    proper state."""
-    n = rho.num_qubits
+    proper state of the same kind: a StateVector's amplitudes where the
+    qubit reads 1 over sqrt(prob), or a DensityMatrix's block over prob."""
+    n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    tensor = rho.matrix.reshape([2] * (2 * n))
-    block = np.take(np.take(tensor, 1, axis=qubit), 1, axis=qubit + n - 1)
-    dim = 2 ** (n - 1)
-    block = block.reshape(dim, dim)
-    prob = np.trace(block).real
+    split = (2**qubit, 2, 2 ** (n - 1 - qubit))
+    if isinstance(state, StateVector):
+        kept = state.amplitudes.reshape(split)[:, 1].reshape(-1)
+        prob = np.vdot(kept, kept).real
+        norm = np.sqrt(prob)
+    else:
+        kept = state.matrix.reshape(split + split)[:, 1, :, :, 1].reshape(2 ** (n - 1), -1)
+        prob = norm = np.trace(kept).real
     if prob < 1e-12:
-        raise ValueError(
-            f"conditioning on outcome 1 of qubit {qubit} has "
-            f"probability {prob:.3e}; renormalization undefined"
-        )
-    return DensityMatrix(n - 1, block / prob)
+        raise ValueError(f"conditioning on outcome 1 of qubit {qubit} has "
+                         f"probability {prob:.3e}; renormalization undefined")
+    return type(state)(n - 1, kept / norm)
 
 
 def project_to_physical(rho: DensityMatrix) -> DensityMatrix:

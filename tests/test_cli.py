@@ -90,6 +90,29 @@ class TestParseConfig:
             parse_config([*argv, "--zeta", "pi/3"])
         assert main([*argv, "--zeta", "pi/3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["protocol1", "protocol2", "protocol3"])
+    @pytest.mark.parametrize("text,angle", [("-pi/2", -math.pi / 2),
+                                            ("-2pi/3", -2 * math.pi / 3), ("-0.5", -0.5)])
+    def test_negative_angle_after_zeta(self, command, text, angle):
+        # argparse takes '-pi/2' for an option unless it is attached.
+        for argv in ([command, "--zeta", text], [command, f"--zeta={text}"]):
+            assert parse_config(argv).parameters["zeta"] == pytest.approx(angle, abs=1e-15)
+
+    @pytest.mark.parametrize("command", ["protocol1", "protocol2", "protocol3"])
+    def test_unparsable_negative_angle_is_usage_error(self, command, capsys):
+        assert main([command, "--zeta", "-foo"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot parse angle '-foo'\n"
+        # An option after --zeta is still a missing value, not an angle.
+        assert main([command, "--zeta", "--exact"]) == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_negative_symbolic_angle_runs(self, tmp_path):
+        argv = ["protocol2", "--exact", "--zeta", "-pi/2", "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "protocol2_report.json").read_text())
+        assert report["config"]["parameters"]["zeta"] == "-pi/2"
+        assert report["result"]["groups"][0]["zeta"] == -math.pi / 2
+
     def test_defaults_come_from_the_library(self):
         # The parser reads each default and limit from the module that uses it.
         defaults = {cmd: parse_config([cmd]).parameters["threshold"]

@@ -224,6 +224,45 @@ def test_computational_vector_target_scores_as_its_density(rng, num_qubits):
             assert fidelity(a, target).hex() == fidelity(a, target.density()).hex()
 
 
+FORMS = {
+    "vector": random_pure,
+    "pure": lambda rng, n: random_pure(rng, n).density(),
+    "mixed": random_density,
+}
+
+
+def as_density(state):
+    return state.density() if isinstance(state, StateVector) else state
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("form_a,form_b", itertools.product(FORMS, repeat=2))
+def test_state_vector_on_either_side(rng, num_qubits, form_a, form_b):
+    for _ in range(5):
+        a, b = FORMS[form_a](rng, num_qubits), FORMS[form_b](rng, num_qubits)
+        for x, y in ((a, b), (b, a)):
+            assert fidelity(x, y) == pytest.approx(
+                fidelity(as_density(x), as_density(y)), abs=1e-12)
+            assert trace_distance(x, y) == pytest.approx(
+                trace_distance(as_density(x), as_density(y)), abs=1e-12)
+        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
+        if form_a == form_b == "vector":
+            assert fidelity(a, b) == abs(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def test_density_against_vector_keeps_its_formula(rng, monkeypatch):
+    # The path that scores QKD cells: no eigendecomposition, and the bytes
+    # of sqrt(max(Re <s|a|s>, 0)).
+    pairs = [(KINDS[kind](rng, n), random_pure(rng, n))
+             for kind, n in itertools.product(KINDS, [1, 2, 3]) for _ in range(5)]
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, None)
+    for a, target in pairs:
+        vec = target.amplitudes
+        expected = float(np.sqrt(max(float(np.real(vec.conj() @ a.matrix @ vec)), 0.0)))
+        assert fidelity(a, target).hex() == expected.hex()
+
+
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 def test_vector_target_scores_as_its_density(rng, num_qubits):
     for kind in KINDS:

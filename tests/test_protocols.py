@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 import hetverify.protocols
 import hetverify.tomography
 from hetverify.circuits import Circuit, NoiseModel, run_statevector, sample_shots, seed_sequence
-from hetverify.metrics import _pure_fidelities, _pure_vectors, fidelity
+from hetverify.metrics import _pure_component, _pure_fidelities, fidelity
 from hetverify.protocols import (
     BALANCED_ZETA,
     UNBALANCED_ZETA,
     _input_targets,
     _multi_mode_groups,
     _prep_gates,
+    _pure_factors,
     bound_check,
     boson_sampling_circuit,
     complementary,
@@ -208,10 +209,10 @@ ANGLES = st.floats(-1e6, 1e6)
 
 
 def assert_product_target(circuit):
-    """Every one-qubit marginal of the circuit's ideal output is pure."""
+    """Every one-qubit marginal of the circuit's ideal output is pure:
+    `_pure_factors` returns its vectors, not ValueError."""
     target = ideal_output(circuit)
-    marginals = _reduce(target.matrix, single_qubits(target.num_qubits))
-    assert _pure_vectors(marginals)[1].all()
+    _pure_factors(_reduce(target.matrix, single_qubits(target.num_qubits)))
 
 
 class TestStackedScoring:
@@ -235,8 +236,7 @@ class TestStackedScoring:
         rho = DensityMatrix(3, -StateVector.computational("000").density().matrix)
         target = StateVector.computational("0")
         target = target if kind == "vector" else target.density()
-        vector = (target.amplitudes if kind == "vector"
-                  else _pure_vectors(target.matrix)[0])
+        vector = target.amplitudes if kind == "vector" else _pure_component(target)
         stack = _reduce(rho.matrix[None], single_qubits(3))
         scores = _pure_fidelities(stack, np.stack([vector] * 3))
         assert scores.tolist() == [[0.0] * 3] == per_pair([rho], [target] * 3)
@@ -260,6 +260,37 @@ class TestStackedScoring:
         assert_product_target(boson_sampling_circuit(n_photons, m_modes, angles, zeta))
         report = protocol3_verify(n_photons, m_modes, angles, zeta, shots=None)
         assert len(report["groups"][0]["reduced_fidelities_ideal"]) == m_modes
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["random", "0", "1"]), min_size=5, max_size=5))
+    def test_pure_factors_recover_product_factors(self, n, seed, kinds):
+        rng = np.random.default_rng(seed)
+        factors = [random_pure(rng) if kind == "random" else StateVector.computational(kind)
+                   for kind in kinds[:n]]
+        product = functools.reduce(np.kron, [f.amplitudes for f in factors])
+        got = _pure_factors(_reduce(np.outer(product, product.conj()), single_qubits(n)))
+        overlaps = [abs(np.vdot(g, f.amplitudes)) for g, f in zip(got, factors, strict=True)]
+        np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-12)
+
+    def test_mixed_marginal_has_no_factor(self):
+        stack = np.stack([StateVector.computational("0").density().matrix, np.eye(2) / 2])
+        with pytest.raises(ValueError, match="not a product of pure qubit states"):
+            _pure_factors(stack)
+
+    @pytest.mark.parametrize("shots", [64, None], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("run,initial", [(protocol1_run, (0.6, 0.8j)),
+                                             (protocol2_run, ["1", (0.6, 0.8j), "0", "1"])],
+                             ids=["protocol1", "protocol2"])
+    def test_runs_make_no_eigendecomposition(self, monkeypatch, run, initial, shots):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _f=original:
+                                calls.append(_name) or _f(*args))
+        run(initial, UNBALANCED_ZETA, (2, 1), shots=shots, seed=3,
+            noise=NoiseModel(0.01, 0.02, 0.02))
+        assert calls == []
 
     @pytest.mark.parametrize("shape", [(3, 2), (5, 2), (4,), (4, 2, 1)],
                              ids=["shorter", "longer", "flat", "extra-axis"])
@@ -318,8 +349,8 @@ class TestStackedScoring:
         (group,), recons, (target,) = _multi_mode_groups(
             [(circuit, "N", UNBALANCED_ZETA, copies, 5)], inputs, shots, noise)
         assert group["copy_fidelities"] == pytest.approx(
-            [fidelity(rho, target) for rho in recons], abs=1e-12, rel=0)
-        ideal = [partial_trace(target, [q]) for q in range(4)]
+            [fidelity(rho, target.density()) for rho in recons], abs=1e-12, rel=0)
+        ideal = [partial_trace(target.density(), [q]) for q in range(4)]
         for key, targets in (("reduced_fidelities_ideal", ideal),
                              ("reduced_fidelities_input", [StateVector(1, v) for v in inputs])):
             np.testing.assert_allclose(group[key], np.mean(per_pair(recons, targets), axis=0),

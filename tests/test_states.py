@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetverify.metrics import total_variation_distance
 from hetverify.states import (
@@ -83,6 +84,32 @@ class TestConditionOnAncilla:
         rho = StateVector.computational("00").density()
         with pytest.raises(ValueError, match="probability"):
             condition_on_ancilla(rho, 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_vector_matches_density(self, n, seed):
+        state = random_pure(np.random.default_rng(seed), n)
+        for qubit in range(n):
+            conditioned = condition_on_ancilla(state, qubit)
+            assert isinstance(conditioned, StateVector) and conditioned.num_qubits == n - 1
+            np.testing.assert_allclose(conditioned.density().matrix,
+                                       condition_on_ancilla(state.density(), qubit).matrix,
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_probability_message_is_the_same_for_both_kinds(self, rng, n):
+        for qubit in range(n):
+            # A random vector whose qubit never reads 1.
+            amps = random_pure(rng, n).amplitudes.reshape(2**qubit, 2, -1).copy()
+            amps[:, 1] = 0
+            state = StateVector(n, amps.reshape(-1) / np.linalg.norm(amps))
+            messages = []
+            for form in (state, state.density()):
+                with pytest.raises(ValueError) as err:
+                    condition_on_ancilla(form, qubit)
+                messages.append(str(err.value))
+            assert messages == [f"conditioning on outcome 1 of qubit {qubit} has probability "
+                                "0.000e+00; renormalization undefined"] * 2
 
 
 class TestProjectToPhysical:
