@@ -13,7 +13,6 @@ from .states import (
 )
 from .metrics import (
     fidelity,
-    matrix_sqrt_psd,
     total_variation_distance,
     trace_distance,
 )

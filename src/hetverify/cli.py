@@ -29,6 +29,7 @@ from .protocols import (
 from .qkd import (BALANCED_QKD_ZETA, DEFAULT_THRESHOLDS, mode_label, qkd_table,
                   threshold_verdict)
 from .reference_data import hardware_reference
+from .states import complex_to_json
 from .tomography import MAX_MEASURED_QUBITS, reconstruct_multi_qubit, tomography_sweep
 
 EXIT_OK = 0
@@ -79,7 +80,7 @@ class ExperimentConfig:
             params["zeta"] = format_angle(params["zeta"])
         if isinstance(params.get("initial"), tuple):
             # An (alpha, beta) amplitude pair, as [re, im] pairs.
-            params["initial"] = [[z.real, z.imag] for z in params["initial"]]
+            params["initial"] = complex_to_json(params["initial"])
         return {"command": self.command, "parameters": params}
 
 
@@ -158,12 +159,15 @@ def _build_parser() -> _Parser:
 
 
 def parse_config(argv) -> ExperimentConfig:
-    # argparse reads a value after --zeta that starts with one '-' and is
-    # not a plain number, such as '-pi/2', as an option; attach it instead.
+    # argparse reads a token that starts with one '-' and is not a plain
+    # number such as '-1' or '-.5' as an option, so a value such as '-pi/2'
+    # or '-0.6,0.8' would leave its option without one.  Attach each such
+    # token but '-h' to the long option, which may be abbreviated, before it.
     argv = list(argv)
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] == "--zeta" and re.match("-[^-]", argv[i]):
-            argv[i - 1:i + 1] = [f"--zeta={argv[i]}"]
+        if (re.match("-[^-]", argv[i]) and re.fullmatch("--[^=]+", argv[i - 1])
+                and not re.fullmatch(r"-h|-\d+|-\d*\.\d+", argv[i])):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     params = vars(args)
     command = params.pop("command")

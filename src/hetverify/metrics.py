@@ -3,33 +3,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, StateVector, EIGVAL_ATOL, PROB_ATOL
+from .states import StateVector, PROB_ATOL
 
 
-def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semi-definite matrix.
-
-    Eigenvalues in [-1e-8, 0) are treated as numerical zeros; anything
-    more negative is rejected rather than silently clipped.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise ValueError("matrix square root requires a Hermitian input")
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    if eigvals.min() < -EIGVAL_ATOL:
-        raise ValueError(
-            f"matrix is not PSD (min eigenvalue {eigvals.min():.3e})"
-        )
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
-    return (root + root.conj().T) / 2
-
-
-def _pure_component(rho: DensityMatrix):
-    """Dominant eigenvector if rho is numerically rank one with eigenvalue one, else None."""
-    eigvals, eigvecs = np.linalg.eigh(rho.matrix)
-    if abs(eigvals[-1] - 1.0) < 1e-9 and np.abs(eigvals[:-1]).max() < 1e-9:
-        return eigvecs[:, -1]
-    return None
+def _pure_vectors(matrices: np.ndarray):
+    """Each matrix m of a (..., d, d) stack read as a vector v, its column at
+    its largest diagonal entry over that entry's root, if every m is a pure
+    state, else None.  Pure means a trace within 1e-9 of one, which keeps
+    that entry positive, and every entry within 1e-9 of |v><v|'s.  A unit
+    trace and Tr m^2 = 1 alone would pass diag(2/3, 2/3, -1/3, 0), which is
+    not rank one."""
+    diagonal = matrices.diagonal(axis1=-2, axis2=-1).real
+    if not (abs(diagonal.sum(axis=-1) - 1.0) <= 1e-9).all():
+        return None
+    top = diagonal.argmax(axis=-1)[..., None, None]
+    column = np.take_along_axis(matrices, top, axis=-1)[..., 0]
+    vectors = column / np.sqrt(np.take_along_axis(column, top[..., 0], axis=-1).real)
+    outer = vectors[..., :, None] * vectors.conj()[..., None, :]
+    return vectors if (abs(matrices - outer) <= 1e-9).all() else None
 
 
 def _pure_fidelities(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -41,11 +32,13 @@ def _pure_fidelities(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def fidelity(a, b) -> float:
-    """Square-root (Uhlmann) fidelity Tr sqrt(sqrt(a) b sqrt(a)).
+    """Square-root fidelity against whichever side is pure, b first.
 
-    This is the non-squared convention: for a pure target b = |s><s| it
-    equals sqrt(<s|a|s>), and a StateVector b gives |s> with no eigh.
-    Either side may be a StateVector; two of them give |<a|b>|.
+    For a pure b = |s><s| it is sqrt(max(Re <s|a|s>, 0)), the Uhlmann
+    fidelity Tr sqrt(sqrt(a) b sqrt(a)) in its non-squared convention, and
+    two StateVectors give |<a|b>|.  A StateVector is pure, and a
+    DensityMatrix is pure if `_pure_vectors` reads its vector, with no
+    eigendecomposition; if neither side is pure, ValueError.
     `_pure_fidelities` applies the same formula to a stack of states.
     The value is NOT clamped to [0, 1]; a raw, unphysical tomographic
     reconstruction can legitimately score above one, and callers who
@@ -55,20 +48,15 @@ def fidelity(a, b) -> float:
         raise ValueError(
             f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
-    # A rank-one spectrum with eigenvalue one is a pure state, so the
-    # shortcut needs no other physicality check.  It also covers
-    # unphysical partners, for which the full Uhlmann formula is undefined.
     for target, other in ((b, a), (a, b)):
         vec = (target.amplitudes if isinstance(target, StateVector)
-               else _pure_component(target))
+               else _pure_vectors(target.matrix))
         if vec is not None:
             if isinstance(other, StateVector):
                 return float(abs(np.vdot(vec, other.amplitudes)))
             overlap = float(np.real(vec.conj() @ other.matrix @ vec))
             return float(np.sqrt(max(overlap, 0.0)))
-    sqrt_a = matrix_sqrt_psd(a.matrix)
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    return float(np.trace(matrix_sqrt_psd(inner)).real)
+    raise ValueError("fidelity needs a pure state on one side")
 
 
 def trace_distance(rho, sigma) -> float:

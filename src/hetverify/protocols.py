@@ -28,6 +28,7 @@ from .circuits import (
 )
 from .metrics import (
     _pure_fidelities,
+    _pure_vectors,
     fidelity,
     total_variation_distance,
     trace_distance,
@@ -240,13 +241,12 @@ def _input_targets(initial) -> np.ndarray:
 
 
 def _pure_factors(marginals: np.ndarray) -> np.ndarray:
-    """Each trace-one matrix m of a (..., d, d) stack as a vector, its column at its
-    largest diagonal entry over that entry's root; ValueError unless Tr m^2 = 1 to 1e-9."""
-    if not (np.abs((np.abs(marginals) ** 2).sum(axis=(-2, -1)) - 1.0) < 1e-9).all():
+    """The vector of each matrix of a (..., d, d) stack of target marginals,
+    as `_pure_vectors` reads it; ValueError unless every one is pure."""
+    vectors = _pure_vectors(marginals)
+    if vectors is None:
         raise ValueError("the ideal output is not a product of pure qubit states")
-    top = marginals.diagonal(axis1=-2, axis2=-1).real.argmax(axis=-1)[..., None, None]
-    column = np.take_along_axis(marginals, top, axis=-1)[..., 0]
-    return column / np.sqrt(np.take_along_axis(column, top[..., 0], axis=-1).real)
+    return vectors
 
 
 def _multi_mode_groups(groups, input_targets, shots, noise) -> tuple:

@@ -16,9 +16,11 @@ EIGVAL_ATOL = 1e-8
 PROB_ATOL = 1e-9
 
 
-def matrix_to_json(matrix: np.ndarray) -> list:
-    """Nested [re, im] pairs, row-major; complex JSON encoding."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(matrix)]
+def complex_to_json(values) -> list:
+    """A complex array of any shape as nested lists of [re, im] pairs, its
+    JSON encoding."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class StateVector:
     def to_json(self) -> dict:
         return {
             "num_qubits": self.num_qubits,
-            "amplitudes": [[float(z.real), float(z.imag)] for z in self.amplitudes],
+            "amplitudes": complex_to_json(self.amplitudes),
         }
 
 
@@ -91,7 +93,7 @@ class DensityMatrix:
     def to_json(self) -> dict:
         return {
             "num_qubits": self.num_qubits,
-            "matrix": matrix_to_json(self.matrix),
+            "matrix": complex_to_json(self.matrix),
             "physical": bool(self.physical),
         }
 

@@ -94,14 +94,17 @@ class TestParseConfig:
     @pytest.mark.parametrize("text,angle", [("-pi/2", -math.pi / 2),
                                             ("-2pi/3", -2 * math.pi / 3), ("-0.5", -0.5)])
     def test_negative_angle_after_zeta(self, command, text, angle):
-        # argparse takes '-pi/2' for an option unless it is attached.
-        for argv in ([command, "--zeta", text], [command, f"--zeta={text}"]):
-            assert parse_config(argv).parameters["zeta"] == pytest.approx(angle, abs=1e-15)
+        # argparse takes '-pi/2' for an option unless it is attached, also
+        # after the abbreviation it accepts.
+        for option in ("--zeta", "--zet"):
+            for argv in ([command, option, text], [command, f"{option}={text}"]):
+                assert parse_config(argv).parameters["zeta"] == pytest.approx(angle, abs=1e-15)
 
     @pytest.mark.parametrize("command", ["protocol1", "protocol2", "protocol3"])
     def test_unparsable_negative_angle_is_usage_error(self, command, capsys):
-        assert main([command, "--zeta", "-foo"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: cannot parse angle '-foo'\n"
+        for option in ("--zeta", "--zet"):
+            assert main([command, option, "-foo"]) == EXIT_USAGE
+            assert capsys.readouterr().err == "error: cannot parse angle '-foo'\n"
         # An option after --zeta is still a missing value, not an angle.
         assert main([command, "--zeta", "--exact"]) == EXIT_USAGE
         assert "expected one argument" in capsys.readouterr().err
@@ -112,6 +115,13 @@ class TestParseConfig:
         report = json.loads((tmp_path / "protocol2_report.json").read_text())
         assert report["config"]["parameters"]["zeta"] == "-pi/2"
         assert report["result"]["groups"][0]["zeta"] == -math.pi / 2
+        # Every option reads a value that starts with '-' the same way.
+        argv = ["protocol1", "--exact", "--initial", "-0.6,0.8", "--zet", "-pi/2",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "protocol1_report.json").read_text())
+        assert report["config"]["parameters"]["initial"] == [[-0.6, 0.0], [0.8, 0.0]]
+        assert report["config"]["parameters"]["zeta"] == "-pi/2"
 
     def test_defaults_come_from_the_library(self):
         # The parser reads each default and limit from the module that uses it.

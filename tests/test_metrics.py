@@ -3,15 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from hetverify.circuits import measure_in_basis
-from hetverify.metrics import (
-    _pure_component,
-    fidelity,
-    matrix_sqrt_psd,
-    total_variation_distance,
-    trace_distance,
-)
+from hetverify.metrics import fidelity, total_variation_distance, trace_distance
 from hetverify.states import PROB_ATOL, DensityMatrix, StateVector
 
 from conftest import random_density, random_pure, random_unphysical
@@ -33,36 +28,9 @@ def plus():
     return StateVector(1, np.array([1, 1]) / np.sqrt(2)).density()
 
 
-class TestMatrixSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([4.0, 9.0])),
-                                   np.diag([2.0, 3.0]))
-
-    def test_projector_is_own_root(self):
-        proj = plus().matrix
-        np.testing.assert_allclose(matrix_sqrt_psd(proj), proj, atol=1e-12)
-
-    def test_reconstructs_random_psd(self, rng):
-        for num_qubits in (1, 2, 3, 4, 5):
-            rho = random_density(rng, num_qubits)
-            root = matrix_sqrt_psd(rho.matrix)
-            np.testing.assert_allclose(root @ root, rho.matrix, atol=1e-8)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            matrix_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="PSD"):
-            matrix_sqrt_psd(np.diag([1.0, -0.1]))
-
-
 class TestFidelity:
     def test_self_fidelity_is_one(self, rng):
-        rho = random_density(rng, 2)
+        rho = random_pure(rng, 2).density()
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_states(self):
@@ -76,7 +44,7 @@ class TestFidelity:
             pytest.approx(SQRT_HALF, abs=1e-10)
 
     def test_symmetric_for_physical_states(self, rng):
-        a, b = random_density(rng, 2), random_density(rng, 2)
+        a, b = random_density(rng, 2), random_pure(rng, 2).density()
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
 
     def test_unphysical_input_can_exceed_one(self):
@@ -158,7 +126,7 @@ class TestMetricAxiomsFuzz:
     def test_axioms_and_inequalities(self, rng):
         for i in range(self.CASES):
             n = 1 + i % 3
-            a, b = random_density(rng, n), random_density(rng, n)
+            a, b = random_density(rng, n), random_pure(rng, n).density()
             f = fidelity(a, b)
             d = trace_distance(a, b)
             assert -1e-10 <= f <= 1 + 1e-10
@@ -177,36 +145,51 @@ class TestMetricAxiomsFuzz:
                 trace_distance(a, b) + trace_distance(b, c) + 1e-10
 
 
-def fidelity_oracle(a, b):
-    """fidelity as it was while its pure shortcut also asked whether the
-    target was physical."""
-    for target, other in ((b, a), (a, b)):
-        if target.physical:
-            vec = _pure_component(target)
-            if vec is not None:
-                overlap = float(np.real(vec.conj() @ other.matrix @ vec))
-                return float(np.sqrt(max(overlap, 0.0)))
-    sqrt_a = matrix_sqrt_psd(a.matrix)
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    return float(np.trace(matrix_sqrt_psd(inner)).real)
+def trap(rng, num_qubits):
+    """diag(2/3, 2/3, -1/3, 0, ...): trace one and Tr rho^2 = 1, but rank
+    three.  No 2 x 2 matrix is such a trap, so one qubit has none."""
+    diagonal = [2 / 3, 2 / 3, -1 / 3] + [0] * (2**num_qubits - 3)
+    return DensityMatrix(num_qubits, np.diag(diagonal))
 
 
-def outcome(score, a, b):
-    """The score, or the message of the ValueError it raised."""
-    try:
-        return score(a, b)
-    except ValueError as err:
-        return str(err)
+# Each kind of input; a pure one as its StateVector, which the oracle reads.
+STATES = {"pure": random_pure, "mixed": random_density,
+          "unphysical": random_unphysical, "trap": trap}
+
+
+def as_density(state):
+    return state.density() if isinstance(state, StateVector) else state
+
+
+def uhlmann(pure, other):
+    """Oracle: the Uhlmann fidelity Tr sqrt(X^H other X) for X with X X^H
+    the pure state, its real part where `other` is not a state.  X is the
+    StateVector's amplitudes, so the root is of a 1 x 1 matrix.  X =
+    sqrtm(|s><s|) would not do: a float |s><s| is rank one only up to
+    rounding, and sqrtm turns its ~1e-17 eigenvalues into errors of ~3e-9."""
+    x = pure.amplitudes[:, None]
+    return float(np.trace(sqrtm(x.conj().T @ as_density(other).matrix @ x)).real)
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
 def test_fidelity_matches_physical_first_rule(rng, num_qubits):
-    for kind_a, kind_b in itertools.product(KINDS, repeat=2):
+    # With a pure side, the Uhlmann fidelity against it, in both argument
+    # orders; with none, ValueError.
+    kinds = [kind for kind in STATES if num_qubits > 1 or kind != "trap"]
+    for kind_a, kind_b in itertools.product(kinds, repeat=2):
         for _ in range(3):
-            a = KINDS[kind_a](rng, num_qubits)
-            b = KINDS[kind_b](rng, num_qubits)
-            assert outcome(fidelity, a, b) == outcome(fidelity_oracle, a, b), (
-                kind_a, kind_b)
+            a, b = STATES[kind_a](rng, num_qubits), STATES[kind_b](rng, num_qubits)
+            pairs = ((as_density(a), as_density(b)), (as_density(b), as_density(a)))
+            if "pure" in (kind_a, kind_b):
+                expected = uhlmann(a, b) if kind_a == "pure" else uhlmann(b, a)
+                for x, y in pairs:
+                    assert fidelity(x, y) == pytest.approx(expected, abs=1e-12), (
+                        kind_a, kind_b)
+            else:
+                for x, y in pairs:
+                    with pytest.raises(ValueError,
+                                       match="^fidelity needs a pure state on one side$"):
+                        fidelity(x, y)
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2])
@@ -231,36 +214,44 @@ FORMS = {
 }
 
 
-def as_density(state):
-    return state.density() if isinstance(state, StateVector) else state
-
-
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 @pytest.mark.parametrize("form_a,form_b", itertools.product(FORMS, repeat=2))
 def test_state_vector_on_either_side(rng, num_qubits, form_a, form_b):
     for _ in range(5):
         a, b = FORMS[form_a](rng, num_qubits), FORMS[form_b](rng, num_qubits)
         for x, y in ((a, b), (b, a)):
-            assert fidelity(x, y) == pytest.approx(
-                fidelity(as_density(x), as_density(y)), abs=1e-12)
             assert trace_distance(x, y) == pytest.approx(
                 trace_distance(as_density(x), as_density(y)), abs=1e-12)
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
+            if form_a == form_b == "mixed":
+                with pytest.raises(ValueError, match="pure state on one side"):
+                    fidelity(x, y)
+                continue
+            assert fidelity(x, y) == pytest.approx(
+                fidelity(as_density(x), as_density(y)), abs=1e-12)
+            assert fidelity(x, y) == pytest.approx(fidelity(y, x), abs=1e-10)
         if form_a == form_b == "vector":
             assert fidelity(a, b) == abs(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def test_density_against_vector_keeps_its_formula(rng, monkeypatch):
     # The path that scores QKD cells: no eigendecomposition, and the bytes
-    # of sqrt(max(Re <s|a|s>, 0)).
+    # of sqrt(max(Re <s|a|s>, 0)).  No other form of the inputs decomposes
+    # a matrix either: a pure density on either side, or none.
     pairs = [(KINDS[kind](rng, n), random_pure(rng, n))
              for kind, n in itertools.product(KINDS, [1, 2, 3]) for _ in range(5)]
+    mixed = [(random_density(rng, n), random_density(rng, n)) for n in [1, 2, 3]]
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, None)
     for a, target in pairs:
         vec = target.amplitudes
         expected = float(np.sqrt(max(float(np.real(vec.conj() @ a.matrix @ vec)), 0.0)))
         assert fidelity(a, target).hex() == expected.hex()
+        density = target.density()
+        for x, y in ((a, density), (density, a), (target, a)):
+            assert fidelity(x, y) == pytest.approx(expected, abs=1e-12)
+    for a, b in mixed:
+        with pytest.raises(ValueError, match="pure state on one side"):
+            fidelity(a, b)
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import hetverify.protocols
 import hetverify.tomography
 from hetverify.circuits import Circuit, NoiseModel, run_statevector, sample_shots, seed_sequence
-from hetverify.metrics import _pure_component, _pure_fidelities, fidelity
+from hetverify.metrics import _pure_fidelities, _pure_vectors, fidelity
 from hetverify.protocols import (
     BALANCED_ZETA,
     UNBALANCED_ZETA,
@@ -226,7 +226,7 @@ class TestStackedScoring:
         stack = _reduce(np.stack([rho.matrix for rho in rhos]), single_qubits(n))
         scores = _pure_fidelities(stack, np.array([t.amplitudes for t in targets]))
         # Against each target as a vector and as a density, whose vector
-        # `fidelity` finds by eigh.
+        # `fidelity` reads off a column.
         for form in (targets, [t.density() for t in targets]):
             np.testing.assert_allclose(scores, per_pair(rhos, form), rtol=0, atol=1e-12)
 
@@ -236,7 +236,7 @@ class TestStackedScoring:
         rho = DensityMatrix(3, -StateVector.computational("000").density().matrix)
         target = StateVector.computational("0")
         target = target if kind == "vector" else target.density()
-        vector = target.amplitudes if kind == "vector" else _pure_component(target)
+        vector = target.amplitudes if kind == "vector" else _pure_vectors(target.matrix)
         stack = _reduce(rho.matrix[None], single_qubits(3))
         scores = _pure_fidelities(stack, np.stack([vector] * 3))
         assert scores.tolist() == [[0.0] * 3] == per_pair([rho], [target] * 3)
@@ -277,6 +277,9 @@ class TestStackedScoring:
         stack = np.stack([StateVector.computational("0").density().matrix, np.eye(2) / 2])
         with pytest.raises(ValueError, match="not a product of pure qubit states"):
             _pure_factors(stack)
+        # Trace one and Tr m^2 = 1 do not make a matrix rank one.
+        with pytest.raises(ValueError, match="not a product of pure qubit states"):
+            _pure_factors(np.diag([2 / 3, 2 / 3, -1 / 3, 0])[None])
 
     @pytest.mark.parametrize("shots", [64, None], ids=["sampled", "exact"])
     @pytest.mark.parametrize("run,initial", [(protocol1_run, (0.6, 0.8j)),
