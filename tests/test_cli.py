@@ -315,6 +315,59 @@ class TestRunAndReport:
         assert sorted(str(path) for path in tmp_path.iterdir()) == sorted(written)
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("renameat2", ["libc", None, "failing"])
+    def test_rewrite_swaps_in_new_bytes(self, tmp_path, monkeypatch, renameat2):
+        """A rewrite leaves the new bytes and no temporary file, through the
+        exchange when libc has one and through os.replace otherwise.  The
+        report path itself is never unlinked or renamed away, so a reader
+        never finds it missing."""
+        if renameat2 == "libc" and hetverify.cli._renameat2() is None:
+            pytest.skip("libc has no renameat2")
+        if renameat2 != "libc":
+            fake = None if renameat2 is None else (lambda *args: -1)
+            monkeypatch.setattr(hetverify.cli, "_renameat2", lambda: fake)
+        path = str(tmp_path / "report.json")
+        hetverify.cli._atomic_write(path, "old\n")
+        calls = []
+        for name in ("unlink", "remove", "rename", "replace"):
+            def recording(*args, _name=name, _call=getattr(os, name), **kwargs):
+                calls.append((_name, *map(str, args)))
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(os, name, recording)
+        hetverify.cli._atomic_write(path, "new\r\n")
+        with open(path, newline="") as fh:
+            assert fh.read() == "new\r\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+        assert [call for call in calls if call[0] != "replace" and path in call] == []
+        assert any(call[0] == "replace" for call in calls) == (renameat2 != "libc")
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        target = tmp_path / "elsewhere.json"
+        target.write_text("kept\n")
+        link = tmp_path / "report.json"
+        link.symlink_to(target)
+        hetverify.cli._atomic_write(str(link), "new\n")
+        assert not link.is_symlink()
+        assert link.read_text() == "new\n"
+        assert target.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["elsewhere.json", "report.json"]
+
+    def test_reports_take_the_umask_mode(self, tmp_path):
+        argv = ["qkd-single", "--exact", "--output-dir", str(tmp_path)]
+        old_umask = os.umask(0o022)
+        try:
+            modes = []
+            for _ in range(2):  # a first write, then a rewrite
+                assert main(argv) == EXIT_OK
+                modes.append({path.name: path.stat().st_mode & 0o777
+                              for path in tmp_path.iterdir()})
+        finally:
+            os.umask(old_umask)
+        assert modes[0] == modes[1] == {"qkd_single_report.json": 0o644,
+                                         "qkd-single_table.csv": 0o644}
+
+
 class TestMainExitCodes:
     def test_usage_error_exit_one(self, capsys):
         assert main(["protocol1", "--copies", "0", "5"]) == EXIT_USAGE
